@@ -6,16 +6,13 @@ human-readable summary (default) or a machine report (``--json``).
 
 Exit codes: 0 when every executed mathematical check passes, 1 when a
 mathematical check fails (the report carries the witness), 2 for input or
-usage errors.  TGLAB_THREADS is honored as an upper bound on parallelism;
-the current implementation runs single-threaded, which satisfies any cap
-and keeps reports byte-deterministic.
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -57,6 +54,10 @@ from tglab.weylops import (
 SCHEMA = 1
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,14 +82,22 @@ def load_spec(path: str) -> dict:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad bundle rows: {exc}")
     opts = raw.get("options", {})
+    if not isinstance(opts, dict) or not all(_is_int(v) for v in opts.values()):
+        raise ParseError("options must be an object with integer values")
+    basis_p = raw.get("basis_p")
+    if basis_p is not None and not (
+        isinstance(basis_p, list)
+        and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis_p)
+    ):
+        raise ParseError("basis_p must be null or a list of integer rows")
     spec = {
         "fan": Fan.make(rays, cones),
         "bundles": bundle_rows,
-        "basis_p": raw.get("basis_p"),
-        "degree_bound": int(opts.get("degree_bound", 6)),
-        "dmax": int(opts.get("dmax", 8)),
-        "seed": int(opts.get("seed", 0)),
-        "stabilization_window": int(opts.get("stabilization_window", 3)),
+        "basis_p": basis_p,
+        "degree_bound": opts.get("degree_bound", 6),
+        "dmax": opts.get("dmax", 8),
+        "seed": opts.get("seed", 0),
+        "stabilization_window": opts.get("stabilization_window", 3),
     }
     return spec
 
@@ -98,14 +107,6 @@ def bundle_matrix(spec) -> IntegerMatrix:
     if not spec["bundles"]:
         return IntegerMatrix(0, fan.n_rays, ())
     return IntegerMatrix.from_rows(spec["bundles"])
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("TGLAB_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def cmd_validate(spec, args) -> dict:
@@ -369,8 +370,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cutoff", type=int, default=None,
                         help="slice cutoff for the Jacobian dimension sweep")
     args = parser.parse_args(argv)
-
-    _thread_cap()  # upper bound on parallelism; execution is serial
 
     try:
         spec = load_spec(args.spec)

@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from tglab.errors import FanNotSmoothComplete
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, row_reduce
+from tglab.rationalcone import nullspace
 from tglab.toricfan import Fan, validate_fan
 
 
@@ -143,12 +144,12 @@ def build_ring(fan: Fan) -> CohomologyRing:
         if d >= 1:
             for k in range(n):
                 for mu in _monomials(m, d - 1):
-                    row = [Fraction(0)] * len(monos)
+                    row = [0] * len(monos)
                     for i in range(m):
                         if A.entries[k][i]:
                             exp = list(mu)
                             exp[i] += 1
-                            row[index[tuple(exp)]] += Fraction(A.entries[k][i])
+                            row[index[tuple(exp)]] += A.entries[k][i]
                     rows.append(row)
         for nf in nonfaces:
             size = len(nf)
@@ -158,10 +159,10 @@ def build_ring(fan: Fan) -> CohomologyRing:
                 exp = list(mu)
                 for i in nf:
                     exp[i] += 1
-                row = [Fraction(0)] * len(monos)
-                row[index[tuple(exp)]] = Fraction(1)
+                row = [0] * len(monos)
+                row[index[tuple(exp)]] = 1
                 rows.append(row)
-        pivots, rref = _row_reduce(rows, len(monos))
+        pivots, rref = row_reduce(rows, len(monos))
         free_cols = [j for j in range(len(monos)) if j not in pivots]
         if d > n and free_cols:
             raise FanNotSmoothComplete("ring does not vanish above the top degree")
@@ -196,27 +197,6 @@ def build_ring(fan: Fan) -> CohomologyRing:
     return ring
 
 
-def _row_reduce(rows, ncols):
-    """Reduced row echelon form; returns (pivot column list, rows)."""
-    mat = [list(r) for r in rows if any(x != 0 for x in r)]
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        piv = next((i for i in range(pr, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        pv = mat[pr][col]
-        mat[pr] = [x / pv for x in mat[pr]]
-        for i in range(len(mat)):
-            if i != pr and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pr])]
-        pivots.append(col)
-        pr += 1
-    return pivots, mat[: len(pivots)]
-
-
 def chern_data(ring: CohomologyRing, d: IntegerMatrix):
     """First Chern classes of the bundle rows, their product, and the
     difference class sum D_i - sum c1(L_j)."""
@@ -239,17 +219,14 @@ def twisted_pairing(ring: CohomologyRing, c_top, g1, g2) -> Fraction:
 def kernel_of_multiplication(ring: CohomologyRing, c):
     """Basis of ker(m_c) as coefficient vectors over the monomial basis."""
     mat = ring.matrix_of_multiplication(c)
-    ncols = len(ring.basis)
-    from tglab.rationalcone import nullspace
-
-    return nullspace([tuple(row) for row in mat], ncols)
+    return nullspace(mat, len(ring.basis))
 
 
 def reduced_ring(ring: CohomologyRing, c_top):
     """Quotient by ker(m_{c_top}): representative basis monomials, the
     projection, and the induced (nondegenerate) pairing matrix."""
     kern = kernel_of_multiplication(ring, c_top)
-    pivots, rref = _row_reduce([[Fraction(x) for x in v] for v in kern], len(ring.basis))
+    pivots, rref = row_reduce(kern, len(ring.basis))
     keep = [j for j in range(len(ring.basis)) if j not in pivots]
 
     def project(cls):
@@ -268,7 +245,7 @@ def reduced_ring(ring: CohomologyRing, c_top):
         ]
         for bi in reps
     ]
-    nondegenerate = _det(pairing) != 0
+    nondegenerate = len(row_reduce(pairing, len(reps))[0]) == len(reps)
     return {
         "basis": reps,
         "project": project,
@@ -276,29 +253,6 @@ def reduced_ring(ring: CohomologyRing, c_top):
         "nondegenerate": nondegenerate,
         "kernel_rank": len(kern),
     }
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return det
 
 
 def grading_mu(ring: CohomologyRing, c: int):

@@ -1,16 +1,18 @@
 """Exact integer linear algebra.
 
 Smith normal form with unimodular transforms, saturated kernel lattices,
-and the section-matrix systems (C, L, M, D) attached to a surjective
-integer matrix.  All arithmetic uses Python integers, so nothing here can
-overflow or round.
+the section-matrix systems (C, L, M, D) attached to a surjective integer
+matrix, and ``row_reduce``, the one Gauss-Jordan elimination over Q that
+nullspaces, linear solves and inverses everywhere in the package go
+through.  All arithmetic uses Python integers and Fractions, so nothing
+here can overflow or round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from tglab.errors import DimensionMismatch, NotARelation, NotSurjective
 
@@ -138,6 +140,51 @@ class IntegerMatrix:
 
 def _diagonal(m: IntegerMatrix):
     return [m.entries[i][i] for i in range(min(m.rows, m.cols))]
+
+
+_ZERO = Fraction(0)
+
+
+def row_reduce(rows, ncols):
+    """Reduced row echelon form over Q: ``(pivot columns, reduced rows)``.
+
+    ``rows`` are sequences of ``ncols`` ints or Fractions.  The reduced
+    rows are the nonzero rows of the echelon form, as lists of Fractions
+    with 1 in their pivot column and 0 in every other pivot column; the
+    form is unique, so it does not depend on how the elimination runs.
+    To solve ``A x = b``, reduce ``[A | b]``: the system is consistent iff
+    column ``ncols - 1`` is not a pivot.  Elimination is fraction-free on
+    primitive integer rows; the only division is the last one, by each
+    row's pivot.
+    """
+    mat = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row] if den != 1 else [int(x) for x in row]
+        g = gcd(*ints)
+        if g:
+            mat.append([x // g for x in ints] if g > 1 else ints)
+    pivots = []
+    for col in range(ncols):
+        pr = len(pivots)
+        piv = next((i for i in range(pr, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[pr], mat[piv] = mat[piv], mat[pr]
+        prow = mat[pr]
+        pv = prow[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != pr:
+                new = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    reduced = []
+    for row, col in zip(mat, pivots):
+        pv = row[col]
+        reduced.append([Fraction(x, pv) if x else _ZERO for x in row])
+    return pivots, reduced
 
 
 @dataclass(frozen=True)
@@ -318,26 +365,12 @@ def section_system(B: IntegerMatrix) -> SectionSystem:
 def _unimodular_inverse(V: IntegerMatrix) -> IntegerMatrix:
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = V.rows
-    aug = [[Fraction(V.entries[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            x = aug[i][j]
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(x))
-        out.append(row)
-    return IntegerMatrix.from_rows(out)
+    aug = [list(V.entries[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    pivots, reduced = row_reduce(aug, 2 * n)
+    inverse = [row[n:] for row in reduced]
+    if pivots != list(range(n)) or any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+    return IntegerMatrix.from_rows(inverse)
 
 
 def extend_relation(l, d: IntegerMatrix, A: IntegerMatrix | None = None) -> tuple:
@@ -369,37 +402,3 @@ def homogenize(B: IntegerMatrix) -> IntegerMatrix:
     for i in range(s):
         rows.append((0,) + B.entries[i])
     return IntegerMatrix.from_rows(rows)
-
-
-def primitive_vector(vec) -> tuple:
-    """vec divided by the gcd of its entries (zero vector unchanged)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g in (0, 1):
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)
-
-
-def rank_mod_p(M: IntegerMatrix, p: int) -> int:
-    """Rank of M over the prime field F_p."""
-    m = [[x % p for x in row] for row in M.entries]
-    rank = 0
-    rows, cols = M.rows, M.cols
-    pivot_row = 0
-    for col in range(cols):
-        piv = next((i for i in range(pivot_row, rows) if m[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        m[pivot_row], m[piv] = m[piv], m[pivot_row]
-        inv = pow(m[pivot_row][col], -1, p)
-        m[pivot_row] = [(x * inv) % p for x in m[pivot_row]]
-        for i in range(rows):
-            if i != pivot_row and m[i][col] % p:
-                f = m[i][col]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[pivot_row])]
-        pivot_row += 1
-        rank += 1
-        if pivot_row == rows:
-            break
-    return rank

@@ -74,16 +74,6 @@ class LaurentPoly:
             self.nvars, {e: v * e[k] for e, v in self.coeffs.items() if e[k]}
         )
 
-    def substitute(self, values):
-        """Evaluate at rational values (all variables)."""
-        total = Fraction(0)
-        for e, v in self.coeffs.items():
-            term = v
-            for x, p in zip(values, e):
-                term *= Fraction(x) ** p
-            total += term
-        return total
-
     def is_zero(self):
         return not self.coeffs
 
@@ -113,11 +103,6 @@ def build_family(B: IntegerMatrix) -> LaurentPoly:
         exps[s + i] = 1
         out = out - LaurentPoly.monomial(s + t, exps)
     return out
-
-
-def km_section_signs(m: int, t: int):
-    """The sign twist: +1 on the first m variables, -1 on the bundle ones."""
-    return tuple(1 if i < m else -1 for i in range(t))
 
 
 def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> LaurentPoly:

@@ -82,12 +82,6 @@ class MirrorModel:
             boxes.append(qdm_box(ctx, self.L, self.m, coords, l_vec))
         return {"ctx": ctx, "boxes": boxes, "euler": qdm_euler(ctx, self.L)}
 
-    def qdm_box_for(self, coords):
-        """Q_l for a relation given by its coordinates in the p basis."""
-        ctx = qdm_context(self.r)
-        l_vec = self.L.mul_vec(coords)
-        return qdm_box(ctx, self.L, self.m, tuple(int(x) for x in coords), l_vec)
-
     def star_generators(self, beta0_beta=None):
         if beta0_beta is None:
             beta0_beta = [0] * (1 + self.Aprime.rows)

@@ -9,7 +9,6 @@ have volume one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from tglab.errors import DegeneratePolytope
@@ -29,7 +28,7 @@ class AffineConstraint:
     normal: tuple
 
     def value(self, x):
-        return self.offset + sum(Fraction(a) * Fraction(b) for a, b in zip(self.normal, x))
+        return self.offset + sum(a * b for a, b in zip(self.normal, x))
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def _projected_rank(rows, basis):
     if not rows or not basis:
         return 0
     mat = [
-        tuple(sum(Fraction(r[i]) * Fraction(b[i]) for i in range(len(b))) for b in basis)
+        tuple(sum(r[i] * b[i] for i in range(len(b))) for b in basis)
         for r in rows
     ]
     return len(basis) - len(nullspace(mat, len(basis)))

@@ -22,7 +22,7 @@ from tglab.errors import (
     UnsupportedOperator,
 )
 from tglab.cohomring import CohomologyRing
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.weylops import WeylOp
 
 
@@ -138,31 +138,17 @@ def i_function(
 
 def _class_from_coords(ring: CohomologyRing, kernel_matrix: IntegerMatrix, coords):
     """A class with the given kernel-dual coordinates, written through the
-    ray divisor classes: solve sum t_i row_i = coords over Q."""
+    ray divisor classes: solve sum t_i row_i = coords over Q.  The ray rows
+    of a kernel basis have full rank, so the system is consistent."""
     m_rays = ring.fan.n_rays
-    r = kernel_matrix.cols
     aug = [
-        [Fraction(kernel_matrix.entries[i][a]) for i in range(m_rays)] + [Fraction(coords[a])]
-        for a in range(r)
+        [kernel_matrix.entries[i][a] for i in range(m_rays)] + [coords[a]]
+        for a in range(kernel_matrix.cols)
     ]
-    pivots = []
-    pr = 0
-    for col in range(m_rays):
-        piv = next((i for i in range(pr, r) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[pr], aug[piv] = aug[piv], aug[pr]
-        pv = aug[pr][col]
-        aug[pr] = [x / pv for x in aug[pr]]
-        for i in range(r):
-            if i != pr and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pr])]
-        pivots.append(col)
-        pr += 1
-    tvec = [Fraction(0)] * m_rays
-    for i, col in enumerate(pivots):
-        tvec[col] = aug[i][m_rays]
+    pivots, reduced = row_reduce(aug, m_rays + 1)
+    tvec = [0] * m_rays
+    for row, col in zip(reduced, pivots):
+        tvec[col] = row[m_rays]
     return ring.combination(tvec)
 
 

@@ -10,27 +10,18 @@ package meets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-
-def _as_fraction_vec(v):
-    return tuple(Fraction(x) for x in v)
+from tglab.intlinalg import row_reduce
 
 
 def _primitive(v):
     """Scale a rational vector to a primitive integer vector."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def _dot(a, b):
@@ -39,35 +30,17 @@ def _dot(a, b):
 
 def nullspace(rows, dim):
     """Basis of {x : r . x = 0 for all rows r}, primitive integer vectors."""
-    mat = [list(_as_fraction_vec(r)) for r in rows]
-    pivots = []
-    pivot_row = 0
-    for col in range(dim):
-        piv = next((i for i in range(pivot_row, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[pivot_row], mat[piv] = mat[piv], mat[pivot_row]
-        pv = mat[pivot_row][col]
-        mat[pivot_row] = [x / pv for x in mat[pivot_row]]
-        for i in range(len(mat)):
-            if i != pivot_row and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    free = [c for c in range(dim) if c not in pivots]
+    pivots, reduced = row_reduce(rows, dim)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = -mat[row_i][fc]
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        vec = [0] * dim
+        vec[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         basis.append(_primitive(vec))
     return basis
-
-
-def rank(rows, dim) -> int:
-    return dim - len(nullspace(rows, dim))
 
 
 @dataclass(frozen=True)
@@ -79,14 +52,12 @@ class HForm:
     inequalities: tuple
 
     def contains(self, x) -> bool:
-        x = _as_fraction_vec(x)
         return all(_dot(e, x) == 0 for e in self.equalities) and all(
             _dot(n, x) >= 0 for n in self.inequalities
         )
 
     def contains_interior(self, x) -> bool:
         """Strict interior relative to the ambient space."""
-        x = _as_fraction_vec(x)
         if self.equalities:
             return False
         return all(_dot(n, x) > 0 for n in self.inequalities)
@@ -94,7 +65,7 @@ class HForm:
 
 def cone_hform(generators, dim) -> HForm:
     """H-form of the cone generated by the given vectors."""
-    gens = [_as_fraction_vec(g) for g in generators if any(x != 0 for x in g)]
+    gens = [g for g in generators if any(x != 0 for x in g)]
     eqs = nullspace(gens, dim)
     if not gens:
         return HForm(dim, tuple(eqs), ())
@@ -144,14 +115,14 @@ def extreme_rays(h: HForm):
     extreme = []
     for r in rays:
         active = frozenset(
-            i for i, n in enumerate(h.inequalities) if _dot(n, _as_fraction_vec(r)) == 0
+            i for i, n in enumerate(h.inequalities) if _dot(n, r) == 0
         )
         dominated = False
         for other in rays:
             if other == r:
                 continue
             oactive = frozenset(
-                i for i, n in enumerate(h.inequalities) if _dot(n, _as_fraction_vec(other)) == 0
+                i for i, n in enumerate(h.inequalities) if _dot(n, other) == 0
             )
             if active < oactive:
                 dominated = True
@@ -186,13 +157,6 @@ def intersect_hforms(forms):
     return HForm(dim, tuple(seen_e), tuple(seen_i))
 
 
-def cones_equal(gens_a, gens_b, dim) -> bool:
-    """Set equality of two finitely generated cones, by mutual membership."""
-    ha = cone_hform(gens_a, dim)
-    hb = cone_hform(gens_b, dim)
-    return all(hb.contains(g) for g in gens_a) and all(ha.contains(g) for g in gens_b)
-
-
 @dataclass(frozen=True)
 class RationalCone:
     """A finitely generated rational cone kept in both forms."""
@@ -200,11 +164,6 @@ class RationalCone:
     dim: int
     generators: tuple
     hform: HForm
-
-    @staticmethod
-    def from_generators(generators, dim) -> "RationalCone":
-        gens = tuple(_primitive(_as_fraction_vec(g)) for g in generators if any(g))
-        return RationalCone(dim, gens, cone_hform(gens, dim))
 
     @staticmethod
     def from_hform(h: HForm) -> "RationalCone":

@@ -23,7 +23,7 @@ from tglab.errors import (
     NegativeCoefficient,
     NonPrimitiveRay,
 )
-from tglab.intlinalg import IntegerMatrix, kernel_lattice
+from tglab.intlinalg import IntegerMatrix, kernel_lattice, row_reduce
 from tglab.polytopes import normalized_volume, simplex_normalized_volume
 from tglab.rationalcone import (
     HForm,
@@ -224,21 +224,13 @@ def _pl_convex_raw(fan: Fan, values) -> tuple:
 
 
 def _linear_extension(fan: Fan, cone, vals):
-    """u with <u, a_i> = vals[i] for the rays of the cone (exact solve)."""
+    """u with <u, a_i> = vals[i] for the rays of the cone (exact solve).
+
+    The first ``dim`` rays of the cone determine u.
+    """
     n = fan.dim
-    mat = [[Fraction(fan.rays[i][k]) for k in range(n)] for i in cone]
-    rhs = [vals[i] for i in cone]
-    aug = [row + [rhs[r]] for r, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    _, reduced = row_reduce([list(fan.rays[i]) + [vals[i]] for i in cone[:n]], n + 1)
+    return [row[n] for row in reduced]
 
 
 def divisor_class_matrix(fan: Fan) -> IntegerMatrix:
@@ -296,11 +288,11 @@ def nef_cone_pl(fan: Fan) -> RationalCone:
             for b in range(r):
                 unit_t = [section[row][b] for row in range(m)]
                 vals = [-x for x in unit_t]
-                u = _linear_extension(fan, cone, [Fraction(v) for v in vals])
+                u = _linear_extension(fan, cone, vals)
                 lin = sum(u[k] * fan.rays[i][k] for k in range(fan.dim))
                 coeffs.append(lin - vals[i])
             ineqs.append(tuple(coeffs))
-    prim = [_primitive(tuple(Fraction(x) for x in v)) for v in ineqs]
+    prim = [_primitive(v) for v in ineqs]
     dedup = []
     for v in prim:
         if any(x != 0 for x in v) and v not in dedup:
@@ -311,32 +303,13 @@ def nef_cone_pl(fan: Fan) -> RationalCone:
 def _rational_right_inverse(classes: IntegerMatrix):
     """Any rational section S (m x r) with classes^T S = I_r."""
     m, r = classes.rows, classes.cols
-    # Solve classes^T * S = I_r column by column.
-    ct = classes.transpose()  # r x m
-    cols = []
-    for b in range(r):
-        rhs = [Fraction(int(i == b)) for i in range(r)]
-        aug = [[Fraction(ct.entries[i][j]) for j in range(m)] + [rhs[i]] for i in range(r)]
-        pivots = []
-        pr = 0
-        for col in range(m):
-            piv = next((i for i in range(pr, r) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[pr], aug[piv] = aug[piv], aug[pr]
-            pv = aug[pr][col]
-            aug[pr] = [x / pv for x in aug[pr]]
-            for i in range(r):
-                if i != pr and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b2 for a, b2 in zip(aug[i], aug[pr])]
-            pivots.append(col)
-            pr += 1
-        sol = [Fraction(0)] * m
-        for row_i, pc in enumerate(pivots):
-            sol[pc] = aug[row_i][m]
-        cols.append(sol)
-    return [[cols[b][i] for b in range(r)] for i in range(m)]
+    # Reduce (classes^T | I_r); classes^T has full row rank r.
+    aug = [list(classes.col(b)) + [int(i == b) for i in range(r)] for b in range(r)]
+    pivots, reduced = row_reduce(aug, m + r)
+    section = [[0] * r for _ in range(m)]
+    for row, pc in zip(reduced, pivots):
+        section[pc] = row[m:]
+    return section
 
 
 def class_is_nef(fan: Fan, divisor_coeffs) -> bool:

@@ -31,7 +31,7 @@ from tglab.errors import (
     NotLogExpressible,
     NotSameImage,
 )
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, row_reduce
 
 
 @dataclass(frozen=True)
@@ -874,20 +874,21 @@ def bounded_ideal_membership(P: WeylOp, generators, total_degree_bound: int,
         row_keys.update(col)
     row_index = {k: i for i, k in enumerate(sorted(row_keys))}
     nrows, ncols = len(row_index), len(columns)
-    mat = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    mat = [[0] * (ncols + 1) for _ in range(nrows)]
     for cidx, col in enumerate(columns):
         for key, val in col.items():
             mat[row_index[key]][cidx] = val
     for key, val in target.items():
         mat[row_index[key]][ncols] = val
-    sol = _solve_linear(mat, ncols)
-    if sol is None:
+    pivots, reduced = row_reduce(mat, ncols + 1)
+    if ncols in pivots:
         return {"status": "inconclusive"}
+    # The particular solution with every free variable at 0.
     coeffs = {}
-    for cidx, val in enumerate(sol):
-        if val:
+    for row, cidx in zip(reduced, pivots):
+        if row[ncols]:
             j, key = col_meta[cidx]
-            coeffs.setdefault(j, {})[key] = val
+            coeffs.setdefault(j, {})[key] = row[ncols]
     combo = WeylOp.zero(ctx)
     for j, terms in coeffs.items():
         combo = combo + WeylOp(ctx, terms) * generators[j]
@@ -895,30 +896,3 @@ def bounded_ideal_membership(P: WeylOp, generators, total_degree_bound: int,
         return {"status": "inconclusive"}
     certificate = {j: WeylOp(ctx, terms) for j, terms in coeffs.items()}
     return {"status": "certificate", "coefficients": certificate}
-
-
-def _solve_linear(aug, ncols):
-    """One solution of the augmented system, or None."""
-    nrows = len(aug)
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        piv = next((i for i in range(pr, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[pr], aug[piv] = aug[piv], aug[pr]
-        pv = aug[pr][col]
-        aug[pr] = [x / pv for x in aug[pr]]
-        for i in range(nrows):
-            if i != pr and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pr])]
-        pivots.append(col)
-        pr += 1
-    for i in range(pr, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
-    return sol

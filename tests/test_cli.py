@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
@@ -29,15 +31,28 @@ def test_validate_negative_bundle():
     assert "passed: False" in proc.stdout
 
 
-def test_parse_error_exit_code():
-    bad = SPECS / "broken.json"
-    bad.write_text("{ not json", encoding="utf-8")
-    try:
-        proc = run_cli("validate", "--spec", str(bad))
-        assert proc.returncode == 2
-        assert "parse error" in proc.stderr
-    finally:
-        bad.unlink()
+P1_FAN = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{ not json", "parse error", id="not-json"),
+        pytest.param(json.dumps({"fan": P1_FAN, "options": {"degree_bound": "x"}}), "options",
+                     id="option-string"),
+        pytest.param(json.dumps({"fan": P1_FAN, "options": {"dmax": None}}), "options",
+                     id="option-null"),
+        pytest.param(json.dumps({"fan": P1_FAN, "options": []}), "options", id="options-list"),
+        pytest.param(json.dumps({"fan": P1_FAN, "basis_p": "x"}), "basis_p", id="basis-p-string"),
+    ],
+)
+def test_parse_error_exit_code(tmp_path, text, message):
+    bad = tmp_path / "broken.json"
+    bad.write_text(text, encoding="utf-8")
+    proc = run_cli("construct", "--spec", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("tglab: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_missing_file_exit_code():

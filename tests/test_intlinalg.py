@@ -1,19 +1,27 @@
-"""Integer linear algebra: Smith form, kernels, sections, homogenization."""
+"""Integer linear algebra: Smith form, kernels, sections, homogenization,
+and the exact elimination kernel, checked against sympy as an oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from tglab.errors import NotARelation, NotSurjective
 from tglab.intlinalg import (
     IntegerMatrix,
+    _unimodular_inverse,
     extend_relation,
     homogenize,
     kernel_lattice,
-    rank_mod_p,
+    row_reduce,
     section_system,
     smith_normal_form,
 )
+from tglab.rationalcone import nullspace
 
 
 def snf_invariants_hold(A):
@@ -74,21 +82,6 @@ def test_kernel_p2():
     k = kernel_lattice(B)
     assert k.rank == 1
     assert k.column(0) in ((1, 1, 1), (-1, -1, -1))
-
-
-def test_kernel_saturation_mod_small_primes():
-    rng = random.Random(11)
-    for _ in range(10):
-        s, t = rng.randint(1, 3), rng.randint(2, 6)
-        B = IntegerMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(t)] for _ in range(s)]
-        )
-        basis = kernel_lattice(B).basis
-        if basis.cols == 0:
-            continue
-        rank_q = basis.rank()
-        for p in (2, 3, 5, 7):
-            assert rank_mod_p(basis, p) == rank_q
 
 
 def test_section_system_single_row():
@@ -165,3 +158,126 @@ def test_homogenize_p1_o2():
     assert cols == [(1, 0, 0), (1, 1, 2), (1, -1, 0), (1, 0, 1)]
     # deleting row 0 and column 0 recovers B
     assert H.submatrix(range(1, 3), range(1, 4)).entries == B.entries
+
+
+# Differential tests against sympy on random small matrices.
+
+ORACLE = settings(max_examples=40, deadline=None)
+ints = st.integers(-5, 5)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def matrices(draw, entries=ints, rows=st.integers(0, 4), cols=st.integers(1, 5)):
+    nrows, ncols = draw(rows), draw(cols)
+    return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows)), ncols
+
+
+def _sympy(rows, ncols):
+    return Matrix(len(rows), ncols, [x for row in rows for x in row])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@ORACLE
+@given(st.one_of(matrices(), matrices(rationals)))
+def test_row_reduce_matches_sympy_rref(mat):
+    rows, ncols = mat
+    pivots, reduced = row_reduce(rows, ncols)
+    rref, sym_pivots = _sympy(rows, ncols).rref()
+    assert pivots == list(sym_pivots)
+    assert reduced == [[_fraction(rref[i, j]) for j in range(ncols)] for i in range(len(pivots))]
+
+
+@ORACLE
+@given(st.one_of(matrices(), matrices(rationals)))
+def test_nullspace_matches_sympy(mat):
+    rows, ncols = mat
+    basis = nullspace(rows, ncols)
+    sym_basis = _sympy(rows, ncols).nullspace()
+    assert len(basis) == len(sym_basis)
+    for v in basis:
+        assert all(isinstance(x, int) for x in v)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+    if basis:
+        ours = Matrix(basis)
+        assert ours.rank() == len(basis)
+        assert Matrix.vstack(ours, *[v.T for v in sym_basis]).rank() == len(basis)
+
+
+@ORACLE
+@given(matrices(rationals), st.data())
+def test_augmented_solve_matches_sympy(mat, data):
+    rows, ncols = mat
+    rhs = data.draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    pivots, reduced = row_reduce([row + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    A, b = _sympy(rows, ncols), Matrix(len(rows), 1, rhs)
+    try:
+        sol, params = A.gauss_jordan_solve(b)
+    except ValueError:
+        assert ncols in pivots
+        return
+    assert ncols not in pivots
+    # Free variables at 0 give the particular solution.
+    sol = sol.subs({p: 0 for p in params})
+    ours = [Fraction(0)] * ncols
+    for row, col in zip(reduced, pivots):
+        ours[col] = row[ncols]
+    assert ours == [_fraction(sol[j]) for j in range(ncols)]
+
+
+@st.composite
+def unimodular(draw):
+    n = draw(st.integers(0, 4))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n:
+        for _ in range(draw(st.integers(0, 8))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            c = draw(st.integers(-3, 3))
+            if i == j:
+                m[i] = [-x for x in m[i]]
+            else:
+                m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+            if draw(st.booleans()):
+                m[i], m[j] = m[j], m[i]
+    return IntegerMatrix(n, n, tuple(tuple(r) for r in m))
+
+
+@ORACLE
+@given(unimodular())
+def test_unimodular_inverse_matches_sympy(V):
+    inv = _unimodular_inverse(V)
+    expected = _sympy(V.entries, V.cols).inv()
+    assert inv.entries == tuple(tuple(int(x) for x in expected.row(i)) for i in range(V.rows))
+    assert V.mul(inv).entries == IntegerMatrix.identity(V.rows).entries
+
+
+@ORACLE
+@given(st.integers(0, 5).flatmap(lambda n: matrices(ints, st.just(n), st.just(n))))
+def test_det_matches_sympy(mat):
+    rows, n = mat
+    assert IntegerMatrix(n, n, tuple(map(tuple, rows))).det() == _sympy(rows, n).det()
+
+
+@ORACLE
+@given(matrices(rows=st.integers(1, 4)))
+def test_smith_diagonal_matches_sympy(mat):
+    rows, ncols = mat
+    ours = smith_normal_form(IntegerMatrix.from_rows(rows)).diagonal
+    theirs = sympy_snf(_sympy(rows, ncols))
+    assert ours == [abs(int(theirs[i, i])) for i in range(len(ours))]
+
+
+@ORACLE
+@given(matrices(rows=st.integers(1, 3), cols=st.integers(2, 6)))
+def test_kernel_basis_is_saturated(mat):
+    """Saturated: the Smith invariants of the basis are all 1."""
+    rows, ncols = mat
+    basis = kernel_lattice(IntegerMatrix.from_rows(rows)).basis
+    if basis.cols == 0:
+        return
+    diag = sympy_snf(_sympy(basis.entries, basis.cols))
+    assert [abs(diag[i, i]) for i in range(basis.cols)] == [1] * basis.cols
