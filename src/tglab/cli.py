@@ -88,8 +88,9 @@ def load_spec(path: str) -> dict:
     if basis_p is not None and not (
         isinstance(basis_p, list)
         and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis_p)
+        and len({len(row) for row in basis_p}) <= 1
     ):
-        raise ParseError("basis_p must be null or a list of integer rows")
+        raise ParseError("basis_p must be null or a list of integer rows of one length")
     spec = {
         "fan": Fan.make(rays, cones),
         "bundles": bundle_rows,
@@ -100,6 +101,18 @@ def load_spec(path: str) -> dict:
         "stabilization_window": opts.get("stabilization_window", 3),
     }
     return spec
+
+
+def _apply_flags(spec, args):
+    """Let the command-line flags override the spec options, then refuse any
+    setting below its minimum."""
+    flags = {"degree_bound": args.degree, "dmax": args.dmax, "seed": args.seed}
+    spec.update({k: v for k, v in flags.items() if v is not None})
+    spec.update(samples=args.samples, cutoff=args.cutoff)
+    minimum = {"degree_bound": 0, "dmax": 0, "stabilization_window": 1, "samples": 1, "cutoff": 1}
+    for key, low in minimum.items():
+        if spec[key] is not None and spec[key] < low:
+            raise ParseError(f"{key} must be at least {low}, got {spec[key]}")
 
 
 def bundle_matrix(spec) -> IntegerMatrix:
@@ -171,7 +184,7 @@ def cmd_construct(spec, args) -> dict:
 def cmd_semigroup(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
-    bound = args.degree if args.degree is not None else spec["degree_bound"]
+    bound = spec["degree_bound"]
     total = total_space_fan(fan, d, allow_negative=True)
     Btot = total.ray_matrix()
     vol = normalized_volume(
@@ -192,13 +205,12 @@ def cmd_semigroup(spec, args) -> dict:
             gen = S.gen(1 + fan.n_rays + j)
             shift = [a + b for a, b in zip(shift, gen)]
         out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound)
-        Ap = total.ray_matrix()
         Sprime = AffineSemigroup(
-            Ap, graded=False, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones)
+            Btot, graded=False, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones)
         )
-        shiftp = [0] * Ap.rows
+        shiftp = [0] * Btot.rows
         for j in range(c):
-            col = Ap.col(fan.n_rays + j)
+            col = Btot.col(fan.n_rays + j)
             shiftp = [a + b for a, b in zip(shiftp, col)]
         out["interior_shift"] = interior_shift_check_ungraded(Sprime, S, shiftp, bound)
         out["passed"] = bool(out["gorenstein_shift"] and out["interior_shift"])
@@ -258,7 +270,7 @@ def cmd_lg(spec, args) -> dict:
     B = model.Aprime
     fam = build_family(B)
     km = restrict_to_km(B, model.M, model.m)
-    rng = random.Random(args.seed if args.seed is not None else spec["seed"])
+    rng = random.Random(spec["seed"])
     window = spec["stabilization_window"]
     cones = [tuple(c) for c in model.total.max_cones]
     vol = normalized_volume(
@@ -266,13 +278,13 @@ def cmd_lg(spec, args) -> dict:
     )
     samples = []
     good = 0
-    for _ in range(args.samples):
+    for _ in range(spec["samples"]):
         lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)]
         verdict = classify_parameter(
             B,
             lam,
             stabilization_window=window,
-            cutoff=args.cutoff,
+            cutoff=spec["cutoff"],
             cone_index_sets=cones,
         )
         row = {
@@ -301,7 +313,7 @@ def cmd_ifun(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
     model = build_model(fan, d, basis_p=spec["basis_p"])
-    dmax = args.dmax if args.dmax is not None else spec["dmax"]
+    dmax = spec["dmax"]
     table = model.i_table(dmax + 1)
     g = model.qdm_generators()
     rows = []
@@ -373,6 +385,7 @@ def main(argv=None) -> int:
 
     try:
         spec = load_spec(args.spec)
+        _apply_flags(spec, args)
     except ParseError as exc:
         print(f"tglab: {exc}", file=sys.stderr)
         return 2

@@ -22,8 +22,8 @@ from tglab.errors import (
     ZeroCoefficient,
 )
 from tglab.intlinalg import IntegerMatrix
-from tglab.polytopes import LatticePolytope, dilate, lattice_points
-from tglab.semigroups import _solve_unimodular
+from tglab.polytopes import LatticePolytope
+from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 
 
 class LaurentPoly:
@@ -185,22 +185,9 @@ def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets
     we raise otherwise.
     """
     s = B.rows
-    zero = tuple(0 for _ in range(s))
-    region = LatticePolytope.from_points(
-        dilate([zero] + [B.col(i) for i in range(B.cols)], bound)
-    )
-    pts = lattice_points(region)
-    cols = [B.col(i) for i in range(B.cols)]
+    pts = graded_slice_points(doubled_semigroup(B), bound)
     if cone_index_sets:
-        sets = [tuple(idx) for idx in cone_index_sets]
-
-        def member(u):
-            for idx in sets:
-                coords = _solve_unimodular([cols[i] for i in idx], u)
-                if coords is not None and all(c >= 0 for c in coords):
-                    return True
-            return False
-
+        member = AffineSemigroup(B, cone_index_sets=tuple(map(tuple, cone_index_sets))).certified
     else:
         from tglab.intlinalg import smith_normal_form
 
@@ -225,9 +212,7 @@ def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets
 
 def _cone_is_everything(B: IntegerMatrix) -> bool:
     """True when the columns positively span the whole space."""
-    from tglab.rationalcone import cone_hform
-
-    h = cone_hform([B.col(i) for i in range(B.cols)], B.rows)
+    h = AffineSemigroup(B).cone
     return not h.equalities and not h.inequalities
 
 

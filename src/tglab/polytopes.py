@@ -232,7 +232,3 @@ def lattice_points(poly: LatticePolytope):
         if poly.contains(cand):
             out.append(cand)
     return out
-
-
-def dilate(points, k: int):
-    return [tuple(k * x for x in p) for p in points]

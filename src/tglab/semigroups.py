@@ -1,21 +1,23 @@
 """Affine semigroups: membership, saturation, Gorenstein shift, toric ideals.
 
 The graded semigroups here all look like N A'' (first coordinate counts the
-number of generators used), so membership is a finite knapsack search.  The
+number of generators used), so their grading-k elements form a finite slice,
+built once per semigroup by slice_k = slice_{k-1} + generators.  The
 ungraded N A' is handled through unimodular subcone certificates plus a
 graded lift, which is exact whenever the subcones cover the cone (that is
-checked separately through the W-set volume identity).
+checked separately through the W-set volume identity).  Every semigroup
+lies in its cone, so a point outside the cone is never a member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from tglab.errors import BoundTooSmall, NotSaturated, UnboundedSearch
-from tglab.intlinalg import IntegerMatrix, kernel_lattice
-from tglab.polytopes import LatticePolytope, dilate, lattice_points
-from tglab.rationalcone import cone_hform
+from tglab.intlinalg import IntegerMatrix, _unimodular_inverse, kernel_lattice
+from tglab.rationalcone import HForm, cone_hform
 
 
 @dataclass(frozen=True)
@@ -44,27 +46,46 @@ class AffineSemigroup:
     def gen(self, i: int) -> tuple:
         return self.generators.col(i)
 
+    @cached_property
+    def cone(self) -> HForm:
+        return cone_hform([self.gen(i) for i in range(self.n_gens)], self.dim)
+
+    @cached_property
+    def _inverses(self) -> tuple:
+        """Integer inverses of the unimodular bases in ``cone_index_sets``."""
+        bases = [
+            IntegerMatrix.from_rows([self.gen(i) for i in idx]).transpose()
+            for idx in self.cone_index_sets
+        ]
+        return tuple(_unimodular_inverse(b) for b in bases if abs(b.det()) == 1)
+
+    def certified(self, v) -> bool:
+        """v has nonnegative coordinates in one of the unimodular bases."""
+        return any(all(x >= 0 for x in inv.mul_vec(v)) for inv in self._inverses)
+
+    @cached_property
+    def _slices(self) -> list:
+        if any(x != 1 for x in self.generators.entries[0]):
+            raise UnboundedSearch("grading row must be all ones")
+        return [frozenset({(0,) * self.dim})]
+
+    def slice(self, k: int) -> frozenset:
+        """Elements of grading k of a graded semigroup: slice_0 = {0} and
+        slice_k = slice_{k-1} + generators, built on demand and kept."""
+        slices = self._slices
+        if k < 0:
+            return frozenset()
+        gens = [self.gen(i) for i in range(self.n_gens)]
+        while len(slices) <= k:
+            slices.append(
+                frozenset(tuple(a + b for a, b in zip(u, g)) for u in slices[-1] for g in gens)
+            )
+        return slices[k]
+
 
 def from_columns(cols, graded=False, cone_index_sets=()) -> AffineSemigroup:
     mat = IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(len(cols[0]))])
     return AffineSemigroup(mat, graded=graded, cone_index_sets=tuple(map(tuple, cone_index_sets)))
-
-
-def _solve_unimodular(cols, v):
-    """Integer coordinates of v in the basis given by cols (det +-1), or None."""
-    n = len(v)
-    mat = IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(n)])
-    det = mat.det()
-    if abs(det) != 1:
-        return None
-    # Cramer's rule stays integral for unimodular matrices.
-    coords = []
-    for j in range(n):
-        replaced = [
-            [v[i] if k == j else cols[k][i] for k in range(n)] for i in range(n)
-        ]
-        coords.append(IntegerMatrix.from_rows(replaced).det() * det)
-    return tuple(coords)
 
 
 def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) -> bool:
@@ -78,45 +99,15 @@ def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) ->
     v = tuple(int(x) for x in v)
     if len(v) != S.dim:
         raise ValueError("vector dimension mismatch")
-    for idx_set in S.cone_index_sets:
-        cols = [S.gen(i) for i in idx_set]
-        coords = _solve_unimodular(cols, v)
-        if coords is not None and all(c >= 0 for c in coords):
-            return True
-    if S.graded:
-        return _graded_member(S, v)
-    if lift is not None:
-        for k in range(lift_bound + 1):
-            if _graded_member(lift, (k,) + v):
-                return True
+    if S.certified(v):
+        return True
+    if not S.cone.contains(v):
         return False
+    if S.graded:
+        return v in S.slice(v[0])
+    if lift is not None:
+        return any((k,) + v in lift.slice(k) for k in range(lift_bound + 1))
     raise UnboundedSearch("no grading and no cone decomposition available")
-
-
-_MEMBER_MEMO: dict = {}
-
-
-def _graded_member(S: AffineSemigroup, v) -> bool:
-    gens = [S.gen(i) for i in range(S.n_gens)]
-    if any(g[0] <= 0 for g in gens):
-        raise UnboundedSearch("grading row must be positive")
-    memo = _MEMBER_MEMO.setdefault(S.generators.entries, {})
-
-    def rec(u):
-        if all(x == 0 for x in u):
-            return True
-        if u[0] <= 0:
-            return False
-        if u in memo:
-            return memo[u]
-        memo[u] = False
-        for g in gens:
-            if g[0] <= u[0] and rec(tuple(a - b for a, b in zip(u, g))):
-                memo[u] = True
-                break
-        return memo[u]
-
-    return rec(v)
 
 
 def doubled_semigroup(aprime: IntegerMatrix) -> AffineSemigroup:
@@ -127,20 +118,16 @@ def doubled_semigroup(aprime: IntegerMatrix) -> AffineSemigroup:
     return from_columns(cols, graded=True)
 
 
-def degree_one_polytope(S: AffineSemigroup) -> LatticePolytope:
-    """Hull of the degree-one slice of a graded semigroup (coordinates with
-    the grading dropped)."""
-    pts = [S.gen(i)[1:] for i in range(S.n_gens) if S.gen(i)[0] == 1]
-    return LatticePolytope.from_points(pts)
-
-
 def graded_slice_points(S: AffineSemigroup, k: int):
-    """Lattice points of the cone of S at grading k, via the dilated hull."""
-    base = degree_one_polytope(S)
-    if k == 0:
-        return [tuple(0 for _ in range(S.dim - 1))]
-    dilated = LatticePolytope.from_points(dilate(list(base.points), k))
-    return lattice_points(dilated)
+    """Lattice points of the cone of S at grading k, grading dropped: the
+    points of k * conv(generators), in lex order.
+
+    Scans the box k * [min, max] of the generators and keeps the points in
+    the cone, so the facet offsets scale with k and nothing is re-hulled.
+    """
+    tails = [g[1:] for g in S.slice(1)]
+    ranges = [range(k * min(c), k * max(c) + 1) for c in zip(*tails)]
+    return [p for p in product(*ranges) if S.cone.contains((k,) + p)]
 
 
 def saturation_check(S: AffineSemigroup, degree_bound: int):
@@ -152,25 +139,22 @@ def saturation_check(S: AffineSemigroup, degree_bound: int):
     if not S.graded:
         raise UnboundedSearch("saturation check needs the graded form")
     for k in range(degree_bound + 1):
+        members = S.slice(k)
         for pt in graded_slice_points(S, k):
-            full = (k,) + tuple(pt)
-            if not _graded_member(S, full):
-                return False, full
+            if (k,) + pt not in members:
+                return False, (k,) + pt
     return True, None
 
 
 def interior_points_up_to(S: AffineSemigroup, degree_bound: int):
     """Interior lattice points of the cone of a graded semigroup, grading
     <= bound."""
-    cols = [S.gen(i) for i in range(S.n_gens)]
-    h = cone_hform(cols, S.dim)
-    out = []
-    for k in range(degree_bound + 1):
-        for pt in graded_slice_points(S, k):
-            full = (k,) + tuple(pt)
-            if h.contains_interior(full):
-                out.append(full)
-    return out
+    return [
+        (k,) + pt
+        for k in range(degree_bound + 1)
+        for pt in graded_slice_points(S, k)
+        if S.cone.contains_interior((k,) + pt)
+    ]
 
 
 def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int) -> bool:
@@ -184,12 +168,11 @@ def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int) -> bool
         raise NotSaturated(f"not saturated up to {degree_bound}, witness {witness}")
     shift = tuple(int(x) for x in shift)
     interior = set(interior_points_up_to(S, degree_bound))
-    shifted = set()
-    for k in range(degree_bound - shift[0] + 1):
-        for pt in graded_slice_points(S, k):
-            full = (k,) + tuple(pt)
-            if _graded_member(S, full):
-                shifted.add(tuple(a + b for a, b in zip(full, shift)))
+    shifted = {
+        tuple(a + b for a, b in zip(u, shift))
+        for k in range(degree_bound - shift[0] + 1)
+        for u in S.slice(k)
+    }
     return interior == shifted
 
 
@@ -202,13 +185,9 @@ def interior_shift_check_ungraded(
     Exact when the unimodular subcones of S cover its cone, which is what
     the W-set volume identity certifies.
     """
-    cols = [S.gen(i) for i in range(S.n_gens)]
-    h = cone_hform(cols, S.dim)
     shift = tuple(int(x) for x in shift)
-    zero = tuple(0 for _ in range(S.dim))
-    box = LatticePolytope.from_points(dilate([zero] + cols, degree_bound))
-    for pt in lattice_points(box):
-        inside = h.contains_interior(pt)
+    for pt in graded_slice_points(lift, degree_bound):
+        inside = S.cone.contains_interior(pt)
         member = semigroup_contains(
             S,
             tuple(a - b for a, b in zip(pt, shift)),

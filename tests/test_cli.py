@@ -1,11 +1,16 @@
 """Command line behaviour: commands, exit codes, parse errors, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+from tglab import cli
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -34,22 +39,40 @@ def test_validate_negative_bundle():
 P1_FAN = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}
 
 
+def p1_options(**opts):
+    return json.dumps({"fan": P1_FAN, "bundles": [[2, 0]], "options": opts})
+
+
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, argv",
     [
-        pytest.param("{ not json", "parse error", id="not-json"),
+        pytest.param("{ not json", "parse error", ["construct"], id="not-json"),
         pytest.param(json.dumps({"fan": P1_FAN, "options": {"degree_bound": "x"}}), "options",
-                     id="option-string"),
+                     ["construct"], id="option-string"),
         pytest.param(json.dumps({"fan": P1_FAN, "options": {"dmax": None}}), "options",
-                     id="option-null"),
-        pytest.param(json.dumps({"fan": P1_FAN, "options": []}), "options", id="options-list"),
-        pytest.param(json.dumps({"fan": P1_FAN, "basis_p": "x"}), "basis_p", id="basis-p-string"),
+                     ["construct"], id="option-null"),
+        pytest.param(json.dumps({"fan": P1_FAN, "options": []}), "options", ["construct"],
+                     id="options-list"),
+        pytest.param(json.dumps({"fan": P1_FAN, "basis_p": "x"}), "basis_p", ["construct"],
+                     id="basis-p-string"),
+        pytest.param(json.dumps({"fan": P1_FAN, "basis_p": [[1], [1, 2]]}), "basis_p",
+                     ["construct"], id="basis-p-ragged"),
+        pytest.param(p1_options(), "degree_bound", ["semigroup", "--degree", "-2"],
+                     id="degree-flag-negative"),
+        pytest.param(p1_options(degree_bound=-2), "degree_bound", ["semigroup"],
+                     id="degree-option-negative"),
+        pytest.param(p1_options(), "dmax", ["ifun", "--dmax", "-1"], id="dmax-flag-negative"),
+        pytest.param(p1_options(dmax=-1), "dmax", ["ifun"], id="dmax-option-negative"),
+        pytest.param(p1_options(stabilization_window=0), "stabilization_window", ["lg"],
+                     id="window-zero"),
+        pytest.param(p1_options(), "samples", ["lg", "--samples", "0"], id="samples-zero"),
+        pytest.param(p1_options(), "cutoff", ["lg", "--cutoff", "0"], id="cutoff-zero"),
     ],
 )
-def test_parse_error_exit_code(tmp_path, text, message):
+def test_parse_error_exit_code(tmp_path, text, message, argv):
     bad = tmp_path / "broken.json"
     bad.write_text(text, encoding="utf-8")
-    proc = run_cli("construct", "--spec", str(bad))
+    proc = run_cli(argv[0], "--spec", str(bad), *argv[1:])
     assert proc.returncode == 2
     assert proc.stderr.startswith("tglab: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
@@ -78,6 +101,21 @@ def test_semigroup_f3_reports_saturated():
     proc = run_cli("semigroup", "--spec", str(SPECS / "f3_minus_k.json"), "--json")
     report = json.loads(proc.stdout)
     assert report["results"]["saturated_up_to_bound"] is True
+
+
+@pytest.mark.parametrize("name", ["p1p1_o11", "p2_o1"])
+def test_semigroup_degree_10(name):
+    """Degree 10 is in reach: the slices are built once per semigroup."""
+    out = io.StringIO()
+    start = time.monotonic()
+    with redirect_stdout(out):
+        rc = cli.main(["semigroup", "--spec", str(SPECS / f"{name}.json"),
+                       "--degree", "10", "--json"])
+    elapsed = time.monotonic() - start
+    res = json.loads(out.getvalue())["results"]
+    assert rc == 0
+    assert res["saturated_up_to_bound"] and res["gorenstein_shift"] and res["interior_shift"]
+    assert elapsed < 10.0
 
 
 def test_gkz_qdm_p2():

@@ -1,10 +1,16 @@
 """Semigroup membership, saturation, Gorenstein shift, toric ideals."""
 
+from itertools import combinations_with_replacement, product
+
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tglab import corpus
 from tglab.errors import NotSaturated
 from tglab.intlinalg import IntegerMatrix, homogenize
+from tglab.polytopes import LatticePolytope, lattice_points
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
@@ -154,6 +160,46 @@ def test_toric_ideal_zero_lattice():
     assert toric_ideal_binomials(IntegerMatrix.identity(2), 4) == []
 
 
+def _monomial(variables, exps):
+    return sympy.Mul(*(v**e for v, e in zip(variables, exps)))
+
+
+def _elimination_toric_ideal(B, xs):
+    """The toric ideal of B by elimination: x_j t^(a_j-) - t^(a_j+) and
+    w prod(t) - 1 in lex order, keeping the elements free of t and w."""
+    ts = sympy.symbols(f"t0:{B.rows}")
+    w = sympy.Symbol("w")
+    polys = [
+        xs[j] * _monomial(ts, [max(-a, 0) for a in B.col(j)])
+        - _monomial(ts, [max(a, 0) for a in B.col(j)])
+        for j in range(B.cols)
+    ]
+    polys.append(w * sympy.Mul(*ts) - 1)
+    G = sympy.groebner(polys, *ts, w, *xs, order="lex")
+    return [g for g in G.exprs if not g.free_symbols & (set(ts) | {w})]
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]), id="twisted-cubic"),
+        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]),
+                     id="normal-quartic"),
+        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1], [0, 1, 3, 4]]), id="curve-0134"),
+        pytest.param(IntegerMatrix.from_rows([[1, -1, 0], [2, 0, 1]]), id="p1-o2"),
+        pytest.param(homogenize(IntegerMatrix.from_rows([[1, 0, -1], [0, 1, -1]])),
+                     id="p2-homogenized"),
+    ],
+)
+def test_toric_ideal_against_groebner_elimination(B):
+    xs = sympy.symbols(f"x0:{B.cols}")
+    binomials = [
+        _monomial(xs, big) - _monomial(xs, small) for big, small in toric_ideal_binomials(B, 4)
+    ]
+    expected = sympy.groebner(_elimination_toric_ideal(B, xs), *xs, order="grevlex")
+    assert sympy.groebner(binomials, *xs, order="grevlex").exprs == expected.exprs
+
+
 def test_w_convexity_implies_saturation_on_corpus():
     from tglab.toricfan import w_set_convexity
 
@@ -163,3 +209,80 @@ def test_w_convexity_implies_saturation_on_corpus():
         S = doubled_semigroup(total.ray_matrix())
         ok, _ = saturation_check(S, 4)
         assert ok
+
+
+# Brute-force oracles for the slice layer: the grading-k elements of a
+# doubled semigroup are the sums of k-element generator multisets, and its
+# cone at grading k is the k-dilated hull of 0 and the columns.
+
+ORACLE_GRADING = 4
+
+
+def multiset_sums(gens, k):
+    return {
+        tuple(map(sum, zip((0,) * len(gens[0]), *combo)))
+        for combo in combinations_with_replacement(gens, k)
+    }
+
+
+def dilated_hull_points(S, k):
+    tails = [S.gen(i)[1:] for i in range(S.n_gens)]
+    return lattice_points(LatticePolytope.from_points([[k * x for x in t] for t in tails]))
+
+
+columns_2d = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=5
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns_2d)
+def test_slices_against_multiset_oracle(cols):
+    S = doubled_semigroup(IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(2)]))
+    gens = [S.gen(i) for i in range(S.n_gens)]
+    expected_witness = None
+    for k in range(ORACLE_GRADING + 1):
+        members = multiset_sums(gens, k)
+        reference = dilated_hull_points(S, k)
+        assert graded_slice_points(S, k) == reference
+        r = 2 * k + 1
+        for tail in product(range(-r, r + 1), repeat=2):
+            v = (k,) + tail
+            assert semigroup_contains(S, v) == (v in members)
+        if expected_witness is None:
+            expected_witness = next(
+                ((k,) + p for p in reference if (k,) + p not in members), None
+            )
+    assert not semigroup_contains(S, (-1, 0, 0))
+    assert S.slice(-1) == frozenset()
+    ok, witness = saturation_check(S, ORACLE_GRADING)
+    assert witness == expected_witness
+    assert ok == (expected_witness is None)
+
+
+def test_ungraded_lift_on_nonconvex_support():
+    """P1/O(-1): the two unimodular cones of the total space do not cover
+    the plane, so points outside them are decided by the graded lift."""
+    fan, d = corpus.p1_ok(-1)
+    total = total_space_fan(fan, d, allow_negative=True)
+    Ap = total.ray_matrix()
+    S = AffineSemigroup(
+        Ap, graded=False, cone_index_sets=tuple(tuple(c) for c in total.max_cones)
+    )
+    lift = doubled_semigroup(Ap)
+    cols = [Ap.col(i) for i in range(Ap.cols)]
+
+    def in_subcone(v):
+        x, y = v
+        return (x >= 0 and x + y >= 0) or (x <= 0 and y >= 0)
+
+    box = list(product(range(-3, 4), repeat=2))
+    uncovered = [v for v in box if not in_subcone(v)]
+    assert uncovered
+    for bound in (2, 4):
+        reachable = set().union(*(multiset_sums(cols, k) for k in range(bound + 1)))
+        for v in box:
+            expected = in_subcone(v) or v in reachable
+            assert semigroup_contains(S, v, lift=lift, lift_bound=bound) == expected
+    # The columns generate all of Z^2, so a large enough lift finds every point.
+    assert all(semigroup_contains(S, v, lift=lift, lift_bound=9) for v in uncovered)
