@@ -74,13 +74,17 @@ def load_spec(path: str) -> dict:
         cones = [tuple(int(i) - 1 for i in c) for c in fan_data["max_cones"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad fan data: {exc}")
-    if any(i < 0 for c in cones for i in c):
-        raise ParseError("max_cones indices are 1-based and must be positive")
+    if len({len(r) for r in rays}) > 1:
+        raise ParseError("rays must all have the same length")
+    if any(not 0 <= i < len(rays) for c in cones for i in c):
+        raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
     bundles = raw.get("bundles", [])
     try:
         bundle_rows = [tuple(int(x) for x in row) for row in bundles]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad bundle rows: {exc}")
+    if any(len(row) != len(rays) for row in bundle_rows):
+        raise ParseError(f"bundle rows must have one entry per ray ({len(rays)})")
     opts = raw.get("options", {})
     if not isinstance(opts, dict) or not all(_is_int(v) for v in opts.values()):
         raise ParseError("options must be an object with integer values")
@@ -219,43 +223,52 @@ def cmd_semigroup(spec, args) -> dict:
     return out
 
 
+def _gkz_beta(text, length):
+    """The --beta list for a variant with `length` parameters; zeros by default."""
+    if not text:
+        return [0] * length
+    try:
+        beta = [int(b) for b in text.split(",")]
+    except ValueError:
+        raise ParseError(f"--beta must be comma-separated integers, got {text!r}")
+    if len(beta) != length:
+        raise ParseError(f"--beta needs {length} entries for this variant, got {len(beta)}")
+    return beta
+
+
 def cmd_gkz(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
-    model = build_model(fan, d, basis_p=spec["basis_p"])
     variant = args.variant
-    beta = [int(b) for b in args.beta.split(",")] if args.beta else None
+    # A' has one row per coordinate of the total space; the homogenized,
+    # hat and star systems carry one more parameter, beta_0, and qdm none.
+    n = fan.dim + d.rows
+    beta = _gkz_beta(args.beta, {"plain": n, "qdm": 0}.get(variant, n + 1))
+    model = build_model(fan, d, basis_p=spec["basis_p"])
     out = {"variant": variant}
     if variant == "plain":
-        beta = beta if beta is not None else [0] * model.Aprime.rows
         g = gkz_generators(model.Aprime, beta, kernel_basis=model.L)
         ops = g["boxes"] + g["eulers"]
     elif variant == "homog":
-        beta = beta if beta is not None else [0] * (model.Aprime.rows + 1)
         g = homogenized_generators(model.Adoubleprime, beta, kernel_basis=model.L)
         ops = g["boxes"] + g["eulers"]
     elif variant == "hat":
-        beta = beta if beta is not None else [0] * (model.Aprime.rows + 1)
         g = fl_hat_generators(model.Aprime, beta, kernel_basis=model.L)
         ops = g["boxes"] + [g["ehat"]] + g["eulers"]
         out["fl_matches"] = [
             fl_match_homogenized(model.Aprime, model.L.col(a)) | {"relation": list(model.L.col(a))}
             for a in range(model.r)
         ]
-        for row in out["fl_matches"]:
-            row["relation"] = list(row["relation"])
     elif variant == "star":
-        beta = beta if beta is not None else [0] * (model.Aprime.rows + 1)
         g = model.star_generators(beta)
         ops = g["boxes"] + g["eulers"]
     elif variant == "qdm":
         g = model.qdm_generators()
         ops = g["boxes"] + [g["euler"]]
-        beta = []
     else:
         raise ParseError(f"unknown gkz variant {variant!r}")
     out["beta"] = beta
-    out["parameter_outside_verified_regime"] = beta_outside_verified_regime(beta or [])
+    out["parameter_outside_verified_regime"] = beta_outside_verified_regime(beta)
     out["operators"] = [op.to_records() for op in ops]
     out["passed"] = True
     if "fl_matches" in out:

@@ -76,19 +76,10 @@ class LatticePolytope:
     def dim(self) -> int:
         return len(_direction_basis(self.points))
 
-    def is_full_dimensional(self) -> bool:
-        return not self.equalities
-
     def contains(self, x) -> bool:
         return all(e.value(x) == 0 for e in self.equalities) and all(
             f.value(x) >= 0 for f in self.facets
         )
-
-    def contains_interior(self, x) -> bool:
-        """Strict interior relative to the ambient space."""
-        if self.equalities:
-            return False
-        return all(f.value(x) > 0 for f in self.facets)
 
     def vertices(self):
         return [self.points[i] for i in self.vertex_indices]

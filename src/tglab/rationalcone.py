@@ -173,9 +173,6 @@ class RationalCone:
     def contains(self, x) -> bool:
         return self.hform.contains(x)
 
-    def is_full_dimensional(self) -> bool:
-        return not self.hform.equalities
-
     def equals(self, other: "RationalCone") -> bool:
         return all(other.contains(g) for g in self.generators) and all(
             self.contains(g) for g in other.generators

@@ -321,14 +321,36 @@ def _term_mul_lambda(ctx, key, i, sign):
     return out
 
 
-def normal_order(op: WeylOp) -> WeylOp:
-    """Operators are kept normal-ordered; this just prunes zero terms."""
-    return WeylOp(op.ctx, dict(op.terms))
-
-
 # ---------------------------------------------------------------------------
 # operator family builders
 # ---------------------------------------------------------------------------
+
+
+def _binomial(ctx, l, factor, lead=None) -> WeylOp:
+    """prod_{l_i>0} prod_{nu<l_i} factor(i, nu)
+    - lead * prod_{l_i<0} prod_{nu<-l_i} factor(i, nu).
+
+    Every box operator has this shape.  The factors of one operator commute,
+    so the order of the products does not matter."""
+    sides = [WeylOp.one(ctx), WeylOp.one(ctx) if lead is None else lead]
+    for i, li in enumerate(l):
+        for nu in range(abs(li)):
+            sides[li < 0] = sides[li < 0] * factor(i, nu)
+    return sides[0] - sides[1]
+
+
+def _unit(ctx, i):
+    return tuple(int(j == i) for j in range(ctx.nvars))
+
+
+def _log_field(ctx, coeffs, z=0) -> WeylOp:
+    """sum_i coeffs_i z^z lambda_i partial_i, written as its normal-ordered terms."""
+    return WeylOp(ctx, {(z, _unit(ctx, i), 0, _unit(ctx, i)): c for i, c in enumerate(coeffs)})
+
+
+def _loglam(ctx, i):
+    """z * lambda_i * partial_i."""
+    return _log_field(ctx, _unit(ctx, i), 1)
 
 
 def _beta_list(beta, length):
@@ -338,135 +360,72 @@ def _beta_list(beta, length):
     return beta
 
 
+def _euler_fields(ctx, rows, beta, z=0):
+    """z^z (sum_i row_i lambda_i partial_i - beta_k), one field per row k."""
+    beta = _beta_list(beta, len(rows))
+    return [_log_field(ctx, row, z) - WeylOp.monomial(ctx, b, z=z) for row, b in zip(rows, beta)]
+
+
+def _hat_eulers(ctx, B: IntegerMatrix, beta0_beta):
+    """[E_hat, then the z-weighted Euler fields of the rows of B], where
+    E_hat = T + sum_i z lambda_i partial_i - z beta_0."""
+    ehat, *eulers = _euler_fields(ctx, [(1,) * B.cols] + B.to_lists(), beta0_beta, 1)
+    return [WeylOp.theta_z(ctx) + ehat] + eulers
+
+
+def _boxes(ctx, kernel_basis: IntegerMatrix, box, *extra):
+    return [box(ctx, kernel_basis.col(a), *extra) for a in range(kernel_basis.cols)]
+
+
 def beta_outside_verified_regime(beta) -> bool:
     """True when some entry is non-integral; builders accept these but the
     duality statements are only verified at integer parameters."""
     return any(Fraction(b).denominator != 1 for b in beta)
 
 
-def gkz_generators(B: IntegerMatrix, beta, kernel_basis=None):
+def gkz_generators(B: IntegerMatrix, beta, kernel_basis: IntegerMatrix):
     """Plain box operators for a kernel basis plus Euler operators E_k - beta_k."""
-    from tglab.intlinalg import kernel_lattice
-
-    t = B.cols
-    ctx = OpContext.make(t, laurent=False, prefix="l")
-    if kernel_basis is None:
-        kernel_basis = kernel_lattice(B).basis
-    boxes = [box_operator(ctx, kernel_basis.col(a)) for a in range(kernel_basis.cols)]
-    beta = _beta_list(beta, B.rows)
-    eulers = []
-    for k in range(B.rows):
-        op = WeylOp.zero(ctx)
-        for i in range(t):
-            if B.entries[k][i]:
-                op = op + (WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)).scale(B.entries[k][i])
-        eulers.append(op - WeylOp.scalar(ctx, beta[k]))
-    return {"ctx": ctx, "boxes": boxes, "eulers": eulers}
+    ctx = OpContext.make(B.cols, laurent=False, prefix="l")
+    boxes = _boxes(ctx, kernel_basis, box_operator)
+    return {"ctx": ctx, "boxes": boxes, "eulers": _euler_fields(ctx, B.to_lists(), beta)}
 
 
 def box_operator(ctx, l) -> WeylOp:
     """prod_{l_i<0} partial_i^{-l_i} - prod_{l_i>0} partial_i^{l_i}."""
-    neg = WeylOp.one(ctx)
-    pos = WeylOp.one(ctx)
-    for i, li in enumerate(l):
-        if li < 0:
-            neg = neg * WeylOp.partial(ctx, i, -li)
-        elif li > 0:
-            pos = pos * WeylOp.partial(ctx, i, li)
-    return neg - pos
+    return _binomial(ctx, [-x for x in l], lambda i, nu: WeylOp.partial(ctx, i))
 
 
-def homogenized_generators(Btilde: IntegerMatrix, beta_tilde, kernel_basis=None):
-    """Generators of the homogenized system on t+1 variables.
-
-    Box operators follow the convention fixed by the worked examples: for
-    lbar = -sum(l) < 0 the operator is prod_{l>0} partial^l -
-    partial_0^{-lbar} prod_{l<0} partial^{-l}; for lbar >= 0 the partial_0
-    power sits on the positive side.
-    """
-    from tglab.intlinalg import kernel_lattice
-
+def homogenized_generators(Btilde: IntegerMatrix, beta_tilde, kernel_basis: IntegerMatrix):
+    """Generators of the homogenized system on t+1 variables; kernel_basis
+    holds relations of the base variables 1..t (see homogenized_box)."""
     t1 = Btilde.cols
     ctx = OpContext.make(t1, laurent=False, names=tuple(f"l{i}" for i in range(t1)))
-    if kernel_basis is None:
-        kernel_basis = kernel_lattice(
-            Btilde.submatrix(range(1, Btilde.rows), range(1, t1))
-        ).basis
-    boxes = [
-        homogenized_box(ctx, kernel_basis.col(a)) for a in range(kernel_basis.cols)
-    ]
-    beta = _beta_list(beta_tilde, Btilde.rows)
-    eulers = []
-    for k in range(Btilde.rows):
-        op = WeylOp.zero(ctx)
-        for i in range(t1):
-            if Btilde.entries[k][i]:
-                op = op + (WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)).scale(
-                    Btilde.entries[k][i]
-                )
-        eulers.append(op - WeylOp.scalar(ctx, beta[k]))
-    return {"ctx": ctx, "boxes": boxes, "eulers": eulers}
+    boxes = _boxes(ctx, kernel_basis, homogenized_box)
+    return {"ctx": ctx, "boxes": boxes, "eulers": _euler_fields(ctx, Btilde.to_lists(), beta_tilde)}
 
 
 def homogenized_box(ctx, l) -> WeylOp:
     """Box operator of the homogenized system for a base relation l.
 
-    Variable 0 is the homogenizing one; l refers to variables 1..t."""
-    lbar = -sum(l)
-    pos = WeylOp.one(ctx)
-    neg = WeylOp.one(ctx)
-    for i, li in enumerate(l):
-        if li > 0:
-            pos = pos * WeylOp.partial(ctx, i + 1, li)
-        elif li < 0:
-            neg = neg * WeylOp.partial(ctx, i + 1, -li)
-    if lbar >= 0:
-        pos = WeylOp.partial(ctx, 0, lbar) * pos if lbar else pos
-    else:
-        neg = WeylOp.partial(ctx, 0, -lbar) * neg
-    return pos - neg
+    Variable 0 is the homogenizing one; l refers to variables 1..t.  The
+    convention is fixed by the worked examples: partial_0^{|lbar|}, with
+    lbar = -sum(l), sits on the positive side when lbar >= 0 and on the
+    negative side otherwise."""
+    return _binomial(ctx, (-sum(l),) + tuple(l), lambda i, nu: WeylOp.partial(ctx, i))
 
 
-def fl_hat_generators(B: IntegerMatrix, beta0_beta, kernel_basis=None):
+def fl_hat_generators(B: IntegerMatrix, beta0_beta, kernel_basis: IntegerMatrix):
     """Hat-form generators: boxes in (z partial), Euler fields with z-weights."""
-    from tglab.intlinalg import kernel_lattice
-
-    t = B.cols
-    ctx = OpContext.make(t, laurent=False, prefix="l")
-    if kernel_basis is None:
-        kernel_basis = kernel_lattice(B).basis
-    boxes = [hat_box(ctx, kernel_basis.col(a)) for a in range(kernel_basis.cols)]
-    beta0 = Fraction(beta0_beta[0])
-    beta = _beta_list(beta0_beta[1:], B.rows)
-    z = WeylOp.zpow(ctx, 1)
-    ehat = WeylOp.theta_z(ctx)
-    for i in range(t):
-        ehat = ehat + z * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)
-    ehat = ehat - z.scale(beta0)
-    eulers = []
-    for k in range(B.rows):
-        op = WeylOp.zero(ctx)
-        for i in range(t):
-            if B.entries[k][i]:
-                op = op + (z * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)).scale(
-                    B.entries[k][i]
-                )
-        eulers.append(op - z.scale(beta[k]))
+    ctx = OpContext.make(B.cols, laurent=False, prefix="l")
+    boxes = _boxes(ctx, kernel_basis, hat_box)
+    ehat, *eulers = _hat_eulers(ctx, B, beta0_beta)
     return {"ctx": ctx, "boxes": boxes, "eulers": eulers, "ehat": ehat}
 
 
 def hat_box(ctx, l) -> WeylOp:
-    neg = WeylOp.one(ctx)
-    pos = WeylOp.one(ctx)
-    for i, li in enumerate(l):
-        zd = WeylOp.zpow(ctx, 1) * WeylOp.partial(ctx, i)
-        if li < 0:
-            for _ in range(-li):
-                neg = neg * zd
-        elif li > 0:
-            for _ in range(li):
-                pos = pos * zd
-    return neg - pos
+    """prod_{l_i<0} (z partial_i)^{-l_i} - prod_{l_i>0} (z partial_i)^{l_i}."""
+    zd = lambda i, nu: WeylOp.monomial(ctx, z=1, pa=_unit(ctx, i))
+    return _binomial(ctx, [-x for x in l], zd)
 
 
 def fl_substitution(op: WeylOp):
@@ -503,8 +462,6 @@ def fl_match_homogenized(B: IntegerMatrix, relation):
 
     Returns a record with the explicit z power and sign making
     z^k * image == sign * hat_box."""
-    from tglab.intlinalg import kernel_lattice
-
     t = B.cols
     hctx = OpContext.make(t + 1, laurent=False, names=tuple(f"l{i}" for i in range(t + 1)))
     hbox = homogenized_box(hctx, relation)
@@ -522,92 +479,34 @@ def fl_match_homogenized(B: IntegerMatrix, relation):
     return {"relation": tuple(relation), "z_power": zk, "sign": sign, "matches": sign != 0}
 
 
-def star_n_generators(Aprime: IntegerMatrix, beta0_beta, m: int, kernel_basis=None):
+def star_n_generators(Aprime: IntegerMatrix, beta0_beta, m: int, kernel_basis: IntegerMatrix):
     """Tilde boxes with the nu-shifted bundle factors, plus hat Euler fields,
     over the torus (all variables invertible)."""
-    from tglab.intlinalg import kernel_lattice
-
-    t = Aprime.cols
-    c = t - m
-    ctx = OpContext.make(t, laurent=True, prefix="l")
-    if kernel_basis is None:
-        kernel_basis = kernel_lattice(Aprime).basis
-    boxes = [
-        tilde_box(ctx, kernel_basis.col(a), m) for a in range(kernel_basis.cols)
-    ]
-    star_boxes = [
-        star_box(ctx, kernel_basis.col(a)) for a in range(kernel_basis.cols)
-    ]
-    beta0 = Fraction(beta0_beta[0])
-    beta = _beta_list(beta0_beta[1:], Aprime.rows)
-    z = WeylOp.zpow(ctx, 1)
-    ehat0 = WeylOp.theta_z(ctx)
-    for i in range(t):
-        ehat0 = ehat0 + z * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)
-    ehat0 = ehat0 - z.scale(beta0)
-    eulers = [ehat0]
-    for k in range(Aprime.rows):
-        op = WeylOp.zero(ctx)
-        for i in range(t):
-            if Aprime.entries[k][i]:
-                op = op + (z * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)).scale(
-                    Aprime.entries[k][i]
-                )
-        eulers.append(op - z.scale(beta[k]))
+    ctx = OpContext.make(Aprime.cols, laurent=True, prefix="l")
     return {
         "ctx": ctx,
-        "boxes": boxes,
-        "star_boxes": star_boxes,
-        "eulers": eulers,
+        "boxes": _boxes(ctx, kernel_basis, tilde_box, m),
+        "star_boxes": _boxes(ctx, kernel_basis, star_box),
+        "eulers": _hat_eulers(ctx, Aprime, beta0_beta),
     }
-
-
-def _loglam(ctx, i):
-    """z * lambda_i * partial_i."""
-    return WeylOp.zpow(ctx, 1) * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)
 
 
 def star_box(ctx, l) -> WeylOp:
     """lambda-scaled hat box: all variables carry lambda^l (z partial) powers."""
-    t = ctx.nvars
-    pos = WeylOp.one(ctx)
-    for i, li in enumerate(l):
-        if li > 0:
-            for _ in range(li):
-                pos = pos * _loglam(ctx, i)
-    lam_l = WeylOp.monomial(ctx, lam=tuple(l))
-    neg = lam_l
-    for i, li in enumerate(l):
-        if li < 0:
-            for _ in range(-li):
-                neg = neg * _loglam(ctx, i)
-    return pos - neg
+    return tilde_box(ctx, l, ctx.nvars)
 
 
 def tilde_box(ctx, l, m: int) -> WeylOp:
-    """Star box with the bundle variables (index >= m) carrying the shifted
-    factors prod_nu (lambda (z partial) - nu z)."""
-    pos = WeylOp.one(ctx)
-    for i, li in enumerate(l):
-        if li <= 0:
-            continue
+    """prod_{l_i>0} F_i - lambda^l prod_{l_i<0} F_i, where a base variable
+    (index < m) has F_i = (z lambda_i partial_i)^{|l_i|} and a bundle
+    variable has the shifted factors prod_{nu=1}^{|l_i|} (z lambda_i partial_i - nu z)."""
+
+    def factor(i, nu):
         if i < m:
-            for _ in range(li):
-                pos = pos * _loglam(ctx, i)
-        else:
-            for nu in range(1, li + 1):
-                pos = pos * (_loglam(ctx, i) - WeylOp.zpow(ctx, 1).scale(nu))
-    neg = WeylOp.monomial(ctx, lam=tuple(l))
-    for i, li in enumerate(l):
-        if li >= 0:
-            continue
-        if i < m:
-            for _ in range(-li):
-                neg = neg * _loglam(ctx, i)
-        else:
-            for nu in range(1, -li + 1):
-                neg = neg * (_loglam(ctx, i) - WeylOp.zpow(ctx, 1).scale(nu))
-    return pos - neg
+            return _loglam(ctx, i)
+        return _loglam(ctx, i) - WeylOp.zpow(ctx, 1).scale(nu + 1)
+
+    return _binomial(ctx, l, factor, lead=WeylOp.monomial(ctx, lam=tuple(l)))
 
 
 def duality_morphism(kind: str, m: int, c: int) -> WeylOp:
@@ -684,53 +583,29 @@ def qdm_context(r: int) -> OpContext:
     return OpContext.make(r, laurent=True, names=tuple(f"q{a+1}" for a in range(r)))
 
 
-def _hat_class(ctx, coords):
-    """sum_a z * coords_a * q_a partial_a for a class written in the basis."""
-    op = WeylOp.zero(ctx)
-    for a, coef in enumerate(coords):
-        if coef:
-            op = op + _loglam(ctx, a).scale(coef)
-    return op
-
-
 def qdm_box(ctx, kernel_matrix: IntegerMatrix, m: int, l_coords, l_vector) -> WeylOp:
     """Q_l from the displayed product formula.
 
     kernel_matrix rows give the basis coordinates of the ray classes (rows
     0..m-1) and of minus the bundle classes (rows m..); l_coords are the
-    basis coordinates of the relation and l_vector its entries."""
-    t = kernel_matrix.rows
-    c = t - m
-    pos = WeylOp.one(ctx)
-    neg = WeylOp.one(ctx)
+    basis coordinates of the relation and l_vector its entries.  With
+    D_i = sum_a z K_ia q_a partial_a, a ray contributes the factors
+    D_i - nu z and a bundle the factors (nu + 1) z - D_i."""
+    dhat = [_log_field(ctx, kernel_matrix.row(i), 1) for i in range(kernel_matrix.rows)]
     z = WeylOp.zpow(ctx, 1)
-    for i in range(m):
-        li = l_vector[i]
-        dhat = _hat_class(ctx, kernel_matrix.row(i))
-        if li > 0:
-            for nu in range(li):
-                pos = pos * (dhat - z.scale(nu))
-        elif li < 0:
-            for nu in range(-li):
-                neg = neg * (dhat - z.scale(nu))
-    for j in range(c):
-        lmj = l_vector[m + j]
-        lhat = _hat_class(ctx, tuple(-x for x in kernel_matrix.row(m + j)))
-        if lmj > 0:
-            for nu in range(1, lmj + 1):
-                pos = pos * (lhat + z.scale(nu))
-        elif lmj < 0:
-            for nu in range(1, -lmj + 1):
-                neg = neg * (lhat + z.scale(nu))
-    qmon = WeylOp.monomial(ctx, lam=tuple(l_coords))
-    return pos - qmon * neg
+
+    def factor(i, nu):
+        if i < m:
+            return dhat[i] - z.scale(nu)
+        return z.scale(nu + 1) - dhat[i]
+
+    return _binomial(ctx, l_vector, factor, lead=WeylOp.monomial(ctx, lam=tuple(l_coords)))
 
 
 def qdm_euler(ctx, kernel_matrix: IntegerMatrix) -> WeylOp:
     """E = T - K_hat = T + sum_i (row sums) z q d/dq."""
-    r = kernel_matrix.cols
-    coords = [sum(kernel_matrix.entries[i][a] for i in range(kernel_matrix.rows)) for a in range(r)]
-    return WeylOp.theta_z(ctx) + _hat_class(ctx, coords)
+    coords = [sum(row[a] for row in kernel_matrix.entries) for a in range(kernel_matrix.cols)]
+    return WeylOp.theta_z(ctx) + _log_field(ctx, coords, 1)
 
 
 @dataclass(frozen=True)
@@ -767,24 +642,9 @@ def theta_coordinate_change(op: WeylOp, change: TorusChange) -> WeylOp:
     (-1)^(bundle part) f^(A' delta) q^(M delta) and the log fields map to
     sum_j C_ij f_j d/df_j + sum_a L_ia q_a d/dq_a.  z and T pass through.
     """
-    src = op.ctx
-    t = src.nvars
+    t = op.ctx.nvars
     tgt = change.target_context()
-    nf, nq = change.n_f, change.n_q
-    logfields = []
-    for i in range(t):
-        fld = WeylOp.zero(tgt)
-        for j in range(nf):
-            if change.C.entries[i][j]:
-                fld = fld + (WeylOp.var(tgt, j) * WeylOp.partial(tgt, j)).scale(
-                    change.C.entries[i][j]
-                )
-        for a in range(nq):
-            if change.L.entries[i][a]:
-                fld = fld + (
-                    WeylOp.var(tgt, nf + a) * WeylOp.partial(tgt, nf + a)
-                ).scale(change.L.entries[i][a])
-        logfields.append(fld)
+    logfields = [_log_field(tgt, change.C.row(i) + change.L.row(i)) for i in range(t)]
     out = WeylOp.zero(tgt)
     for (z, lam, th, pa), coeff in op.terms.items():
         delta = tuple(a - b for a, b in zip(lam, pa))

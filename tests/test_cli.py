@@ -1,5 +1,6 @@
 """Command line behaviour: commands, exit codes, parse errors, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 
 from tglab import cli
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 
 def run_cli(*args):
@@ -67,6 +69,18 @@ def p1_options(**opts):
                      id="window-zero"),
         pytest.param(p1_options(), "samples", ["lg", "--samples", "0"], id="samples-zero"),
         pytest.param(p1_options(), "cutoff", ["lg", "--cutoff", "0"], id="cutoff-zero"),
+        pytest.param(p1_options(), "--beta", ["gkz", "--beta", "x"], id="beta-not-integer"),
+        pytest.param(p1_options(), "--beta", ["gkz", "--gkz-variant", "hat", "--beta", "1,2"],
+                     id="beta-wrong-length"),
+        pytest.param(p1_options(), "--beta", ["gkz", "--gkz-variant", "qdm", "--beta", "1"],
+                     id="beta-given-to-qdm"),
+        pytest.param(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1]],
+                                         "max_cones": [[1, 2], [2, 3], [3, 1]]}}),
+                     "rays", ["construct"], id="rays-ragged"),
+        pytest.param(json.dumps({"fan": P1_FAN, "bundles": [[1, 1, 1]]}), "bundle",
+                     ["construct"], id="bundle-width"),
+        pytest.param(json.dumps({"fan": {"rays": [[1], [-1]], "max_cones": [[1], [3]]}}),
+                     "max_cones", ["construct"], id="cone-index-past-last-ray"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, text, message, argv):
@@ -165,3 +179,18 @@ def test_reports_are_byte_deterministic():
         b = run_cli(cmd, "--spec", str(SPECS / "p1_o2.json"), "--json", *extra)
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode
+
+
+RECORDS = json.loads((ROOT / "perfbench" / "records.json").read_text(encoding="utf-8"))["reports"]
+
+
+@pytest.mark.parametrize(
+    "template", sorted(t for t in RECORDS if t.split()[0] in ("gkz", "ifun"))
+)
+def test_operator_report_matches_record(template, monkeypatch):
+    """The gkz and ifun reports are pinned by the digests in perfbench/records.json."""
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(template.split() + ["--json"])
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == RECORDS[template]

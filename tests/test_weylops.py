@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tglab import corpus
 from tglab.errors import NotSameImage
@@ -19,10 +21,11 @@ from tglab.weylops import (
     fl_substitution,
     gkz_generators,
     homogenized_box,
+    hat_box,
     i_theta_restrict,
-    normal_order,
     psi_twist,
     qdm_box,
+    qdm_context,
     shift_morphism_factorization,
     star_box,
     theta_coordinate_change,
@@ -84,12 +87,6 @@ def test_normal_order_confluence_random():
     for _ in range(100):
         a, b, c = random_op(), random_op(), random_op()
         assert (a * b) * c == a * (b * c)
-
-
-def test_normal_order_is_idempotent():
-    ctx = OpContext.make(1)
-    op = WeylOp.partial(ctx, 0) * WeylOp.var(ctx, 0)
-    assert normal_order(op) == op
 
 
 def test_gkz_generators_p1_o2():
@@ -273,6 +270,138 @@ def test_star_box_reduces_to_tilde_without_bundle():
     assert star_box(ctx, l) == tilde_box(ctx, l, 3)
 
 
+# Reference builders: each box family written out as explicit product
+# loops over its factors, independent of the shared binomial constructor.
+
+
+def _loglam_ref(ctx, i):
+    return WeylOp.zpow(ctx, 1) * WeylOp.var(ctx, i) * WeylOp.partial(ctx, i)
+
+
+def ref_box_operator(ctx, l):
+    neg, pos = WeylOp.one(ctx), WeylOp.one(ctx)
+    for i, li in enumerate(l):
+        if li < 0:
+            neg = neg * WeylOp.partial(ctx, i, -li)
+        elif li > 0:
+            pos = pos * WeylOp.partial(ctx, i, li)
+    return neg - pos
+
+
+def ref_hat_box(ctx, l):
+    neg, pos = WeylOp.one(ctx), WeylOp.one(ctx)
+    for i, li in enumerate(l):
+        zd = WeylOp.zpow(ctx, 1) * WeylOp.partial(ctx, i)
+        for _ in range(abs(li)):
+            if li < 0:
+                neg = neg * zd
+            else:
+                pos = pos * zd
+    return neg - pos
+
+
+def ref_homogenized_box(ctx, l):
+    lbar = -sum(l)
+    pos, neg = WeylOp.one(ctx), WeylOp.one(ctx)
+    for i, li in enumerate(l):
+        if li > 0:
+            pos = pos * WeylOp.partial(ctx, i + 1, li)
+        elif li < 0:
+            neg = neg * WeylOp.partial(ctx, i + 1, -li)
+    if lbar > 0:
+        pos = WeylOp.partial(ctx, 0, lbar) * pos
+    elif lbar < 0:
+        neg = WeylOp.partial(ctx, 0, -lbar) * neg
+    return pos - neg
+
+
+def ref_star_box(ctx, l):
+    pos, neg = WeylOp.one(ctx), WeylOp.monomial(ctx, lam=tuple(l))
+    for i, li in enumerate(l):
+        for _ in range(abs(li)):
+            if li > 0:
+                pos = pos * _loglam_ref(ctx, i)
+            else:
+                neg = neg * _loglam_ref(ctx, i)
+    return pos - neg
+
+
+def ref_tilde_box(ctx, l, m):
+    pos, neg = WeylOp.one(ctx), WeylOp.monomial(ctx, lam=tuple(l))
+    z = WeylOp.zpow(ctx, 1)
+    for i, li in enumerate(l):
+        for nu in range(1, abs(li) + 1):
+            f = _loglam_ref(ctx, i) if i < m else _loglam_ref(ctx, i) - z.scale(nu)
+            if li > 0:
+                pos = pos * f
+            else:
+                neg = neg * f
+    return pos - neg
+
+
+def ref_qdm_box(ctx, kernel_matrix, m, l_coords, l_vector):
+    z = WeylOp.zpow(ctx, 1)
+
+    def hat_class(coords):
+        op = WeylOp.zero(ctx)
+        for a, coef in enumerate(coords):
+            op = op + _loglam_ref(ctx, a).scale(coef)
+        return op
+
+    pos, neg = WeylOp.one(ctx), WeylOp.one(ctx)
+    for i, li in enumerate(l_vector):
+        if i < m:
+            dhat = hat_class(kernel_matrix.row(i))
+            factors = [dhat - z.scale(nu) for nu in range(abs(li))]
+        else:
+            lhat = hat_class([-x for x in kernel_matrix.row(i)])
+            factors = [lhat + z.scale(nu) for nu in range(1, abs(li) + 1)]
+        for f in factors:
+            if li > 0:
+                pos = pos * f
+            else:
+                neg = neg * f
+    return pos - WeylOp.monomial(ctx, lam=tuple(l_coords)) * neg
+
+
+BOX_FAMILIES = {
+    "box_operator": (box_operator, ref_box_operator),
+    "hat_box": (hat_box, ref_hat_box),
+    "homogenized_box": (homogenized_box, ref_homogenized_box),
+    "star_box": (star_box, ref_star_box),
+    "tilde_box": (tilde_box, ref_tilde_box),
+}
+RELATIONS = st.integers(2, 4).flatmap(
+    lambda t: st.lists(st.integers(-3, 3), min_size=t, max_size=t)
+)
+
+
+@pytest.mark.parametrize("name", sorted(BOX_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(l=RELATIONS, data=st.data())
+def test_box_family_matches_reference_loops(name, l, data):
+    builder, reference = BOX_FAMILIES[name]
+    nvars = len(l) + (name == "homogenized_box")
+    ctx = OpContext.make(nvars, laurent=name in ("star_box", "tilde_box"))
+    extra = (data.draw(st.integers(0, nvars)),) if name == "tilde_box" else ()
+    assert builder(ctx, l, *extra) == reference(ctx, l, *extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=RELATIONS, data=st.data())
+def test_qdm_box_matches_reference_loops(l, data):
+    t = len(l)
+    r = data.draw(st.integers(1, 2))
+    entry = st.integers(-2, 2)
+    K = IntegerMatrix.from_rows(
+        data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=t, max_size=t))
+    )
+    coords = data.draw(st.lists(entry, min_size=r, max_size=r))
+    m = data.draw(st.integers(0, t))
+    ctx = qdm_context(r)
+    assert qdm_box(ctx, K, m, coords, l) == ref_qdm_box(ctx, K, m, coords, l)
+
+
 def test_tilde_box_p1_o2_display():
     fan, d = corpus.p1_o2()
     model = build_model(fan, d)
@@ -336,8 +465,6 @@ def test_qdm_box_p1_o2():
 def test_qdm_box_zero_relation():
     fan, d = corpus.p1_o2()
     model = build_model(fan, d)
-    from tglab.weylops import qdm_context
-
     ctx = qdm_context(1)
     box = qdm_box(ctx, model.L, 2, (0,), (0, 0, 0))
     assert box.is_zero()
