@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -40,7 +41,6 @@ from tglab.toricfan import (
     nef_cone_pl,
     nef_cone_pullback_check,
     total_space_fan,
-    validate_fan,
     w_set_convexity,
 )
 from tglab.weylops import (
@@ -58,6 +58,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_int_rows(rows) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
+    )
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,19 +76,23 @@ def load_spec(path: str) -> dict:
         raise ParseError("spec must be an object with a 'fan' field")
     fan_data = raw["fan"]
     try:
-        rays = [tuple(int(x) for x in r) for r in fan_data["rays"]]
-        cones = [tuple(int(i) - 1 for i in c) for c in fan_data["max_cones"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        rays, cones = fan_data["rays"], fan_data["max_cones"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad fan data: {exc}")
+    if not _is_int_rows(rays):
+        raise ParseError("rays must be a list of integer lists")
+    if not _is_int_rows(cones):
+        raise ParseError("max_cones must be a list of integer lists")
+    rays = [tuple(r) for r in rays]
+    cones = [tuple(i - 1 for i in c) for c in cones]
     if len({len(r) for r in rays}) > 1:
         raise ParseError("rays must all have the same length")
     if any(not 0 <= i < len(rays) for c in cones for i in c):
         raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
     bundles = raw.get("bundles", [])
-    try:
-        bundle_rows = [tuple(int(x) for x in row) for row in bundles]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad bundle rows: {exc}")
+    if not _is_int_rows(bundles):
+        raise ParseError("bundles must be a list of integer lists")
+    bundle_rows = [tuple(row) for row in bundles]
     if any(len(row) != len(rays) for row in bundle_rows):
         raise ParseError(f"bundle rows must have one entry per ray ({len(rays)})")
     opts = raw.get("options", {})
@@ -90,9 +100,7 @@ def load_spec(path: str) -> dict:
         raise ParseError("options must be an object with integer values")
     basis_p = raw.get("basis_p")
     if basis_p is not None and not (
-        isinstance(basis_p, list)
-        and all(isinstance(row, list) and all(_is_int(x) for x in row) for row in basis_p)
-        and len({len(row) for row in basis_p}) <= 1
+        _is_int_rows(basis_p) and len({len(row) for row in basis_p}) <= 1
     ):
         raise ParseError("basis_p must be null or a list of integer rows of one length")
     spec = {
@@ -129,7 +137,7 @@ def bundle_matrix(spec) -> IntegerMatrix:
 def cmd_validate(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     out = {
         "fan": {
             "is_fan": diag.is_fan,
@@ -150,7 +158,7 @@ def cmd_validate(spec, args) -> dict:
         out["total_fan"] = {
             "rays": [list(r) for r in total.rays],
             "max_cones": [[i + 1 for i in c] for c in total.max_cones],
-            "smooth": validate_fan(total).smooth,
+            "smooth": total.diagnostics.smooth,
         }
     out["passed"] = bool(ok and out["adjoint_class_nef"])
     return out
@@ -380,6 +388,18 @@ def human_lines(report: dict, prefix=""):
             yield f"{prefix}{key}: {value}"
 
 
+def _write(lines):
+    """Print the lines to stdout.  A reader that has closed the pipe
+    (``tglab ... | head -1``) ends the output without a traceback."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tglab", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -415,16 +435,15 @@ def main(argv=None) -> int:
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "passed": False,
         }
-        print(json.dumps(report, sort_keys=True, indent=2) if args.json
-              else f"{type(exc).__name__}: {exc}")
+        _write([json.dumps(report, sort_keys=True, indent=2) if args.json
+                else f"{type(exc).__name__}: {exc}"])
         return 1
 
     report = {"schema": SCHEMA, "command": args.command, "results": result}
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+        _write([json.dumps(report, sort_keys=True, indent=2, default=str)])
     else:
-        for line in human_lines(report):
-            print(line)
+        _write(human_lines(report))
     return 0 if result.get("passed", True) else 1
 
 

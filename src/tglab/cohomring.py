@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement
 from tglab.errors import FanNotSmoothComplete
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.rationalcone import nullspace
-from tglab.toricfan import Fan, validate_fan
+from tglab.toricfan import Fan
 
 
 def _monomials(m, d):
@@ -129,7 +129,7 @@ class CohomologyRing:
 
 def build_ring(fan: Fan) -> CohomologyRing:
     """Compute the monomial basis and normal forms by graded elimination."""
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     if not (diag.is_fan and diag.smooth and diag.complete):
         raise FanNotSmoothComplete("cohomology ring needs a smooth complete fan")
     m, n = fan.n_rays, fan.dim

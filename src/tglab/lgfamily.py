@@ -4,24 +4,24 @@ quotients, face critical systems and the good-parameter classifier.
 The Jacobian quotient dimension uses the weight filtration by dilates of
 the Newton polytope and exact sparse linear algebra over Q; the parameter
 classifier combines that dimension test with a finite-field search for
-torus solutions of the face critical systems (numpy does the modular
-vectorization; everything else is exact).
+torus solutions of the face critical systems.  That search runs on each
+system's own subtorus, of dimension the rank of its exponent differences,
+and vectorizes the modular arithmetic with numpy, imported inside the
+search only; everything else is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from math import lcm, prod
 
 from tglab.errors import (
     StabilizationFailed,
     UnboundedSearch,
     ZeroCoefficient,
 )
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, smith_normal_form
 from tglab.polytopes import LatticePolytope
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 
@@ -189,8 +189,6 @@ def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets
     if cone_index_sets:
         member = AffineSemigroup(B, cone_index_sets=tuple(map(tuple, cone_index_sets))).certified
     else:
-        from tglab.intlinalg import smith_normal_form
-
         diag = smith_normal_form(B).diagonal
         if len(diag) < s or any(x != 1 for x in diag[:s]) or not _cone_is_everything(B):
             raise UnboundedSearch(
@@ -314,53 +312,59 @@ def face_critical_system(B: IntegerMatrix, face_indices, lam):
     return {"equations": eqs, "contains_origin": has_origin}
 
 
-_GRID_CACHE: dict = {}
-
-
-def _torus_grids(s, p):
-    key = (s, p)
-    if key not in _GRID_CACHE:
-        units = np.arange(1, p, dtype=np.int64)
-        _GRID_CACHE[key] = (units, np.meshgrid(*([units] * s), indexing="ij"))
-    return _GRID_CACHE[key]
-
-
 def _fp_witness(eqs, s, p):
-    """First common zero of the equations on the F_p torus, or None."""
-    units, grids = _torus_grids(s, p)
-    ok = np.ones(grids[0].shape, dtype=bool)
+    """A common zero of the Laurent equations on the torus (F_p^*)^s, or None.
+
+    None also when a coefficient has a denominator divisible by p.  The
+    search runs on the system's own torus: every monomial lies in e0 + L,
+    with L spanned by the exponent differences, and the Smith form of the
+    difference matrix gives a unimodular U with U L inside Z^d x 0,
+    d = rank L.  Substitute y = w^U, so that y^e = w^{U e}.  Divided by
+    y^e0 the equations involve w_1..w_d alone, so they have a zero on
+    (F_p^*)^s exactly when they have one with w_{d+1..s} = 1, where
+    y^e = w^{(U e)_{1..d}}; the search is over those (p-1)^d points.  They
+    are indexed by exponents of a primitive root g, w_j = g^{k_j}, so a
+    monomial is ``table[k . (U e)_{1..d} mod (p-1)]``, and the search takes
+    the first k in lex order that zeroes every equation.  That zero is
+    lifted back to y = w^U and checked against the equations mod p.
+    """
+    import numpy as np
+
+    terms = []  # per equation: (exponent, coefficient mod p)
     for poly in eqs:
-        acc = np.zeros(grids[0].shape, dtype=np.int64)
+        row = []
         for e, c in poly.coeffs.items():
             den = c.denominator % p
             if den == 0:
                 return None  # prime unusable for this parameter
-            val = (c.numerator % p) * pow(den, -1, p) % p
-            term = np.full(grids[0].shape, val, dtype=np.int64)
-            for k in range(s):
-                exp = e[k] % (p - 1)
-                term = term * pow_mod_array(grids[k], exp, p) % p
-            acc = (acc + term) % p
+            row.append((e, c.numerator * pow(den, -1, p) % p))
+        terms.append(row)
+    exps = [e for row in terms for e, _ in row] or [(0,) * s]
+    e0 = exps[0]
+    snf = smith_normal_form(
+        IntegerMatrix.from_rows([[e[i] - e0[i] for e in exps] for i in range(s)])
+    )
+    d = sum(1 for x in snf.diagonal if x)
+    U = snf.U.entries
+    n = p - 1
+    g = next(g for g in range(1, p) if len({pow(g, i, p) for i in range(n)}) == n)
+    table = np.array([pow(g, i, p) for i in range(n)], dtype=np.int64)
+    ks = np.indices((n,) * d, dtype=np.int64).reshape(d, n**d).T
+    ok = np.ones(n**d, dtype=bool)
+    for row in terms:
+        acc = np.zeros(n**d, dtype=np.int64)
+        for e, c in row:
+            f = [sum(U[j][i] * e[i] for i in range(s)) % n for j in range(d)]
+            acc = (acc + c * table[ks @ np.array(f, dtype=np.int64) % n]) % p
         ok &= acc == 0
         if not ok.any():
             return None
-    idx = np.argwhere(ok)
-    if idx.size == 0:
-        return None
-    first = idx[0]
-    return tuple(int(units[i]) for i in first)
-
-
-def pow_mod_array(base, exp, p):
-    result = np.ones_like(base)
-    b = base % p
-    e = exp
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
+    k = [int(x) for x in ks[np.flatnonzero(ok)[0]]]
+    point = tuple(pow(g, sum(k[j] * U[j][i] for j in range(d)) % n, p) for i in range(s))
+    for row in terms:
+        if sum(c * prod(pow(y, a, p) for y, a in zip(point, e)) for e, c in row) % p:
+            raise RuntimeError(f"lifted F_{p} point {point} is not a common zero")
+    return point
 
 
 def classify_parameter(
@@ -375,7 +379,11 @@ def classify_parameter(
 
     good means the Jacobian quotient dimension equals the normalized volume
     and no proper face avoiding the origin has a torus witness over the
-    test primes.  The face search is a sound-but-incomplete heuristic.
+    test primes.  The face search is a sound-but-incomplete heuristic: for
+    each proper face it looks for a common zero of the face's critical
+    system on (F_p^*)^s, reduced to the face's own torus of dimension
+    at most s - 1 (see `_fp_witness`), and every point it reports has
+    been checked against the equations mod p.
     """
     from tglab.polytopes import faces, normalized_volume
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -28,9 +29,11 @@ from tglab.polytopes import normalized_volume, simplex_normalized_volume
 from tglab.rationalcone import (
     HForm,
     RationalCone,
+    _dot,
     _primitive,
     cone_hform,
     intersect_hforms,
+    nullspace,
 )
 
 
@@ -64,6 +67,13 @@ class Fan:
             [[self.rays[j][i] for j in cone] for i in range(self.dim)]
         )
 
+    @cached_property
+    def diagnostics(self) -> "FanDiagnostics":
+        """`validate_fan` of this fan, computed on first use and kept with
+        the fan (fans are immutable), so that the checks one command runs on
+        one fan share it."""
+        return validate_fan(self)
+
 
 @dataclass(frozen=True)
 class FanDiagnostics:
@@ -80,25 +90,14 @@ def _is_primitive(vec) -> bool:
     return g == 1
 
 
-_VALIDATE_CACHE: dict = {}
-
-
 def validate_fan(fan: Fan) -> FanDiagnostics:
     """Check primitivity, the fan condition, smoothness and completeness.
 
     Completeness is decided combinatorially: every facet of every maximal
     cone is shared by exactly two maximal cones and the facet graph is
-    connected.  Results are cached per fan (fans are immutable).
+    connected.  This computes afresh on every call; `Fan.diagnostics`
+    keeps the result with the fan for callers that check one fan often.
     """
-    cached = _VALIDATE_CACHE.get(fan)
-    if cached is not None:
-        return cached
-    result = _validate_fan_uncached(fan)
-    _VALIDATE_CACHE[fan] = result
-    return result
-
-
-def _validate_fan_uncached(fan: Fan) -> FanDiagnostics:
     for r in fan.rays:
         if len(r) != fan.dim:
             raise DimensionMismatch("ray of wrong dimension")
@@ -119,13 +118,23 @@ def _validate_fan_uncached(fan: Fan) -> FanDiagnostics:
 
     # Fan condition: pairwise intersections are common faces.
     is_fan = True
-    hforms = [cone_hform([fan.rays[i] for i in c], fan.dim) for c in fan.max_cones]
-    for (c1, h1), (c2, h2) in combinations(zip(fan.max_cones, hforms), 2):
+    for c1, c2 in combinations(fan.max_cones, 2):
         common = sorted(set(c1) & set(c2))
-        inter = intersect_hforms([h1, h2])
-        common_h = cone_hform([fan.rays[i] for i in common], fan.dim)
-        probe = RationalCone.from_hform(inter)
-        if not all(common_h.contains(g) for g in probe.generators):
+        if len(common) == fan.dim - 1:
+            # Two full-dimensional cones sharing a facet meet exactly in it
+            # iff their other rays lie strictly on opposite sides of its span.
+            (normal,) = nullspace([fan.rays[i] for i in common], fan.dim)
+            (a,) = set(c1) - set(common)
+            (b,) = set(c2) - set(common)
+            meet_in_common = _dot(normal, fan.rays[a]) * _dot(normal, fan.rays[b]) < 0
+        else:
+            inter = intersect_hforms(
+                [cone_hform([fan.rays[i] for i in c], fan.dim) for c in (c1, c2)]
+            )
+            common_h = cone_hform([fan.rays[i] for i in common], fan.dim)
+            probe = RationalCone.from_hform(inter)
+            meet_in_common = all(common_h.contains(g) for g in probe.generators)
+        if not meet_in_common:
             is_fan = False
             break
 
@@ -174,7 +183,7 @@ def total_space_fan(fan: Fan, d: IntegerMatrix, allow_negative: bool = False) ->
         raise DimensionMismatch("bundle matrix needs one column per ray")
     if not allow_negative and any(x < 0 for row in d.entries for x in row):
         raise NegativeCoefficient("bundle coefficients must be nonnegative")
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     if not (diag.is_fan and diag.smooth and diag.complete):
         raise InputNotSmooth("total-space construction needs a smooth complete fan")
     if c == 0:
@@ -197,7 +206,7 @@ def pl_is_convex(fan: Fan, values) -> tuple:
     Convex means value(a_i) <= linear extension from every maximal cone;
     strictly means strict for rays outside the cone.
     """
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     if not diag.complete:
         raise IncompleteFan("convexity test needs a complete fan")
     return _pl_convex_raw(fan, values)
@@ -246,7 +255,7 @@ def nef_cone_anticones(fan: Fan) -> RationalCone:
     the rays outside it.  Raises KahlerConeEmpty when the intersection has
     empty interior.
     """
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     if not diag.complete:
         raise IncompleteFan("nef cone needs a complete fan")
     classes = divisor_class_matrix(fan)
@@ -273,7 +282,7 @@ def nef_cone_pl(fan: Fan) -> RationalCone:
     values -t_i.  The inequalities are assembled from one rational section
     of the representative map, so the result is an exact H-form cone.
     """
-    diag = validate_fan(fan)
+    diag = fan.diagnostics
     if not diag.complete:
         raise IncompleteFan("nef cone needs a complete fan")
     classes = divisor_class_matrix(fan)

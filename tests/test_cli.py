@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -81,6 +82,14 @@ def p1_options(**opts):
                      ["construct"], id="bundle-width"),
         pytest.param(json.dumps({"fan": {"rays": [[1], [-1]], "max_cones": [[1], [3]]}}),
                      "max_cones", ["construct"], id="cone-index-past-last-ray"),
+        pytest.param(json.dumps({"fan": {"rays": [[1.5], [-1]], "max_cones": [[1], [2]]}}),
+                     "rays", ["validate"], id="ray-float"),
+        pytest.param(json.dumps({"fan": {"rays": [[True], [-1]], "max_cones": [[1], [2]]}}),
+                     "rays", ["validate"], id="ray-bool"),
+        pytest.param(json.dumps({"fan": {"rays": [[1], [-1]], "max_cones": [[1.0], [2]]}}),
+                     "max_cones", ["validate"], id="cone-index-float"),
+        pytest.param(json.dumps({"fan": P1_FAN, "bundles": [[2.5, 0]]}), "bundles",
+                     ["validate"], id="bundle-float"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, text, message, argv):
@@ -90,6 +99,47 @@ def test_parse_error_exit_code(tmp_path, text, message, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("tglab: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_exits_without_traceback(fmt):
+    """A reader that is gone before the report is written (``| head``)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tglab.cli", "ifun", "--spec", str(SPECS / "p1p1_o11.json"), *fmt],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err.decode()
+    assert proc.returncode == 0
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported by the F_p face search only, not at startup."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tglab.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+def test_lg_f3_face_search_in_time():
+    """F3 samples are non_tame_suspected (exit 1); the face search runs on
+    each face's own torus, so the whole call stays well under the budget."""
+    out = io.StringIO()
+    start = time.monotonic()
+    with redirect_stdout(out):
+        rc = cli.main(["lg", "--spec", str(SPECS / "f3_minus_k.json"), "--json"])
+    elapsed = time.monotonic() - start
+    samples = json.loads(out.getvalue())["results"]["samples"]
+    assert rc == 1
+    assert [s["verdict"] for s in samples] == ["non_tame_suspected"] * 3
+    assert elapsed < 5.0
 
 
 def test_missing_file_exit_code():

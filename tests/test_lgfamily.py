@@ -2,14 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tglab import corpus
 from tglab.errors import ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import (
     LaurentPoly,
+    _fp_witness,
     build_family,
     classify_parameter,
     face_critical_system,
@@ -229,3 +233,82 @@ def test_dim_equals_volume_at_random_good_parameters():
             )
             assert expected == vol
             found += 1
+
+
+def residue(poly, y, p):
+    """The Laurent polynomial at the point y of (F_p^*)^s, mod p."""
+    total = 0
+    for e, c in poly.coeffs.items():
+        term = c.numerator * pow(c.denominator, -1, p)
+        for yk, ek in zip(y, e):
+            term = term * pow(yk, ek, p)
+        total += term
+    return total % p
+
+
+def reference_witness(eqs, s, p):
+    """Lex-first common zero on the full grid (F_p^*)^s, or None; None also
+    when a denominator is divisible by p."""
+    if any(c.denominator % p == 0 for poly in eqs for c in poly.coeffs.values()):
+        return None
+    return next(
+        (y for y in product(range(1, p), repeat=s) if all(residue(f, y, p) == 0 for f in eqs)),
+        None,
+    )
+
+
+@st.composite
+def sublattice_systems(draw):
+    """Equations in three variables with every monomial in e0 + L, where L
+    has rank 1 or 2; scaling the basis by 2 or 3 makes L non-saturated.
+    A draw is the critical system of one polynomial (f and its log
+    derivatives, as for a face), unrelated equations, or equations whose
+    last coefficient is chosen so that they vanish at a drawn point mod p."""
+    p = draw(st.sampled_from([7, 11, 13]))
+    rank = draw(st.integers(1, 2))
+    vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+    basis = draw(st.lists(vec, min_size=rank, max_size=rank))
+    assume(IntegerMatrix.from_rows(basis).rank() == rank)
+    scale = draw(st.integers(1, 3))
+    e0 = draw(vec)
+    steps = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    monos = list(dict.fromkeys(
+        tuple(e0[k] + scale * sum(a * v[k] for a, v in zip(step, basis)) for k in range(3))
+        for step in draw(st.lists(steps, min_size=1, max_size=4))
+    ))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+    def poly():
+        return LaurentPoly(3, {m: draw(coeff) for m in monos})
+
+    kind = draw(st.sampled_from(["critical", "unrelated", "planted"]))
+    if kind == "critical":
+        f = poly()
+        return [f] + [f.log_derivative(k) for k in range(3)], p
+    eqs = [poly() for _ in range(draw(st.integers(1, 3)))]
+    if kind == "planted":
+        y = draw(st.tuples(*[st.integers(1, p - 1)] * 3))
+        last = monos[-1]
+        for i, f in enumerate(eqs):
+            rest = LaurentPoly(3, {m: c for m, c in f.coeffs.items() if m != last})
+            c = -residue(rest, y, p) * pow(residue(LaurentPoly.monomial(3, last), y, p), -1, p)
+            eqs[i] = rest + LaurentPoly.monomial(3, last, c % p)
+    return eqs, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(sublattice_systems())
+def test_fp_witness_against_full_grid(case):
+    """The search on the reduced torus finds a zero exactly when the full
+    (F_p^*)^3 grid has one, and every point it returns is a common zero."""
+    eqs, p = case
+    found = _fp_witness(eqs, 3, p)
+    assert (found is None) == (reference_witness(eqs, 3, p) is None)
+    if found is not None:
+        assert len(found) == 3 and all(1 <= y < p for y in found)
+        assert all(residue(f, found, p) == 0 for f in eqs)
+    nonzero = [f for f in eqs if not f.is_zero()]
+    if nonzero:
+        e = next(iter(nonzero[0].coeffs))
+        unusable = LaurentPoly(3, {**nonzero[0].coeffs, e: Fraction(1, p)})
+        assert _fp_witness([unusable] + eqs, 3, p) is None

@@ -1,10 +1,15 @@
 """Fans, total-space fans, convexity, nef cones and the hull checks."""
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tglab import corpus
 from tglab.errors import BundleNotNef, IncompleteFan, NegativeCoefficient, NonPrimitiveRay
 from tglab.intlinalg import IntegerMatrix
+from tglab.rationalcone import RationalCone, cone_hform, intersect_hforms
 from tglab.toricfan import (
     Fan,
     anticanonical_consistency_check,
@@ -44,6 +49,36 @@ def test_validate_non_smooth_cone():
     fan = Fan.make([(1, 0), (1, 2)], [(0, 1)])
     diag = validate_fan(fan)
     assert not diag.smooth
+
+
+def meet_in_common_face(rays, c1, c2, dim):
+    """Fan condition for one pair of cones, by brute force: every extreme
+    ray of the intersection lies in the cone on the common rays."""
+    inter = intersect_hforms([cone_hform([rays[i] for i in c], dim) for c in (c1, c2)])
+    common = cone_hform([rays[i] for i in sorted(set(c1) & set(c2))], dim)
+    return all(common.contains(g) for g in RationalCone.from_hform(inter).generators)
+
+
+@st.composite
+def cones_sharing_a_facet(draw):
+    dim = draw(st.integers(2, 3))
+    ray = st.tuples(*[st.integers(-3, 3)] * dim)
+    rays = draw(st.lists(ray, min_size=dim + 1, max_size=dim + 1, unique=True))
+    assume(all(gcd(*r) == 1 for r in rays))
+    shared = tuple(range(dim - 1))
+    cones = [shared + (dim - 1,), shared + (dim,)]
+    assume(all(IntegerMatrix.from_rows([rays[i] for i in c]).det() != 0 for c in cones))
+    return rays, cones, dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones_sharing_a_facet())
+def test_fan_condition_on_a_shared_facet(case):
+    """Two cones on a common facet: the side-of-the-facet test in
+    `validate_fan` agrees with intersecting the cones."""
+    rays, cones, dim = case
+    expected = meet_in_common_face(rays, cones[0], cones[1], dim)
+    assert validate_fan(Fan.make(rays, cones)).is_fan == expected
 
 
 def test_validate_rejects_non_primitive():
