@@ -21,10 +21,15 @@ from fractions import Fraction
 from tglab import errors
 from tglab.errors import ParseError
 from tglab.intlinalg import IntegerMatrix
-from tglab.lgfamily import build_family, classify_parameter, restrict_to_km
+from tglab.lgfamily import NewtonData, build_family, classify_parameter, restrict_to_km
 from tglab.models import build_model
 from tglab.polytopes import normalized_volume
-from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
+from tglab.qdmcheck import (
+    annihilation_check,
+    basis_classes,
+    homogeneity_check,
+    quot_landing_check,
+)
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
@@ -294,20 +299,14 @@ def cmd_lg(spec, args) -> dict:
     rng = random.Random(spec["seed"])
     window = spec["stabilization_window"]
     cones = [tuple(c) for c in model.total.max_cones]
-    vol = normalized_volume(
-        [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]
-    )
+    # Everything that does not depend on lambda is computed once, here.
+    newton = NewtonData(B, spec["cutoff"], cones)
+    vol = newton.volume
     samples = []
     good = 0
     for _ in range(spec["samples"]):
         lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)]
-        verdict = classify_parameter(
-            B,
-            lam,
-            stabilization_window=window,
-            cutoff=spec["cutoff"],
-            cone_index_sets=cones,
-        )
+        verdict = classify_parameter(B, lam, stabilization_window=window, newton=newton)
         row = {
             "lambda": [str(x) for x in lam],
             "verdict": verdict["verdict"],
@@ -337,14 +336,15 @@ def cmd_ifun(spec, args) -> dict:
     dmax = spec["dmax"]
     table = model.i_table(dmax + 1)
     g = model.qdm_generators()
+    p_cls = basis_classes(model.ring, model.L)
+    ctop = model.chern["c_top"]
+    euler = model.chern["euler_class"]
     rows = []
     all_zero = True
     for a, box in enumerate(g["boxes"]):
-        rep = annihilation_check(box, model.ring, model.L, table, dmax)
-        ctop = model.chern["c_top"]
-        euler = model.chern["euler_class"]
+        rep = annihilation_check(box, model.ring, model.L, table, dmax, p_cls)
         landing = quot_landing_check(
-            box, model.ring, model.L, ctop, euler, table, dmax
+            box, model.ring, model.L, ctop, euler, table, dmax, p_cls
         )
         for brow, lrow in zip(rep["rows"], landing["rows"]):
             rows.append(

@@ -94,18 +94,27 @@ class CohomologyRing:
                 out[mono] = out.get(mono, Fraction(0)) + Fraction(c) * v
         return {k: v for k, v in out.items() if v}
 
+    def monomial_product(self, m1, m2):
+        """Normal form of the product of two monomials, as the stored dict:
+        callers must not change it."""
+        if sum(m1) + sum(m2) > self.top_degree:
+            return {}
+        return self.nf_table[tuple(a + b for a, b in zip(m1, m2))]
+
     def mul(self, c1, c2):
         out = {}
         for m1, v1 in c1.items():
             for m2, v2 in c2.items():
-                prod = tuple(a + b for a, b in zip(m1, m2))
-                for mono, v in self.normal_form(prod).items():
-                    out[mono] = out.get(mono, Fraction(0)) + v1 * v2 * v
+                for mono, v in self.monomial_product(m1, m2).items():
+                    term = v1 * v2 * v
+                    out[mono] = out[mono] + term if mono in out else term
         return {k: v for k, v in out.items() if v}
 
     def scale(self, c, factor):
+        if not factor:
+            return {}
         factor = Fraction(factor)
-        return {k: v * factor for k, v in c.items() if v * factor}
+        return {k: v * factor for k, v in c.items() if v}
 
     def add(self, c1, c2):
         out = dict(c1)

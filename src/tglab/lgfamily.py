@@ -4,7 +4,10 @@ quotients, face critical systems and the good-parameter classifier.
 The Jacobian quotient dimension uses the weight filtration by dilates of
 the Newton polytope and exact sparse linear algebra over Q; the parameter
 classifier combines that dimension test with a finite-field search for
-torus solutions of the face critical systems.  That search runs on each
+torus solutions of the face critical systems.  What does not depend on
+the parameter (polytope, faces, volume, weights, and the semigroup
+members up to the cutoff) lives in a NewtonData that one caller builds
+and shares across its samples.  That search runs on each
 system's own subtorus, of dimension the rank of its exponent differences,
 and vectorizes the modular arithmetic with numpy, imported inside the
 search only; everything else is exact.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from tglab.errors import (
@@ -22,7 +26,7 @@ from tglab.errors import (
     ZeroCoefficient,
 )
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
-from tglab.polytopes import LatticePolytope
+from tglab.polytopes import LatticePolytope, faces, normalized_volume
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 
 
@@ -208,6 +212,43 @@ def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets
     return out
 
 
+class NewtonData:
+    """The lambda-independent data of the family of B, built once and
+    shared by every parameter sample of one call: the weight function of
+    the Newton polytope, its faces and normalized volume, the slice cutoff
+    (4 e diam(B) unless given), and the semigroup members up to the cutoff.
+    Each is computed on first use, so a sample that stops at a bad face
+    never pays for the members scan."""
+
+    def __init__(self, B: IntegerMatrix, cutoff: int | None = None, cone_index_sets=()):
+        self.B = B
+        self.cone_index_sets = tuple(map(tuple, cone_index_sets))
+        self._cutoff = cutoff
+
+    @cached_property
+    def weights(self) -> WeightData:
+        return WeightData.from_matrix(self.B)
+
+    @cached_property
+    def faces(self) -> list:
+        return faces(self.weights.poly)
+
+    @cached_property
+    def volume(self) -> int:
+        return normalized_volume(self.weights.poly.points)
+
+    @cached_property
+    def cutoff(self) -> int:
+        if self._cutoff is not None:
+            return self._cutoff
+        diam = max(1, max((abs(x) for row in self.B.entries for x in row), default=1))
+        return 4 * self.weights.e * diam
+
+    @cached_property
+    def members(self) -> list:
+        return _members_up_to(self.B, self.weights, self.cutoff, self.cone_index_sets)
+
+
 def _cone_is_everything(B: IntegerMatrix) -> bool:
     """True when the columns positively span the whole space."""
     h = AffineSemigroup(B).cone
@@ -220,23 +261,25 @@ def jacobian_quotient_dim(
     stabilization_window: int = 3,
     cutoff: int | None = None,
     cone_index_sets=(),
+    newton: NewtonData | None = None,
 ):
     """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam.
 
     Degree slices of the weight filtration are swept until the dimension is
     constant across the window; raises StabilizationFailed (with the slice
-    history attached) otherwise.
+    history attached) otherwise.  ``newton`` is the NewtonData of B to
+    share between calls; its cutoff and cone sets then stand in for
+    ``cutoff`` and ``cone_index_sets``.
     """
     lam = [Fraction(x) for x in lam]
     if len(lam) != B.cols:
         raise ValueError("need one coefficient per column")
     if any(x == 0 for x in lam):
         raise ZeroCoefficient("parameter on the torus boundary")
+    if newton is None:
+        newton = NewtonData(B, cutoff, cone_index_sets)
     s, t = B.rows, B.cols
-    wd = WeightData.from_matrix(B)
-    if cutoff is None:
-        diam = max(1, max(abs(x) for row in B.entries for x in row) if t else 1)
-        cutoff = 4 * wd.e * diam
+    cutoff = newton.cutoff
     # y_k df/dy_k = -sum_i b_{ki} lam_i y^{b_i}
     gens = []
     for k in range(s):
@@ -247,7 +290,7 @@ def jacobian_quotient_dim(
                 g[col] = g.get(col, Fraction(0)) - B.entries[k][i] * lam[i]
         gens.append({e: c for e, c in g.items() if c})
     history = []
-    members_all = _members_up_to(B, wd, cutoff, cone_index_sets)
+    members_all = newton.members
     for bound in range(1, cutoff + 1):
         monos = [p for w, p in members_all if w <= bound]
         mono_index = {p: i for i, p in enumerate(monos)}
@@ -374,6 +417,7 @@ def classify_parameter(
     stabilization_window: int = 3,
     cutoff: int | None = None,
     cone_index_sets=(),
+    newton: NewtonData | None = None,
 ):
     """good / non_tame_suspected / bad_suspected with the evidence recorded.
 
@@ -383,20 +427,21 @@ def classify_parameter(
     each proper face it looks for a common zero of the face's critical
     system on (F_p^*)^s, reduced to the face's own torus of dimension
     at most s - 1 (see `_fp_witness`), and every point it reports has
-    been checked against the equations mod p.
+    been checked against the equations mod p.  ``newton`` is as in
+    `jacobian_quotient_dim`; pass one NewtonData to classify many samples
+    of the same B.
     """
-    from tglab.polytopes import faces, normalized_volume
-
     lam = [Fraction(x) for x in lam]
     if any(x == 0 for x in lam):
         raise ZeroCoefficient("parameter on the torus boundary")
+    if newton is None:
+        newton = NewtonData(B, cutoff, cone_index_sets)
     s = B.rows
-    poly = newton_polytope(B)
-    vol = normalized_volume(poly.points)
+    vol = newton.volume
     evidence = {"volume": vol}
     witness_info = None
     tame_witness = None
-    for face in faces(poly):
+    for face in newton.faces:
         if face.supporting is None:
             continue  # the whole polytope
         sys = face_critical_system(B, sorted(face.indices), lam)
@@ -424,11 +469,7 @@ def classify_parameter(
         evidence["bad_face_witness"] = witness_info
         return {"verdict": "bad_suspected", "evidence": evidence}
     jac = jacobian_quotient_dim(
-        B,
-        lam,
-        stabilization_window=stabilization_window,
-        cutoff=cutoff,
-        cone_index_sets=cone_index_sets,
+        B, lam, stabilization_window=stabilization_window, newton=newton
     )
     evidence["jacobian_dim"] = jac["dim"]
     if jac["dim"] != vol:

@@ -130,19 +130,26 @@ def graded_slice_points(S: AffineSemigroup, k: int):
     return [p for p in product(*ranges) if S.cone.contains((k,) + p)]
 
 
+def _cone_points(S: AffineSemigroup, degree_bound: int):
+    """Lattice points of the cone of a graded semigroup at grading <= bound,
+    by grading then lex, each with its semigroup membership."""
+    if not S.graded:
+        raise UnboundedSearch("saturation check needs the graded form")
+    for k in range(degree_bound + 1):
+        members = S.slice(k)
+        for pt in graded_slice_points(S, k):
+            yield (k,) + pt, (k,) + pt in members
+
+
 def saturation_check(S: AffineSemigroup, degree_bound: int):
     """Compare semigroup membership against cone membership up to the bound.
 
     Returns (saturated_up_to_bound, witness); the witness is the first cone
     point that fails semigroup membership, scanned by grading then lex.
     """
-    if not S.graded:
-        raise UnboundedSearch("saturation check needs the graded form")
-    for k in range(degree_bound + 1):
-        members = S.slice(k)
-        for pt in graded_slice_points(S, k):
-            if (k,) + pt not in members:
-                return False, (k,) + pt
+    for pt, member in _cone_points(S, degree_bound):
+        if not member:
+            return False, pt
     return True, None
 
 
@@ -161,13 +168,18 @@ def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int) -> bool
     """Interior points at grading <= bound coincide with shift + semigroup.
 
     ``shift`` is the distinguished interior element (grading c+1 for the
-    doubled total-space semigroup).  Requires saturation up to the bound.
+    doubled total-space semigroup).  Requires saturation up to the bound:
+    one scan of the cone points raises NotSaturated at the first
+    non-member (the witness of `saturation_check`) and collects the
+    interior points.
     """
-    ok, witness = saturation_check(S, degree_bound)
-    if not ok:
-        raise NotSaturated(f"not saturated up to {degree_bound}, witness {witness}")
+    interior = set()
+    for pt, member in _cone_points(S, degree_bound):
+        if not member:
+            raise NotSaturated(f"not saturated up to {degree_bound}, witness {pt}")
+        if S.cone.contains_interior(pt):
+            interior.add(pt)
     shift = tuple(int(x) for x in shift)
-    interior = set(interior_points_up_to(S, degree_bound))
     shifted = {
         tuple(a + b for a, b in zip(u, shift))
         for k in range(degree_bound - shift[0] + 1)

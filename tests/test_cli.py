@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tglab import cli
+from tglab import cli, lgfamily
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -140,6 +140,34 @@ def test_lg_f3_face_search_in_time():
     assert rc == 1
     assert [s["verdict"] for s in samples] == ["non_tame_suspected"] * 3
     assert elapsed < 5.0
+
+
+def test_lg_scans_members_once_per_call(monkeypatch):
+    """The semigroup members up to the cutoff depend on B, the cutoff and
+    the cones only, so three samples share one scan."""
+    calls = []
+    scan = lgfamily._members_up_to
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(lgfamily, "_members_up_to", counting_scan)
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(["lg", "--spec", str(SPECS / "f3_minus_k.json"), "--samples", "3"])
+    assert rc == 1
+    assert len(calls) == 1
+
+
+def test_ifun_dmax_20_in_time():
+    """The I-series table is walked degree by degree, so a deep table and
+    both checks on it stay well under the budget."""
+    start = time.monotonic()
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main(["ifun", "--spec", str(SPECS / "p1p1_o11.json"), "--dmax", "20"])
+    elapsed = time.monotonic() - start
+    assert rc == 0
+    assert elapsed < 1.5
 
 
 def test_missing_file_exit_code():

@@ -13,6 +13,7 @@ from tglab.errors import ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import (
     LaurentPoly,
+    NewtonData,
     _fp_witness,
     build_family,
     classify_parameter,
@@ -197,6 +198,21 @@ def test_classify_bad_parameter_p1_o2():
     assert verdict["verdict"] == "bad_suspected"
     witness = verdict["evidence"]["bad_face_witness"]
     assert 0 not in witness["face"]
+
+
+def test_shared_newton_data_scans_members_lazily():
+    """One NewtonData serves many samples; a bad_suspected sample stops
+    before the Jacobian sweep and leaves the members unscanned."""
+    fan, d = corpus.p1_o2()
+    total = total_space_fan(fan, d)
+    B = total.ray_matrix()
+    newton = NewtonData(B, cone_index_sets=cones_of(total))
+    bad = classify_parameter(B, [1, 1, -2], newton=newton)
+    assert bad["verdict"] == "bad_suspected"
+    assert "members" not in vars(newton)
+    good = classify_parameter(B, [1, 1, 1], newton=newton)
+    assert good == classify_parameter(B, [1, 1, 1], cone_index_sets=cones_of(total))
+    assert "members" in vars(newton)
 
 
 def test_classify_good_p1_o2():

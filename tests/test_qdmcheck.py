@@ -2,17 +2,23 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tglab import corpus
+from tglab.cohomring import build_ring
 from tglab.errors import UnsupportedOperator
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.models import build_model
 from tglab.qdmcheck import (
     _apply_operator_graded,
     annihilation_check,
     homogeneity_check,
+    i_function,
     quot_landing_check,
 )
 from tglab.weylops import WeylOp, bounded_ideal_membership
@@ -234,3 +240,113 @@ def test_euler_lands_in_conjugated_gauge():
     euler = model.chern["euler_class"]
     rep = quot_landing_check(g["euler"], model.ring, model.L, ctop, euler, table, 6)
     assert rep["all_land"]
+
+
+# An oracle for the degree walk: every A_d rebuilt from scratch as the full
+# product of its telescoped factors, with z-classes as dicts
+# (basis monomial, z exponent) -> Fraction.
+
+FANS = {
+    "F1": lambda: corpus.hirzebruch(1),
+    "F2": lambda: corpus.hirzebruch(2),
+    "p1p1_o11": lambda: corpus.p1p1_o11()[0],
+}
+
+
+@cache
+def ring_of(name):
+    return build_ring(FANS[name]())
+
+
+def _ref_mul(ring, a, b):
+    out = {}
+    for (m1, z1), v1 in a.items():
+        for (m2, z2), v2 in b.items():
+            for m3, v3 in ring.mul({m1: v1}, {m2: v2}).items():
+                out[(m3, z1 + z2)] = out.get((m3, z1 + z2), Fraction(0)) + v3
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_linear(ring, cls, mm):
+    """cls + mm z, or its inverse sum_k (-cls)^k / (mm z)^(k+1)."""
+    unit = tuple(0 for _ in range(ring.fan.n_rays))
+    return {**{(mono, 0): v for mono, v in cls.items()}, (unit, 1): Fraction(mm)}
+
+
+def _ref_inverse(ring, cls, mm):
+    out, power, k = {}, ring.one(), 0
+    while power:
+        for mono, v in power.items():
+            out[(mono, -k - 1)] = v * Fraction(-1) ** k / Fraction(mm) ** (k + 1)
+        power, k = ring.mul(power, cls), k + 1
+    return out
+
+
+def reference_i_function(ring, kernel_matrix, m, d_max):
+    """The from-scratch product: each A_d multiplies out all its factors."""
+    rows = kernel_matrix.entries
+    r, n_rays = kernel_matrix.cols, ring.fan.n_rays
+    unit = tuple(0 for _ in range(n_rays))
+    bundle_cls = []
+    for row in rows[m:]:
+        aug = [[rows[i][a] for i in range(n_rays)] + [-row[a]] for a in range(r)]
+        pivots, reduced = row_reduce(aug, n_rays + 1)
+        tvec = [0] * n_rays
+        for red, col in zip(reduced, pivots):
+            tvec[col] = red[n_rays]
+        bundle_cls.append(ring.combination(tvec))
+    degrees = sorted(d for d in product(range(d_max + 1), repeat=r) if sum(d) <= d_max)
+    table = {}
+    for d in degrees:
+        acc = {(unit, 0): Fraction(1)}
+        for row, cls in zip(rows[m:], bundle_cls):
+            for mm in range(1, -sum(x * y for x, y in zip(row, d)) + 1):
+                acc = _ref_mul(ring, acc, _ref_linear(ring, cls, mm))
+        for theta in range(m):
+            dtheta = sum(x * y for x, y in zip(rows[theta], d))
+            cls = ring.divisor_class(theta)
+            for mm in range(1, dtheta + 1):
+                acc = _ref_mul(ring, acc, _ref_inverse(ring, cls, mm))
+            for mm in range(dtheta + 1, 1):
+                acc = _ref_mul(ring, acc, _ref_linear(ring, cls, mm))
+        table[d] = acc
+    return table
+
+
+def _full_rank(rows, r):
+    if r == 1:
+        return any(row[0] for row in rows)
+    return any(u[0] * v[1] != u[1] * v[0] for u in rows for v in rows)
+
+
+@st.composite
+def kernels(draw):
+    """(ring name, ray rows, bundle rows): ray rows of full rank r with
+    entries in [-2, 2], bundle rows (minus a first Chern class) in [-2, 0]."""
+    name = draw(st.sampled_from(sorted(FANS)))
+    n_rays = ring_of(name).fan.n_rays
+    r = draw(st.integers(1, 2))
+    entry = st.integers(-2, 2)
+    rays = draw(st.lists(st.tuples(*[entry] * r), min_size=n_rays, max_size=n_rays))
+    bundles = draw(st.lists(st.tuples(*[st.integers(-2, 0)] * r), max_size=1))
+    return name, tuple(rays), tuple(bundles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=kernels())
+@example(case=("F1", ((1, -1), (-1, 1), (1, 0), (0, 1)), ()))
+def test_i_function_against_from_scratch_products(case):
+    """The degree walk gives the same table, keys in the same order, as
+    multiplying every A_d out afresh.  The example's theta rows (1, -1) and
+    (-1, 1) make both predecessors of (k, k) step a d_theta from -1 to 0,
+    so those degrees are built from degree 0."""
+    name, rays, bundles = case
+    r = len(rays[0])
+    assume(_full_rank(rays, r))
+    ring = ring_of(name)
+    kernel = IntegerMatrix.from_rows(list(rays) + list(bundles))
+    d_max = 4 if r == 2 else 6
+    table = i_function(ring, kernel, len(rays), d_max)
+    expected = reference_i_function(ring, kernel, len(rays), d_max)
+    assert list(table) == list(expected)
+    assert table == expected
