@@ -26,7 +26,7 @@ from tglab.models import build_model
 from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import (
     annihilation_check,
-    basis_classes,
+    basis_multipliers,
     homogeneity_check,
     quot_landing_check,
 )
@@ -35,7 +35,7 @@ from tglab.semigroups import (
     doubled_semigroup,
     gorenstein_shift_check,
     interior_shift_check_ungraded,
-    saturation_check,
+    scan_cone_points,
 )
 from tglab.toricfan import (
     Fan,
@@ -120,16 +120,26 @@ def load_spec(path: str) -> dict:
     return spec
 
 
+# The range of each setting.  A maximum is the largest round value at which
+# the slowest spec in specs/ finishes, with the other settings at their
+# defaults; above it a search can run for minutes.
+MINIMUM = {"degree_bound": 0, "dmax": 0, "stabilization_window": 1, "samples": 1, "cutoff": 1}
+MAXIMUM = {
+    "degree_bound": 30, "dmax": 150, "stabilization_window": 12, "samples": 300, "cutoff": 12
+}
+
+
 def _apply_flags(spec, args):
     """Let the command-line flags override the spec options, then refuse any
-    setting below its minimum."""
+    setting outside its range."""
     flags = {"degree_bound": args.degree, "dmax": args.dmax, "seed": args.seed}
     spec.update({k: v for k, v in flags.items() if v is not None})
     spec.update(samples=args.samples, cutoff=args.cutoff)
-    minimum = {"degree_bound": 0, "dmax": 0, "stabilization_window": 1, "samples": 1, "cutoff": 1}
-    for key, low in minimum.items():
+    for key, low in MINIMUM.items():
         if spec[key] is not None and spec[key] < low:
             raise ParseError(f"{key} must be at least {low}, got {spec[key]}")
+        if spec[key] is not None and spec[key] > MAXIMUM[key]:
+            raise ParseError(f"{key} must be at most {MAXIMUM[key]}, got {spec[key]}")
 
 
 def bundle_matrix(spec) -> IntegerMatrix:
@@ -208,7 +218,10 @@ def cmd_semigroup(spec, args) -> dict:
         [tuple(0 for _ in range(Btot.rows))] + [Btot.col(i) for i in range(Btot.cols)]
     )
     S = doubled_semigroup(Btot)
-    saturated, witness = saturation_check(S, bound)
+    # One pass gives the saturation witness and the interior points.
+    scan = scan_cone_points(S, bound)
+    witness = scan[0]
+    saturated = witness is None
     out = {
         "degree_bound": bound,
         "normalized_volume": vol,
@@ -221,7 +234,7 @@ def cmd_semigroup(spec, args) -> dict:
         for j in range(c):
             gen = S.gen(1 + fan.n_rays + j)
             shift = [a + b for a, b in zip(shift, gen)]
-        out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound)
+        out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound, scan)
         Sprime = AffineSemigroup(
             Btot, graded=False, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones)
         )
@@ -336,15 +349,16 @@ def cmd_ifun(spec, args) -> dict:
     dmax = spec["dmax"]
     table = model.i_table(dmax + 1)
     g = model.qdm_generators()
-    p_cls = basis_classes(model.ring, model.L)
+    p_mul = basis_multipliers(model.ring, model.L)
     ctop = model.chern["c_top"]
     euler = model.chern["euler_class"]
+    euler_mul = model.ring.multiplier(euler)
     rows = []
     all_zero = True
     for a, box in enumerate(g["boxes"]):
-        rep = annihilation_check(box, model.ring, model.L, table, dmax, p_cls)
+        rep = annihilation_check(box, model.ring, model.L, table, dmax, p_mul)
         landing = quot_landing_check(
-            box, model.ring, model.L, ctop, euler, table, dmax, p_cls
+            box, model.ring, model.L, ctop, euler, table, dmax, p_mul, euler_mul
         )
         for brow, lrow in zip(rep["rows"], landing["rows"]):
             rows.append(
@@ -401,7 +415,12 @@ def _write(lines):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="tglab", description=__doc__)
+    ranges = ", ".join(f"{k} {MINIMUM[k]}..{MAXIMUM[k]}" for k in MINIMUM)
+    parser = argparse.ArgumentParser(
+        prog="tglab",
+        description=__doc__,
+        epilog=f"Settings outside their range exit 2: {ranges}.",
+    )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--spec", required=True, help="path to the JSON problem spec")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")

@@ -5,13 +5,20 @@ matrix) and the squarefree monomials of minimal non-faces.  The finite
 monomial basis and all normal forms come from graded exact linear algebra;
 there is no Groebner machinery.  Classes are plain dicts mapping basis
 monomials (exponent tuples) to rationals.
+
+For repeated products the ring also keeps its structure constants: the
+integer matrix of each basis element over one common denominator, built
+once per ring object from the stored normal forms.  ``multiplier(c)``
+combines them into the integer matrix of cup product with c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from math import gcd, lcm
 
 from tglab.errors import FanNotSmoothComplete
 from tglab.intlinalg import IntegerMatrix, row_reduce
@@ -45,6 +52,41 @@ def minimal_nonfaces(fan: Fan):
                 continue
             nonfaces.append(s)
     return sorted(tuple(sorted(s)) for s in nonfaces)
+
+
+class Multiplier:
+    """Cup product with one class as an integer matrix over the basis:
+    b_i * c = sum(n * b_k for k, n in rows[i]) / den, with den >= 1."""
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: tuple, den: int = 1):
+        self.rows = rows
+        self.den = den
+
+    @classmethod
+    def reduced(cls, rows, den):
+        """From rows of dicts k -> n: zeros dropped, gcd taken out."""
+        rows = [{k: n for k, n in row.items() if n} for row in rows]
+        g = gcd(den, *(n for row in rows for n in row.values()))
+        return cls(
+            tuple(tuple((k, n // g) for k, n in sorted(row.items())) for row in rows), den // g
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.rows)
+
+    def then(self, other: "Multiplier") -> "Multiplier":
+        """The multiplier of the product of the two classes."""
+        rows = []
+        for row in self.rows:
+            acc = {}
+            for j, n in row:
+                for k, v in other.rows[j]:
+                    acc[k] = acc.get(k, 0) + n * v
+            rows.append(acc)
+        return Multiplier.reduced(rows, self.den * other.den)
 
 
 @dataclass
@@ -127,13 +169,57 @@ class CohomologyRing:
         that a smooth cone's divisor product integrates to one)."""
         return c.get(self.point_monomial, Fraction(0)) / self.point_scale
 
+    @cached_property
+    def basis_index(self) -> dict:
+        """Basis monomial -> its position in ``basis``."""
+        return {mono: i for i, mono in enumerate(self.basis)}
+
+    @cached_property
+    def structure_constants(self):
+        """(products, den): b_i * b_j = sum(n * b_k for k, n in
+        products[i][j]) / den, with one den for the whole ring.  Built on
+        first use and kept with the ring."""
+        index = self.basis_index
+        nfs = [[self.monomial_product(b1, b2) for b2 in self.basis] for b1 in self.basis]
+        den = lcm(*(v.denominator for row in nfs for nf in row for v in nf.values()))
+        products = tuple(
+            tuple(
+                tuple(
+                    (index[mono], v.numerator * (den // v.denominator)) for mono, v in nf.items()
+                )
+                for nf in row
+            )
+            for row in nfs
+        )
+        return products, den
+
+    def multiplier(self, c) -> Multiplier:
+        """The integer matrix of cup product with the class c."""
+        products, den = self.structure_constants
+        cden = lcm(*(v.denominator for v in c.values()))
+        coeffs = [
+            (self.basis_index[mono], v.numerator * (cden // v.denominator))
+            for mono, v in c.items()
+        ]
+        rows = []
+        for row in products:
+            acc = {}
+            for j, cj in coeffs:
+                for k, n in row[j]:
+                    acc[k] = acc.get(k, 0) + cj * n
+            rows.append(acc)
+        return Multiplier.reduced(rows, den * cden)
+
     def matrix_of_multiplication(self, c):
-        """Matrix of cup product with c over the monomial basis."""
-        cols = []
-        for b in self.basis:
-            col_class = self.mul({b: Fraction(1)}, c)
-            cols.append([col_class.get(bb, Fraction(0)) for bb in self.basis])
-        return [[cols[j][i] for j in range(len(self.basis))] for i in range(len(self.basis))]
+        """Matrix of cup product with c over the monomial basis (column j is
+        the image of basis element j)."""
+        mult = self.multiplier(c)
+        size = len(self.basis)
+        mat = [[Fraction(0)] * size for _ in range(size)]
+        for j, row in enumerate(mult.rows):
+            for k, n in row:
+                mat[k][j] = Fraction(n, mult.den)
+        return mat
 
 
 def build_ring(fan: Fan) -> CohomologyRing:

@@ -24,80 +24,154 @@ Two gauges are used.  The annihilation check keeps the full z-grading and
 therefore rejects z^2 d/dz; the kernel-landing check works in the
 conjugated constant-z gauge (classes weighted by z, coefficients at z=1)
 where the Euler operator also acts degreewise.
+
+All of this runs in integers.  A ``ZClass`` holds integer coefficients
+keyed by (basis index, z exponent) over one positive denominator.  A
+product with a ring class goes through that class's integer matrix over
+the basis (``CohomologyRing.multiplier``, built from the ring's cached
+structure constants), so each linear factor (c1(L_j) + m z),
+(D_theta + m z), (p_a / z + e_a - nu), (p_a + e_a) or (w - E) is one
+sparse integer mat-vec, and (D_theta + m z)^{-1} is one integer numerator
+over m^(K+1), D_theta^(K+1) = 0.  The table walk takes the gcd out after
+each step.  Each check scales the table once by the lcm of its
+denominators and the operator by the lcm of its coefficient denominators,
+then works in ``int`` only.  A positive scale maps zero to zero and keeps
+the support, so the zero tests and residue counts are those of the exact
+rational residues: no float, modular or probabilistic test is involved.
+``Fraction`` appears only where a table or an image is materialised.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from tglab.errors import (
     MissingDegree,
     NonEffectiveDegree,
     UnsupportedOperator,
 )
-from tglab.cohomring import CohomologyRing
+from tglab.cohomring import CohomologyRing, Multiplier
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.weylops import WeylOp
 
 
-# A z-class is a dict (basis monomial, z exponent) -> Fraction.
+class ZClass:
+    """A class of H* tensor Q[z, 1/z] in integers: the sum of
+    coeffs[(i, k)] b_i z^k over den, for the ring's basis b_i and den >= 1.
+    Entries may be zero; ``support`` and ``materialise`` skip them."""
+
+    __slots__ = ("coeffs", "den")
+
+    def __init__(self, coeffs, den=1):
+        self.coeffs = coeffs
+        self.den = den
+
+    @classmethod
+    def from_fractions(cls, ring, zc, den):
+        """The dict (monomial, z exponent) -> Fraction zc over den, a
+        multiple of every denominator in zc."""
+        index = ring.basis_index
+        coeffs = {
+            (index[mono], ze): v.numerator * (den // v.denominator) for (mono, ze), v in zc.items()
+        }
+        return cls(coeffs, den)
+
+    def materialise(self, ring):
+        """The dict (monomial, z exponent) -> Fraction, zeros dropped."""
+        basis, den = ring.basis, self.den
+        return {(basis[i], ze): Fraction(v, den) for (i, ze), v in self.coeffs.items() if v}
+
+    def support(self) -> int:
+        return sum(1 for v in self.coeffs.values() if v)
+
+    def plus(self, other, n, zshift=0):
+        """self + n z^zshift other, n an integer."""
+        if self.den == other.den:
+            out, mine, theirs = dict(self.coeffs), 1, n
+        else:
+            den = lcm(self.den, other.den)
+            mine, theirs = den // self.den, n * (den // other.den)
+            out = {k: v * mine for k, v in self.coeffs.items()}
+        for (i, ze), v in other.coeffs.items():
+            key = (i, ze + zshift)
+            out[key] = out.get(key, 0) + v * theirs
+        return ZClass(out, self.den * mine)
+
+    def at_one(self):
+        """The class at z = 1, kept at z exponent 0."""
+        out = {}
+        for (i, _), v in self.coeffs.items():
+            out[(i, 0)] = out.get((i, 0), 0) + v
+        return ZClass(out, self.den)
+
+    def times(self, factor: "_Factor"):
+        """Product with a factor: one sparse integer mat-vec per part."""
+        out = {}
+        for (i, ze), v in self.coeffs.items():
+            for shift, rows in factor.parts:
+                for k, n in rows[i]:
+                    key = (k, ze + shift)
+                    out[key] = out.get(key, 0) + n * v
+        return ZClass(out, self.den * factor.den)
+
+    def reduced(self):
+        """Zeros dropped and the common gcd taken out of coefficients and den."""
+        coeffs = {k: v for k, v in self.coeffs.items() if v}
+        g = gcd(self.den, *coeffs.values())
+        if g == 1:
+            return ZClass(coeffs, self.den)
+        return ZClass({k: v // g for k, v in coeffs.items()}, self.den // g)
 
 
-def _zc_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
+_ZERO = ZClass({})
 
 
-def _zc_scale(a, c):
-    if not c:
-        return {}
-    c = Fraction(c)
-    return {k: v * c for k, v in a.items() if v}
+class _Factor:
+    """A multiplier in H* tensor Q[z, 1/z]: the sum over parts
+    ((shift, rows), ...) of rows z^shift, over den, with rows an integer
+    matrix over the basis as in ``Multiplier``."""
+
+    __slots__ = ("parts", "den")
+
+    def __init__(self, parts: tuple, den: int):
+        self.parts = parts
+        self.den = den
 
 
-def _zc_zshift(a, n):
-    return {(mono, ze + n): v for (mono, ze), v in a.items()}
+def _linear(mult: Multiplier, shift: int, scalar: int, scalar_shift: int) -> _Factor:
+    """The factor c z^shift + scalar z^scalar_shift, for the class c of mult."""
+    parts = [(shift, mult.rows)]
+    if scalar:
+        s = scalar * mult.den
+        parts.append((scalar_shift, tuple(((i, s),) for i in range(len(mult.rows)))))
+    return _Factor(tuple(parts), mult.den)
 
 
-def _zc_mul(ring, a, b):
-    """Product of two z-classes."""
-    out = {}
-    for (m1, z1), v1 in a.items():
-        for (m2, z2), v2 in b.items():
-            for m3, v3 in ring.monomial_product(m1, m2).items():
-                key = (m3, z1 + z2)
-                term = v1 * v2 * v3
-                out[key] = out[key] + term if key in out else term
-    return {k: v for k, v in out.items() if v}
+def _powers(mult: Multiplier):
+    """Multipliers of c^0, c^1, ..., up to the last nonzero power of the
+    nilpotent class c of mult."""
+    size = len(mult.rows)
+    powers = [Multiplier(tuple(((i, 1),) for i in range(size)))]
+    while True:
+        nxt = powers[-1].then(mult)
+        if nxt.is_zero:
+            return powers
+        powers.append(nxt)
 
 
-def _unit(ring):
-    return tuple(0 for _ in range(ring.fan.n_rays))
-
-
-def _zc_linear(ring, cls, m):
-    """The z-class cls + m z."""
-    out = {(mono, 0): v for mono, v in cls.items()}
-    if m:
-        out[(_unit(ring), 1)] = Fraction(m)
-    return out
-
-
-def _invert_linear(ring, cls, m):
-    """(cls + m z)^{-1} = sum_k (-1)^k cls^k / (m z)^{k+1} for nilpotent cls
-    and m != 0, exactly."""
-    inv = {}
-    power = ring.one()
-    k = 0
-    while power:
-        c = Fraction((-1) ** k, m ** (k + 1))
-        for mono, v in power.items():
-            inv[(mono, -(k + 1))] = v * c
-        power = ring.mul(power, cls)
-        k += 1
-    return inv
+def _inverse(powers, m: int) -> _Factor:
+    """(c + m z)^{-1} = sum_k (-1)^k c^k / (m z)^(k+1) for nilpotent c and
+    m != 0, as one integer numerator over m^(K+1) (times the lcm of the
+    powers' denominators), K the last nonzero power."""
+    top = len(powers) - 1
+    delta = lcm(*(p.den for p in powers))
+    sign = -1 if m < 0 and top % 2 == 0 else 1  # keeps the denominator positive
+    parts = []
+    for k, p in enumerate(powers):
+        s = sign * (-1) ** k * m ** (top - k) * (delta // p.den)
+        parts.append((-(k + 1), tuple(tuple((j, n * s) for j, n in row) for row in p.rows)))
+    return _Factor(tuple(parts), sign * m ** (top + 1) * delta)
 
 
 def _effective_degrees(r, d_max):
@@ -151,7 +225,8 @@ def i_function(
     d_max: int,
 ):
     """Table of coefficients A_d for all effective degrees with |d| <= d_max,
-    keyed in lex order.
+    keyed in lex order; each A_d a dict (basis monomial, z exponent) ->
+    Fraction.
 
     kernel_matrix rows 0..m-1 give the basis coordinates of the ray
     classes; rows m.. give minus the bundle first Chern classes.  The
@@ -167,41 +242,54 @@ def i_function(
         raise NonEffectiveDegree(
             "a bundle class pairs negatively with an effective degree"
         )
-    bundle_cls = _classes_from_coords(ring, kernel_matrix, bundle_rows)
-    divisor_cls = [ring.divisor_class(theta) for theta in range(m)]
     pairing_rows = bundle_rows + [tuple(row) for row in rows[:m]]
-    inverses = {}  # (theta, m) -> (D_theta + m z)^{-1}
+    # multiplier k: c1(L_k) for k < c, else D_(k - c)
+    linear = [
+        ring.multiplier(cls)
+        for cls in _classes_from_coords(ring, kernel_matrix, bundle_rows)
+        + [ring.divisor_class(theta) for theta in range(m)]
+    ]
+    factors = {}  # (k, mm, inverted) -> the factor, k < c a bundle, else a ray
+    powers = {}  # k -> multipliers of the powers of D_(k - c)
 
     def exponents(d):
         """(<d, c1(L_j)> for each bundle j, then d_theta for each ray)."""
         return tuple(sum(x * y for x, y in zip(row, d)) for row in pairing_rows)
 
-    def inverse(theta, mm):
-        key = (theta, mm)
-        if key not in inverses:
-            inverses[key] = _invert_linear(ring, divisor_cls[theta], mm)
-        return inverses[key]
+    def factor(k, mm, inverted=False):
+        """c1(L_k) + mm z for k < c, else D_theta + mm z for theta = k - c,
+        or its inverse."""
+        key = (k, mm, inverted)
+        if key not in factors:
+            if not inverted:
+                factors[key] = _linear(linear[k], 0, mm, 1)
+            else:
+                if k not in powers:
+                    powers[k] = _powers(linear[k])
+                factors[key] = _inverse(powers[k], mm)
+        return factors[key]
 
     def _step(acc, old, new):
         """acc times A_new / A_old for the exponents old and new; a theta
         range that grows past m = 0 from below is never passed in."""
         for j in range(c):
             for mm in range(old[j] + 1, new[j] + 1):
-                acc = _zc_mul(ring, acc, _zc_linear(ring, bundle_cls[j], mm))
-        for theta in range(m):
-            lo, hi = old[c + theta], new[c + theta]
+                acc = acc.times(factor(j, mm))
+        for k in range(c, c + m):
+            lo, hi = old[k], new[k]
             for mm in range(hi + 1, lo + 1):
-                acc = _zc_mul(ring, acc, _zc_linear(ring, divisor_cls[theta], mm))
+                acc = acc.times(factor(k, mm))
             for mm in range(lo + 1, hi + 1):
-                acc = _zc_mul(ring, acc, inverse(theta, mm))
-        return acc
+                acc = acc.times(factor(k, mm, inverted=True))
+        return acc.reduced()
 
     def divides_by_zero(old, new):
         return any(old[c + t] < 0 <= new[c + t] for t in range(m))
 
     zero = tuple(0 for _ in range(r))
     degrees = _effective_degrees(r, d_max)
-    table = {zero: {(_unit(ring), 0): Fraction(1)}}
+    unit = ring.basis_index[tuple(0 for _ in range(ring.fan.n_rays))]
+    table = {zero: ZClass({(unit, 0): 1})}
     exps = {zero: exponents(zero)}
     for d in sorted(degrees, key=lambda d: (sum(d), d))[1:]:
         new = exponents(d)
@@ -214,23 +302,67 @@ def i_function(
                     break
         table[d] = _step(table[base], exps[base], new)
         exps[d] = new
-    return {d: table[d] for d in degrees}
-def _apply_operator_graded(ring, kernel_matrix, op: WeylOp, table, d_max, p_cls=None):
-    """Degreewise image of the operator on the z-graded I-series.
+    return {d: table[d].materialise(ring) for d in degrees}
 
-    Returns a dict target degree -> z-class.  Operators must be free of
-    z^2 d/dz.  Sources outside N^r contribute zero; sources inside N^r but
-    beyond the table raise MissingDegree.  ``p_cls`` are the basis classes
-    (``basis_classes``), computed here when not given.
-    """
+
+def _scaled_table(ring, table):
+    """The table over one common denominator, the lcm of all of its own."""
+    den = lcm(*(v.denominator for zc in table.values() for v in zc.values()))
+    return {e: ZClass.from_fractions(ring, zc, den) for e, zc in table.items()}
+
+
+def _scaled_terms(op: WeylOp):
+    """(terms, den): the operator's terms with integer coefficients, each
+    times den, the lcm of the coefficient denominators.  A common positive
+    scale changes no zero test and no support."""
+    den = lcm(*(v.denominator for v in op.terms.values()))
+    return [(key, v.numerator * (den // v.denominator)) for key, v in op.terms.items()], den
+
+
+def _unscaled(images, den):
+    """The images of an operator scaled by den, divided by den again."""
+    return {d: ZClass(zc.coeffs, zc.den * den) for d, zc in images.items()}
+
+
+def basis_multipliers(ring: CohomologyRing, kernel_matrix: IntegerMatrix):
+    """Multipliers of the classes p_a of ``basis_classes``."""
+    return [ring.multiplier(cls) for cls in basis_classes(ring, kernel_matrix)]
+
+
+def _falling(p_mul, shift):
+    """falling(cls, pa, e): cls times prod_a prod_{nu < pa_a} (p_a z^shift
+    + e_a - nu).  The factors are kept for one check; the products are not,
+    which keeps the memory of a check at the size of its table."""
+    factors = {}  # (a, c) -> p_a z^shift + c
+
+    def falling(cls, pa, e):
+        for a, k in enumerate(pa):
+            for nu in range(k):
+                key = (a, e[a] - nu)
+                if key not in factors:
+                    factors[key] = _linear(p_mul[a], shift, e[a] - nu, 0)
+                cls = cls.times(factors[key])
+        return cls
+
+    return falling
+
+
+def _graded_images(ring, kernel_matrix, op: WeylOp, table, d_max, p_mul):
+    """``_apply_operator_graded`` as ZClasses: the table is scaled once,
+    the work is in integers."""
+    if p_mul is None:
+        p_mul = basis_multipliers(ring, kernel_matrix)
+    table = _scaled_table(ring, table)
     r = op.ctx.nvars
-    if p_cls is None:
-        p_cls = basis_classes(ring, kernel_matrix)
+    degrees = _effective_degrees(r, d_max)
+    # partials act first: falling factors (p_a / z + e_a - nu)
+    falling = _falling(p_mul, -1)
+    terms, op_den = _scaled_terms(op)
     out = {}
-    for (zp, mu, th, pa), coeff in op.terms.items():
+    for (zp, mu, th, pa), coeff in terms:
         if th:
             raise UnsupportedOperator("z-graded action does not handle z^2 d/dz")
-        for d in _effective_degrees(r, d_max):
+        for d in degrees:
             e = tuple(d[a] + pa[a] - mu[a] for a in range(r))
             if any(x < 0 for x in e):
                 continue
@@ -238,94 +370,107 @@ def _apply_operator_graded(ring, kernel_matrix, op: WeylOp, table, d_max, p_cls=
                 raise MissingDegree(
                     f"table does not cover source degree {e} needed for target {d}"
                 )
-            val = _zc_zshift(_zc_scale(table[e], coeff), zp)
-            for a in range(r):
-                # partials act first: falling factors (p_a / z + e_a - nu)
-                for nu in range(pa[a]):
-                    val = _zc_zshift(
-                        _zc_mul(ring, val, _zc_linear(ring, p_cls[a], e[a] - nu)), -1
-                    )
-            out[d] = _zc_add(out.get(d, {}), val)
-    return out
+            out[d] = out.get(d, _ZERO).plus(falling(table[e], pa, e), coeff, zp)
+    return _unscaled(out, op_den)
 
 
-def annihilation_check(op: WeylOp, ring, kernel_matrix, table, d_max, p_cls=None):
+def _apply_operator_graded(ring, kernel_matrix, op: WeylOp, table, d_max, p_mul=None):
+    """Degreewise image of the operator on the z-graded I-series.
+
+    Returns a dict target degree -> z-class, a dict (basis monomial, z
+    exponent) -> Fraction.  Operators must be free of z^2 d/dz.  Sources
+    outside N^r contribute zero; sources inside N^r but beyond the table
+    raise MissingDegree.  ``p_mul`` are the multipliers of the basis
+    classes (``basis_multipliers``), computed here when not given.
+    """
+    images = _graded_images(ring, kernel_matrix, op, table, d_max, p_mul)
+    return {d: zc.materialise(ring) for d, zc in images.items()}
+
+
+def annihilation_check(op: WeylOp, ring, kernel_matrix, table, d_max, p_mul=None):
     """B_d residues of the operator against the table, all degrees up to
-    d_max; returns per-degree zero flags.  ``p_cls`` as in
+    d_max; returns per-degree zero flags.  ``p_mul`` as in
     ``_apply_operator_graded``."""
-    images = _apply_operator_graded(ring, kernel_matrix, op, table, d_max, p_cls)
+    images = _graded_images(ring, kernel_matrix, op, table, d_max, p_mul)
     report = []
     for d in _effective_degrees(op.ctx.nvars, d_max):
-        bd = images.get(d, {})
-        report.append({"degree": d, "is_zero": not bd, "residue_terms": len(bd)})
+        terms = images[d].support() if d in images else 0
+        report.append({"degree": d, "is_zero": not terms, "residue_terms": terms})
     return {"all_zero": all(row["is_zero"] for row in report), "rows": report}
 
 
-def _apply_operator_conjugated(ring, kernel_matrix, euler_cls, op, table, d_max, p_cls=None):
-    """Degreewise image in the constant-z gauge; handles z^2 d/dz.
-
-    State terms are (degree e, scalar z-offset w, class); the section term
-    is q^(T+e) z^(w - E) class with w starting at -<e, E>.  ``p_cls`` as in
-    ``_apply_operator_graded``.
-    """
+def _conjugated_images(
+    ring, kernel_matrix, euler_cls, op: WeylOp, table, d_max, p_mul, euler_mul
+):
+    """``_apply_operator_conjugated`` as ZClasses at z exponent 0: the
+    table is scaled once, the work is in integers."""
+    if p_mul is None:
+        p_mul = basis_multipliers(ring, kernel_matrix)
+    if euler_mul is None:
+        euler_mul = ring.multiplier(euler_cls)
+    table = _scaled_table(ring, table)
     r = op.ctx.nvars
     euler_coords = [
         sum(kernel_matrix.entries[i][a] for i in range(kernel_matrix.rows))
         for a in range(r)
     ]
-    if p_cls is None:
-        p_cls = basis_classes(ring, kernel_matrix)
-    initials = {}  # e -> A_e at z = 1
-
-    def initial(e):
-        if e not in initials:
-            at_one = {}
-            for (mono, ze), v in table[e].items():
-                at_one[mono] = at_one.get(mono, Fraction(0)) + v
-            initials[e] = {k: v for k, v in at_one.items() if v}
-        return initials[e]
-
+    minus_euler = Multiplier(
+        tuple(tuple((k, -n) for k, n in row) for row in euler_mul.rows), euler_mul.den
+    )
+    terms, op_den = _scaled_terms(op)
+    sources = _effective_degrees(r, d_max + max((sum(key[3]) for key, _ in terms), default=0))
+    # partials first (rightmost block): factors (p_a + e_a - nu) on A_e at z = 1
+    falling = _falling(p_mul, 0)
+    initials = {e: zc.at_one() for e, zc in table.items()}
     out = {}
-    for (zp, mu, th, pa), coeff in op.terms.items():
-        for e0 in _effective_degrees(r, d_max + sum(x for x in pa)):
+    for (zp, mu, th, pa), coeff in terms:
+        bound = d_max + sum(pa)
+        for e0 in sources:
+            if sum(e0) > bound:
+                continue
             target = tuple(e0[a] - pa[a] + mu[a] for a in range(r))
             if any(x < 0 for x in target) or sum(target) > d_max:
                 continue
             if e0 not in table:
                 raise MissingDegree(f"table does not cover source degree {e0}")
-            cls = ring.scale(initial(e0), coeff)
-            e = list(e0)
-            w = -Fraction(sum(euler_coords[a] * e0[a] for a in range(r)))
-            # partials first (rightmost block)
-            for a in range(r):
-                for _ in range(pa[a]):
-                    factor = ring.add(p_cls[a], ring.scale(ring.one(), e[a]))
-                    cls = ring.mul(cls, factor)
-                    e[a] -= 1
+            cls = falling(initials[e0], pa, e0)
             # then theta factors: z^2 d_z -> (w - E) and w += 1 each time
-            for _ in range(th):
-                factor = ring.add(ring.scale(ring.one(), w), ring.scale(euler_cls, -1))
-                cls = ring.mul(cls, factor)
-                w += 1
+            w = -sum(euler_coords[a] * e0[a] for a in range(r))
+            for k in range(th):
+                cls = cls.times(_linear(minus_euler, 0, w + k, 0))
             # plain z powers only move w; at z = 1 they are invisible
-            for a in range(r):
-                e[a] += mu[a]
-            out[target] = ring.add(out.get(target, {}), cls)
-    return out
+            out[target] = out.get(target, _ZERO).plus(cls, coeff)
+    return _unscaled(out, op_den)
+
+
+def _apply_operator_conjugated(
+    ring, kernel_matrix, euler_cls, op, table, d_max, p_mul=None, euler_mul=None
+):
+    """Degreewise image in the constant-z gauge; handles z^2 d/dz.
+
+    State terms are (degree e, scalar z-offset w, class); the section term
+    is q^(T+e) z^(w - E) class with w starting at -<e, E>.  Returns a dict
+    target degree -> class.  ``p_mul`` as in ``_apply_operator_graded``;
+    ``euler_mul`` is the multiplier of ``euler_cls``, computed here when
+    not given.
+    """
+    images = _conjugated_images(ring, kernel_matrix, euler_cls, op, table, d_max, p_mul, euler_mul)
+    return {
+        d: {mono: v for (mono, _), v in zc.materialise(ring).items()}
+        for d, zc in images.items()
+    }
 
 
 def quot_landing_check(
-    op: WeylOp, ring, kernel_matrix, c_top, euler_cls, table, d_max, p_cls=None
+    op: WeylOp, ring, kernel_matrix, c_top, euler_cls, table, d_max, p_mul=None, euler_mul=None
 ):
     """True iff c_top times every residue B_d vanishes for d <= d_max.
-    ``p_cls`` as in ``_apply_operator_graded``."""
-    images = _apply_operator_conjugated(
-        ring, kernel_matrix, euler_cls, op, table, d_max, p_cls
-    )
+    ``p_mul`` and ``euler_mul`` as in ``_apply_operator_conjugated``."""
+    images = _conjugated_images(ring, kernel_matrix, euler_cls, op, table, d_max, p_mul, euler_mul)
+    by_ctop = _linear(ring.multiplier(c_top), 0, 0, 0)
     rows = []
     for d in _effective_degrees(op.ctx.nvars, d_max):
-        bd = images.get(d, {})
-        landed = ring.mul(c_top, bd) == {}
+        landed = d not in images or not images[d].times(by_ctop).support()
         rows.append({"degree": d, "lands": landed})
     return {"all_land": all(r["lands"] for r in rows), "rows": rows}
 

@@ -141,16 +141,28 @@ def _cone_points(S: AffineSemigroup, degree_bound: int):
             yield (k,) + pt, (k,) + pt in members
 
 
+def scan_cone_points(S: AffineSemigroup, degree_bound: int):
+    """One pass over the cone points at grading <= bound, by grading then
+    lex: (witness, interior).  The witness is the first cone point outside
+    the semigroup, or None; the pass stops there, so the set of interior
+    points is complete only when the witness is None."""
+    interior = set()
+    for pt, member in _cone_points(S, degree_bound):
+        if not member:
+            return pt, interior
+        if S.cone.contains_interior(pt):
+            interior.add(pt)
+    return None, interior
+
+
 def saturation_check(S: AffineSemigroup, degree_bound: int):
     """Compare semigroup membership against cone membership up to the bound.
 
     Returns (saturated_up_to_bound, witness); the witness is the first cone
     point that fails semigroup membership, scanned by grading then lex.
     """
-    for pt, member in _cone_points(S, degree_bound):
-        if not member:
-            return False, pt
-    return True, None
+    witness, _ = scan_cone_points(S, degree_bound)
+    return witness is None, witness
 
 
 def interior_points_up_to(S: AffineSemigroup, degree_bound: int):
@@ -164,21 +176,18 @@ def interior_points_up_to(S: AffineSemigroup, degree_bound: int):
     ]
 
 
-def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int) -> bool:
+def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan=None) -> bool:
     """Interior points at grading <= bound coincide with shift + semigroup.
 
     ``shift`` is the distinguished interior element (grading c+1 for the
     doubled total-space semigroup).  Requires saturation up to the bound:
-    one scan of the cone points raises NotSaturated at the first
-    non-member (the witness of `saturation_check`) and collects the
-    interior points.
+    raises NotSaturated with the witness of `saturation_check` otherwise.
+    ``scan`` is the result of `scan_cone_points` for the same S and bound,
+    made here when not given.
     """
-    interior = set()
-    for pt, member in _cone_points(S, degree_bound):
-        if not member:
-            raise NotSaturated(f"not saturated up to {degree_bound}, witness {pt}")
-        if S.cone.contains_interior(pt):
-            interior.add(pt)
+    witness, interior = scan_cone_points(S, degree_bound) if scan is None else scan
+    if witness is not None:
+        raise NotSaturated(f"not saturated up to {degree_bound}, witness {witness}")
     shift = tuple(int(x) for x in shift)
     shifted = {
         tuple(a + b for a, b in zip(u, shift))

@@ -101,6 +101,34 @@ def test_parse_error_exit_code(tmp_path, text, message, argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, key, flag",
+    [
+        pytest.param("semigroup", "degree_bound", "--degree", id="degree"),
+        pytest.param("ifun", "dmax", "--dmax", id="dmax"),
+        pytest.param("lg", "stabilization_window", None, id="stabilization-window"),
+        pytest.param("lg", "samples", "--samples", id="samples"),
+        pytest.param("lg", "cutoff", "--cutoff", id="cutoff"),
+    ],
+)
+@pytest.mark.parametrize("above", [0, 1], ids=["at-ceiling", "above-ceiling"])
+def test_setting_ceiling(tmp_path, capsys, command, key, flag, above):
+    """A setting at its maximum runs (on P1/O(2)); one above exits 2 with
+    one tglab: line, whether it comes from a flag or from the options."""
+    value = cli.MAXIMUM[key] + above
+    spec = tmp_path / "p1.json"
+    spec.write_text(p1_options(**({} if flag else {key: value})), encoding="utf-8")
+    argv = [command, "--spec", str(spec), "--json"] + ([flag, str(value)] if flag else [])
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    if above:
+        assert rc == 2
+        assert err == f"tglab: {key} must be at most {value - 1}, got {value}\n"
+    else:
+        assert rc in (0, 1)
+        assert err == ""
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
 def test_closed_stdout_exits_without_traceback(fmt):
     """A reader that is gone before the report is written (``| head``)."""

@@ -15,13 +15,15 @@ from tglab.errors import UnsupportedOperator
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.models import build_model
 from tglab.qdmcheck import (
+    _apply_operator_conjugated,
     _apply_operator_graded,
     annihilation_check,
+    basis_classes,
     homogeneity_check,
     i_function,
     quot_landing_check,
 )
-from tglab.weylops import WeylOp, bounded_ideal_membership
+from tglab.weylops import WeylOp, bounded_ideal_membership, qdm_context
 
 
 def p2_model():
@@ -350,3 +352,113 @@ def test_i_function_against_from_scratch_products(case):
     expected = reference_i_function(ring, kernel, len(rays), d_max)
     assert list(table) == list(expected)
     assert table == expected
+
+
+# An oracle for the integer operator action: the Fraction implementation
+# both images had before they moved to integers, z-classes as dicts
+# (basis monomial, z exponent) -> Fraction and classes as ring dicts.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_degrees(r, d_max):
+    return sorted(d for d in product(range(d_max + 1), repeat=r) if sum(d) <= d_max)
+
+
+def reference_graded(ring, kernel_matrix, op, table, d_max):
+    r = op.ctx.nvars
+    p_cls = basis_classes(ring, kernel_matrix)
+    unit = tuple(0 for _ in range(ring.fan.n_rays))
+    out = {}
+    for (zp, mu, th, pa), coeff in op.terms.items():
+        for d in _ref_degrees(r, d_max):
+            e = tuple(d[a] + pa[a] - mu[a] for a in range(r))
+            if any(x < 0 for x in e):
+                continue
+            val = {(mono, ze + zp): v * coeff for (mono, ze), v in table[e].items()}
+            for a in range(r):
+                for nu in range(pa[a]):
+                    # p_a / z + e_a - nu
+                    factor = {(mono, -1): v for mono, v in p_cls[a].items()}
+                    factor[(unit, 0)] = Fraction(e[a] - nu)
+                    val = _ref_mul(ring, val, factor)
+            out[d] = _ref_add(out.get(d, {}), val)
+    return out
+
+
+def reference_conjugated(ring, kernel_matrix, euler_cls, op, table, d_max):
+    r = op.ctx.nvars
+    euler_coords = [sum(row[a] for row in kernel_matrix.entries) for a in range(r)]
+    p_cls = basis_classes(ring, kernel_matrix)
+    out = {}
+    for (zp, mu, th, pa), coeff in op.terms.items():
+        for e0 in _ref_degrees(r, d_max + sum(pa)):
+            target = tuple(e0[a] - pa[a] + mu[a] for a in range(r))
+            if any(x < 0 for x in target) or sum(target) > d_max:
+                continue
+            at_one = {}
+            for (mono, _), v in table[e0].items():
+                at_one[mono] = at_one.get(mono, Fraction(0)) + v
+            cls = ring.scale({k: v for k, v in at_one.items() if v}, coeff)
+            e = list(e0)
+            w = -sum(euler_coords[a] * e0[a] for a in range(r))
+            for a in range(r):
+                for _ in range(pa[a]):
+                    cls = ring.mul(cls, ring.add(p_cls[a], ring.scale(ring.one(), e[a])))
+                    e[a] -= 1
+            for _ in range(th):
+                cls = ring.mul(cls, ring.add(ring.scale(ring.one(), w), ring.scale(euler_cls, -1)))
+                w += 1
+            out[target] = ring.add(out.get(target, {}), cls)
+    return out
+
+
+@st.composite
+def operator_cases(draw):
+    """A kernel as in ``kernels``, an Euler-like class, and an operator with
+    up to four terms: z powers 0..2, q shifts -1..2, partials 0..2, theta
+    powers 0..2 (dropped for the z-graded gauge) and coefficients with
+    denominators up to 4."""
+    name, rays, bundles = draw(kernels())
+    r = len(rays[0])
+    small = st.integers(-1, 2)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = (
+            draw(st.integers(0, 2)),
+            tuple(draw(small) for _ in range(r)),
+            draw(st.integers(0, 2)),
+            tuple(draw(st.integers(0, 2)) for _ in range(r)),
+        )
+        terms[key] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    euler = tuple(draw(st.integers(-2, 2)) for _ in range(ring_of(name).fan.n_rays))
+    return name, rays, bundles, terms, euler
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=operator_cases())
+def test_operator_images_against_fraction_reference(case):
+    """Both gauges give exactly the images of the Fraction implementation,
+    degree by degree, on tables deep enough for every source."""
+    name, rays, bundles, terms, euler = case
+    r = len(rays[0])
+    assume(_full_rank(rays, r))
+    ring = ring_of(name)
+    kernel = IntegerMatrix.from_rows(list(rays) + list(bundles))
+    d_max = 2
+    table = i_function(ring, kernel, len(rays), d_max + 3 * r)
+    ctx = qdm_context(r)
+    euler_cls = ring.combination(euler)
+    op = WeylOp(ctx, terms)
+    assert _apply_operator_conjugated(
+        ring, kernel, euler_cls, op, table, d_max
+    ) == reference_conjugated(ring, kernel, euler_cls, op, table, d_max)
+    graded = WeylOp(ctx, {(zp, mu, 0, pa): v for (zp, mu, _, pa), v in terms.items()})
+    assert _apply_operator_graded(ring, kernel, graded, table, d_max) == reference_graded(
+        ring, kernel, graded, table, d_max
+    )
