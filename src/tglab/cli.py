@@ -94,6 +94,12 @@ def load_spec(path: str) -> dict:
         raise ParseError("rays must all have the same length")
     if any(not 0 <= i < len(rays) for c in cones for i in c):
         raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
+    dim = len(rays[0]) if rays else 0
+    for c in cones:
+        if len(c) != dim:
+            raise ParseError(f"max_cones entry {[i + 1 for i in c]} must list {dim} rays")
+        if len(set(c)) != len(c):
+            raise ParseError(f"max_cones entry {[i + 1 for i in c]} repeats a ray")
     bundles = raw.get("bundles", [])
     if not _is_int_rows(bundles):
         raise ParseError("bundles must be a list of integer lists")

@@ -92,13 +92,6 @@ class IntegerMatrix:
             ]
         )
 
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        return IntegerMatrix.from_rows(
-            [self.entries[i] + other.entries[i] for i in range(self.rows)]
-        )
-
     def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
         return IntegerMatrix(

@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 
 from tglab.errors import BasisConditionFailed, BasisNotNef, KahlerConeEmpty
 from tglab.cohomring import CohomologyRing, build_ring, chern_data
-from tglab.intlinalg import (
-    IntegerMatrix,
-    extend_relation,
-    homogenize,
-    kernel_lattice,
-    section_system,
-    _unimodular_inverse,
-)
-from tglab.rationalcone import HForm, RationalCone, cone_hform, intersect_hforms
-from tglab.toricfan import Fan, total_space_fan
+from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
+from tglab.rationalcone import RationalCone, cone_hform
+from tglab.toricfan import Fan, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
     TorusChange,
     qdm_box,
@@ -30,16 +23,6 @@ from tglab.weylops import (
     qdm_euler,
     star_n_generators,
 )
-
-
-def nef_hform(n_rays: int, max_cones, class_matrix: IntegerMatrix) -> HForm:
-    """Intersection of anticones in the coordinates of class_matrix rows."""
-    r = class_matrix.cols
-    forms = []
-    for cone in max_cones:
-        outside = [class_matrix.row(i) for i in range(n_rays) if i not in cone]
-        forms.append(cone_hform(outside, r))
-    return intersect_hforms(forms)
 
 
 @dataclass
@@ -100,18 +83,14 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
     A = fan.ray_matrix()
     Aprime = total.ray_matrix()
     Adp = homogenize(Aprime)
-    base_kernel = kernel_lattice(A).basis
-    ext_cols = [extend_relation(base_kernel.col(a), d) for a in range(base_kernel.cols)]
+    kernel_ext = extended_kernel(fan, d)
     t = Aprime.cols
-    kernel_ext = IntegerMatrix.from_rows(
-        [[ext_cols[a][i] for a in range(len(ext_cols))] for i in range(t)]
-    )
     sec = section_system(Aprime)
     # Rebase the section kernel to the extended basis (both span ker A').
     G = sec.M.mul(kernel_ext)  # unimodular: kernel_ext = sec.L * G
     M_ext = _unimodular_inverse(G).mul(sec.M)
     r = kernel_ext.cols
-    nef = nef_hform(total.n_rays, total.max_cones, kernel_ext)
+    nef = nef_hform(total, kernel_ext)
     if basis_p is None:
         rays = RationalCone.from_hform(nef).generators
         if len(rays) != r:

@@ -1,15 +1,19 @@
 """Lattice polytopes: hulls, faces, normalized volume, lattice points.
 
 Hull computation lifts the points p to rays (1, p) and reuses the cone
-machinery; a facet of the polytope is a facet of the lifted cone.  The
-normalized volume fixes vol([0,1]^s) = s! so that unimodular simplices
-have volume one.
+machinery; a facet of the polytope is a facet of the lifted cone.  All
+else comes from the facet incidences, the sets of points on each facet: a
+point is a vertex when the facets through it meet only in copies of it,
+and the faces are the closure of the facet incidences under intersection
+with a facet (Kaibel-Pfetsch, Comput. Geom. 23, 2002).  The normalized
+volume fixes vol([0,1]^s) = s! so that unimodular simplices have volume
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
@@ -38,7 +42,6 @@ class FaceDescriptor:
     indices: frozenset
     dim: int
     supporting: AffineConstraint | None  # None for the whole polytope
-    contains_origin: bool
 
 
 @dataclass(frozen=True)
@@ -60,15 +63,16 @@ class LatticePolytope:
         h = cone_hform(_lift(pts), dim + 1)
         eqs = tuple(AffineConstraint(int(c[0]), tuple(c[1:])) for c in h.equalities)
         facets = tuple(AffineConstraint(int(c[0]), tuple(c[1:])) for c in h.inequalities)
-        # Vertex test: active facet normals span the polytope direction space.
-        direction_basis = _direction_basis(pts)
-        k = len(direction_basis)
+        # A vertex is a point whose facets meet only in copies of it.
+        incidences = _incidences(pts, facets)
         vertex_idx = []
         for i, p in enumerate(pts):
             if any(pts[j] == p for j in vertex_idx):
                 continue
-            active = [f.normal for f in facets if f.value(p) == 0]
-            if k == 0 or _projected_rank(active, direction_basis) == k:
+            face = frozenset(range(len(pts))).intersection(
+                *(on for on in incidences if i in on)
+            )
+            if all(pts[j] == p for j in face):
                 vertex_idx.append(i)
         return LatticePolytope(dim, pts, tuple(vertex_idx), eqs, facets)
 
@@ -94,65 +98,41 @@ def _direction_basis(points):
     return nullspace(perp, dim)
 
 
-def _projected_rank(rows, basis):
-    """Rank of the functionals row -> (row . b for b in basis)."""
-    if not rows or not basis:
-        return 0
-    mat = [
-        tuple(sum(r[i] * b[i] for i in range(len(b))) for b in basis)
-        for r in rows
+def _incidences(points, facets):
+    """For each facet, the frozenset of indices of the points on it."""
+    return [
+        frozenset(i for i, p in enumerate(points) if f.value(p) == 0) for f in facets
     ]
-    return len(basis) - len(nullspace(mat, len(basis)))
 
 
 def faces(poly: LatticePolytope):
-    """All faces of all dimensions, as FaceDescriptor records.
+    """All faces of all dimensions, as FaceDescriptor records, sorted by
+    (dim, indices).
 
-    Faces arise as intersections of facet subsets; the whole polytope is
-    included with supporting functional None.
+    The proper faces are the facet incidences closed under intersection
+    with a facet; each is supported by the sum of the facets through it.
+    The whole polytope is included with supporting functional None.
     """
-    n_facets = len(poly.facets)
-    seen = {}
-    whole = frozenset(range(len(poly.points)))
-    for r in range(1, n_facets + 1):
-        for subset in combinations(range(n_facets), r):
-            idx = frozenset(
-                i
-                for i, p in enumerate(poly.points)
-                if all(poly.facets[j].value(p) == 0 for j in subset)
-            )
-            if not idx or idx in seen:
-                continue
-            support = poly.facets[subset[0]]
-            if len(subset) > 1:
-                off = sum(poly.facets[j].offset for j in subset)
-                nrm = tuple(
-                    sum(poly.facets[j].normal[k] for j in subset)
-                    for k in range(poly.ambient_dim)
-                )
-                support = AffineConstraint(off, nrm)
-            seen[idx] = support
-    out = []
-    zero = tuple(0 for _ in range(poly.ambient_dim))
-    for idx, support in seen.items():
-        pts = [poly.points[i] for i in idx]
-        fdim = len(_direction_basis(pts)) if pts else -1
-        out.append(
-            FaceDescriptor(
-                indices=idx,
-                dim=fdim,
-                supporting=support,
-                contains_origin=any(poly.points[i] == zero for i in idx),
-            )
+    incidences = _incidences(poly.points, poly.facets)
+    # A lone point's lifted cone is a ray, whose apex facet holds no point.
+    found = {on for on in incidences if on}
+    todo = list(found)
+    while todo:
+        face = todo.pop()
+        for on in incidences:
+            smaller = face & on
+            if smaller and smaller not in found:
+                found.add(smaller)
+                todo.append(smaller)
+    out = [FaceDescriptor(frozenset(range(len(poly.points))), poly.dim, None)]
+    for idx in found:
+        through = [f for f, on in zip(poly.facets, incidences) if idx <= on]
+        support = AffineConstraint(
+            sum(f.offset for f in through),
+            tuple(sum(col) for col in zip(*(f.normal for f in through))),
         )
-    out.append(
-        FaceDescriptor(
-            indices=whole,
-            dim=poly.dim,
-            supporting=None,
-            contains_origin=any(p == zero for p in poly.points),
-        )
-    )
+        dim = len(_direction_basis([poly.points[i] for i in idx]))
+        out.append(FaceDescriptor(idx, dim, support))
     out.sort(key=lambda f: (f.dim, sorted(f.indices)))
     return out
 

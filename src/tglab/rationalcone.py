@@ -1,10 +1,12 @@
 """Finitely generated cones over Q, done by brute force at desk scale.
 
 A cone is handled either through generators (V-form) or through a pair
-(equalities, inequalities) of primitive integer normals (H-form).  All
-conversions enumerate small subsets of generators or constraints, which is
-exact and fast for the dimensions (<= 5) and sizes (<= ~20 vectors) this
-package meets.
+(equalities, inequalities) of primitive integer normals (H-form).
+`cone_hform` is the one enumeration: it tries every subset of generators
+that can span a facet, which is exact and fast for the dimensions (<= 5)
+and sizes (<= ~20 vectors) this package meets.  The extreme rays of a
+pointed cone are the facets of its dual cone, so `extreme_rays` is
+`cone_hform` applied to the constraints.
 """
 
 from __future__ import annotations
@@ -88,54 +90,15 @@ def cone_hform(generators, dim) -> HForm:
     return HForm(dim, tuple(eqs), tuple(sorted(ineqs)))
 
 
-def cone_contains(generators, x, dim) -> bool:
-    return cone_hform(generators, dim).contains(x)
-
-
 def extreme_rays(h: HForm):
-    """Primitive generators of the extreme rays of a pointed H-form cone."""
-    dim = h.dim
-    sol_dim = len(nullspace(list(h.equalities), dim))
-    rays = set()
-    if sol_dim == 0:
-        return []
-    # Rank dim-1 active sets always contain a spanning subset of size <= dim.
-    for size in range(0, min(len(h.inequalities), dim) + 1):
-        for subset in combinations(range(len(h.inequalities)), size):
-            rows = list(h.equalities) + [h.inequalities[i] for i in subset]
-            sols = nullspace(rows, dim)
-            if len(sols) != 1:
-                continue
-            for cand in (sols[0], tuple(-x for x in sols[0])):
-                if h.contains(cand) and any(x != 0 for x in cand):
-                    rays.add(cand)
-    # Filter non-extreme rays: r is extreme iff it is not a positive
-    # combination of the others (equivalently its active set is maximal).
-    rays = sorted(rays)
-    extreme = []
-    for r in rays:
-        active = frozenset(
-            i for i, n in enumerate(h.inequalities) if _dot(n, r) == 0
-        )
-        dominated = False
-        for other in rays:
-            if other == r:
-                continue
-            oactive = frozenset(
-                i for i, n in enumerate(h.inequalities) if _dot(n, other) == 0
-            )
-            if active < oactive:
-                dominated = True
-                break
-        if not dominated:
-            extreme.append(r)
-    # Drop rays that are nonnegative combinations of the remaining ones.
-    final = []
-    for i, r in enumerate(extreme):
-        others = [x for j, x in enumerate(extreme) if j != i]
-        if not others or not cone_contains(others, r, dim):
-            final.append(r)
-    return sorted(final)
+    """Primitive generators of the extreme rays of a pointed H-form cone.
+
+    They are the facet normals of the dual cone, which the inequalities
+    and both signs of the equalities generate; the cone must be pointed
+    (its dual full-dimensional).
+    """
+    neg = tuple(tuple(-x for x in e) for e in h.equalities)
+    return list(cone_hform(h.inequalities + h.equalities + neg, h.dim).inequalities)
 
 
 def intersect_hforms(forms):

@@ -165,17 +165,6 @@ def saturation_check(S: AffineSemigroup, degree_bound: int):
     return witness is None, witness
 
 
-def interior_points_up_to(S: AffineSemigroup, degree_bound: int):
-    """Interior lattice points of the cone of a graded semigroup, grading
-    <= bound."""
-    return [
-        (k,) + pt
-        for k in range(degree_bound + 1)
-        for pt in graded_slice_points(S, k)
-        if S.cone.contains_interior((k,) + pt)
-    ]
-
-
 def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan=None) -> bool:
     """Interior points at grading <= bound coincide with shift + semigroup.
 

@@ -24,7 +24,7 @@ from tglab.errors import (
     NegativeCoefficient,
     NonPrimitiveRay,
 )
-from tglab.intlinalg import IntegerMatrix, kernel_lattice, row_reduce
+from tglab.intlinalg import IntegerMatrix, extend_relation, kernel_lattice, row_reduce
 from tglab.polytopes import normalized_volume, simplex_normalized_volume
 from tglab.rationalcone import (
     HForm,
@@ -248,23 +248,43 @@ def divisor_class_matrix(fan: Fan) -> IntegerMatrix:
     return kernel_lattice(fan.ray_matrix()).basis
 
 
+def nef_hform(fan: Fan, classes: IntegerMatrix) -> HForm:
+    """Intersection of the anticones of the maximal cones of ``fan``, in the
+    coordinates of ``classes``, whose row i is the class of ray i.
+
+    The anticone of a maximal cone is generated by the classes of the rays
+    outside it.
+    """
+    return intersect_hforms(
+        [
+            cone_hform(
+                [classes.row(i) for i in range(fan.n_rays) if i not in cone], classes.cols
+            )
+            for cone in fan.max_cones
+        ]
+    )
+
+
+def extended_kernel(fan: Fan, d: IntegerMatrix) -> IntegerMatrix:
+    """Kernel basis of the total-space ray matrix: the kernel-lattice basis
+    of the base ray matrix, each relation extended by `extend_relation`.
+    Its rows are the ray divisor classes of the total-space fan."""
+    base = divisor_class_matrix(fan)
+    cols = [extend_relation(base.col(a), d) for a in range(base.cols)]
+    return IntegerMatrix.from_rows(
+        [[col[i] for col in cols] for i in range(fan.n_rays + d.rows)]
+    )
+
+
 def nef_cone_anticones(fan: Fan) -> RationalCone:
     """Nef cone as the intersection of anticones, in kernel-dual coordinates.
 
-    The anticone of a maximal cone is generated by the divisor classes of
-    the rays outside it.  Raises KahlerConeEmpty when the intersection has
-    empty interior.
+    Raises KahlerConeEmpty when the intersection has empty interior.
     """
     diag = fan.diagnostics
     if not diag.complete:
         raise IncompleteFan("nef cone needs a complete fan")
-    classes = divisor_class_matrix(fan)
-    r = classes.cols
-    forms = []
-    for cone in fan.max_cones:
-        outside = [classes.row(i) for i in range(fan.n_rays) if i not in cone]
-        forms.append(cone_hform(outside, r))
-    inter = intersect_hforms(forms)
+    inter = nef_hform(fan, divisor_class_matrix(fan))
     nef = RationalCone.from_hform(inter)
     if inter.equalities or not nef.generators:
         raise KahlerConeEmpty("nef cone has empty interior")
@@ -332,20 +352,7 @@ def nef_cone_pullback_check(fan: Fan, d: IntegerMatrix) -> bool:
     """Nef cone of the total-space fan equals the nef cone of the base,
     after identifying the relation lattices by the extension isomorphism."""
     total = total_space_fan(fan, d)
-    base_kernel = kernel_lattice(fan.ray_matrix()).basis
-    from tglab.intlinalg import extend_relation
-
-    ext_cols = [extend_relation(base_kernel.col(a), d) for a in range(base_kernel.cols)]
-    ext_basis = IntegerMatrix.from_rows(
-        [[ext_cols[a][i] for a in range(len(ext_cols))] for i in range(fan.n_rays + d.rows)]
-    )
-    # Anticones of the total fan in the coordinates of the extended basis.
-    r = ext_basis.cols
-    forms = []
-    for cone in total.max_cones:
-        outside = [ext_basis.row(i) for i in range(total.n_rays) if i not in cone]
-        forms.append(cone_hform(outside, r))
-    nef_total = RationalCone.from_hform(intersect_hforms(forms))
+    nef_total = RationalCone.from_hform(nef_hform(total, extended_kernel(fan, d)))
     nef_base = nef_cone_anticones(fan)
     return nef_total.equals(nef_base)
 
@@ -360,11 +367,6 @@ def anticanonical_consistency_check(fan: Fan, d: IntegerMatrix) -> bool:
     return total_nef == base_nef
 
 
-def _aprime_rays(fan: Fan, d: IntegerMatrix):
-    total = total_space_fan(fan, d, allow_negative=True)
-    return total, list(total.rays)
-
-
 def conv_in_support_check(fan: Fan, d: IntegerMatrix) -> bool:
     """Hull of 0 and all total-space rays sits inside the fan support.
 
@@ -374,10 +376,10 @@ def conv_in_support_check(fan: Fan, d: IntegerMatrix) -> bool:
     for j in range(d.rows):
         if not class_is_nef(fan, d.row(j)):
             raise BundleNotNef(f"bundle row {j} is not nef")
-    total, rays = _aprime_rays(fan, d)
+    total = total_space_fan(fan, d, allow_negative=True)
     dim = total.dim
     zero = tuple(0 for _ in range(dim))
-    pts = [zero] + rays
+    pts = [zero] + list(total.rays)
     cone_hforms = [
         cone_hform([total.rays[i] for i in c], dim) for c in total.max_cones
     ]
@@ -402,10 +404,9 @@ def w_set_convexity(fan: Fan, d: IntegerMatrix) -> bool:
     their interiors are disjoint and the union equals the hull iff the
     normalized volumes agree.
     """
-    total, rays = _aprime_rays(fan, d)
-    dim = total.dim
-    zero = tuple(0 for _ in range(dim))
-    hull_vol = normalized_volume([zero] + rays)
+    total = total_space_fan(fan, d, allow_negative=True)
+    zero = tuple(0 for _ in range(total.dim))
+    hull_vol = normalized_volume([zero] + list(total.rays))
     pieces = 0
     for cone in total.max_cones:
         pieces += simplex_normalized_volume([zero] + [total.rays[i] for i in cone])

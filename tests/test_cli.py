@@ -82,6 +82,12 @@ def p1_options(**opts):
                      ["construct"], id="bundle-width"),
         pytest.param(json.dumps({"fan": {"rays": [[1], [-1]], "max_cones": [[1], [3]]}}),
                      "max_cones", ["construct"], id="cone-index-past-last-ray"),
+        pytest.param(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                                         "max_cones": [[1, 2], [2, 3], [3]]}}),
+                     "max_cones", ["validate"], id="cone-wrong-size"),
+        pytest.param(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                                         "max_cones": [[1, 2], [2, 3], [3, 3]]}}),
+                     "max_cones", ["validate"], id="cone-repeated-ray"),
         pytest.param(json.dumps({"fan": {"rays": [[1.5], [-1]], "max_cones": [[1], [2]]}}),
                      "rays", ["validate"], id="ray-float"),
         pytest.param(json.dumps({"fan": {"rays": [[True], [-1]], "max_cones": [[1], [2]]}}),

@@ -17,9 +17,9 @@ from tglab.semigroups import (
     from_columns,
     gorenstein_shift_check,
     graded_slice_points,
-    interior_points_up_to,
     interior_shift_check_ungraded,
     saturation_check,
+    scan_cone_points,
     semigroup_contains,
     toric_ideal_binomials,
 )
@@ -77,7 +77,7 @@ def test_gorenstein_shift_p1_c0():
     S = doubled_semigroup(fan.ray_matrix())
     shift = S.gen(0)  # grading c+1 = 1
     assert gorenstein_shift_check(S, shift, 5)
-    interior = set(interior_points_up_to(S, 5))
+    interior = scan_cone_points(S, 5)[1]
     # interior points (k, j) with |j| < k
     expected = {(k, j) for k in range(6) for j in range(-k + 1, k) if k >= 1}
     assert interior == expected
