@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from tglab import corpus
 from tglab.lgfamily import (
+    NewtonData,
     build_family,
     classify_parameter,
     jacobian_quotient_dim,
@@ -19,6 +20,7 @@ model = build_model(fan, d)
 B = model.Aprime
 total = model.total
 cones = [tuple(c) for c in total.max_cones]
+newton = NewtonData(B, cone_index_sets=cones)
 
 print("== the family and its moduli restriction ==")
 fam = build_family(B)
@@ -31,13 +33,13 @@ print("== Jacobian quotient dimensions ==")
 vol = normalized_volume([(0, 0)] + [B.col(i) for i in range(B.cols)])
 print("normalized volume of the Newton polytope:", vol)
 for lam in ([1, 1, 1], [2, Fraction(1, 3), 5]):
-    res = jacobian_quotient_dim(B, lam, cone_index_sets=cones)
+    res = jacobian_quotient_dim(newton, lam)
     print(f"dimension at {lam}: {res['dim']} (slices {res['slices']})")
 
 print()
 print("== parameter classification ==")
 for lam in ([1, 1, 1], [1, 1, -2]):
-    verdict = classify_parameter(B, lam, cone_index_sets=cones)
+    verdict = classify_parameter(newton, lam)
     print(f"lambda = {lam}: {verdict['verdict']}")
     if "bad_face_witness" in verdict["evidence"]:
         print("   witness:", verdict["evidence"]["bad_face_witness"])
@@ -48,6 +50,6 @@ fan, d = corpus.p1p1_o11()
 total = total_space_fan(fan, d)
 B = total.ray_matrix()
 cones = [tuple(c) for c in total.max_cones]
-res = jacobian_quotient_dim(B, [1, 2, 1, 1, 3], cone_index_sets=cones)
+res = jacobian_quotient_dim(NewtonData(B, cone_index_sets=cones), [1, 2, 1, 1, 3])
 vol = normalized_volume([(0, 0, 0)] + [B.col(i) for i in range(B.cols)])
 print("dimension:", res["dim"], "volume:", vol)

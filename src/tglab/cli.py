@@ -69,6 +69,12 @@ def _is_int_rows(rows) -> bool:
     )
 
 
+# The fields of a spec, and its options with their defaults; load_spec
+# refuses any other key, so a misspelt one cannot be silently ignored.
+SPEC_KEYS = ("fan", "bundles", "basis_p", "options")
+OPTIONS = {"degree_bound": 6, "dmax": 8, "seed": 0, "stabilization_window": 3}
+
+
 def load_spec(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -79,6 +85,9 @@ def load_spec(path: str) -> dict:
         raise ParseError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(raw, dict) or "fan" not in raw:
         raise ParseError("spec must be an object with a 'fan' field")
+    unknown = [key for key in raw if key not in SPEC_KEYS]
+    if unknown:
+        raise ParseError(f"unknown spec field {unknown[0]!r}; known: {', '.join(SPEC_KEYS)}")
     fan_data = raw["fan"]
     try:
         rays, cones = fan_data["rays"], fan_data["max_cones"]
@@ -109,6 +118,9 @@ def load_spec(path: str) -> dict:
     opts = raw.get("options", {})
     if not isinstance(opts, dict) or not all(_is_int(v) for v in opts.values()):
         raise ParseError("options must be an object with integer values")
+    unknown = [key for key in opts if key not in OPTIONS]
+    if unknown:
+        raise ParseError(f"unknown option {unknown[0]!r}; known: {', '.join(OPTIONS)}")
     basis_p = raw.get("basis_p")
     if basis_p is not None and not (
         _is_int_rows(basis_p) and len({len(row) for row in basis_p}) <= 1
@@ -118,10 +130,7 @@ def load_spec(path: str) -> dict:
         "fan": Fan.make(rays, cones),
         "bundles": bundle_rows,
         "basis_p": basis_p,
-        "degree_bound": opts.get("degree_bound", 6),
-        "dmax": opts.get("dmax", 8),
-        "seed": opts.get("seed", 0),
-        "stabilization_window": opts.get("stabilization_window", 3),
+        **{key: opts.get(key, default) for key, default in OPTIONS.items()},
     }
     return spec
 
@@ -325,7 +334,7 @@ def cmd_lg(spec, args) -> dict:
     good = 0
     for _ in range(spec["samples"]):
         lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)]
-        verdict = classify_parameter(B, lam, stabilization_window=window, newton=newton)
+        verdict = classify_parameter(newton, lam, stabilization_window=window)
         row = {
             "lambda": [str(x) for x in lam],
             "verdict": verdict["verdict"],

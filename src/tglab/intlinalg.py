@@ -3,7 +3,7 @@
 Smith normal form with unimodular transforms, saturated kernel lattices,
 the section-matrix systems (C, L, M, D) attached to a surjective integer
 matrix, and ``row_reduce``, the one Gauss-Jordan elimination over Q that
-nullspaces, linear solves and inverses everywhere in the package go
+nullspaces, linear solves, inverses and ranks everywhere in the package go
 through.  All arithmetic uses Python integers and Fractions, so nothing
 here can overflow or round.
 """
@@ -125,14 +125,10 @@ class IntegerMatrix:
         return sign * m[n - 1][n - 1]
 
     def rank(self) -> int:
-        return sum(1 for d in _diagonal(smith_normal_form(self).D) if d != 0)
+        return len(row_reduce(self.entries, self.cols)[0])
 
     def to_lists(self):
         return [list(r) for r in self.entries]
-
-
-def _diagonal(m: IntegerMatrix):
-    return [m.entries[i][i] for i in range(min(m.rows, m.cols))]
 
 
 _ZERO = Fraction(0)
@@ -190,7 +186,7 @@ class SmithDecomposition:
 
     @property
     def diagonal(self):
-        return _diagonal(self.D)
+        return [self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols))]
 
 
 @dataclass(frozen=True)

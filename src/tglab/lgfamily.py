@@ -2,15 +2,17 @@
 quotients, face critical systems and the good-parameter classifier.
 
 The Jacobian quotient dimension uses the weight filtration by dilates of
-the Newton polytope and exact sparse linear algebra over Q; the parameter
-classifier combines that dimension test with a finite-field search for
-torus solutions of the face critical systems.  What does not depend on
-the parameter (polytope, faces, volume, weights, and the semigroup
-members up to the cutoff) lives in a NewtonData that one caller builds
-and shares across its samples.  That search runs on each
+the Newton polytope, swept in one pass that reduces each gradient row
+once into one fraction-free integer echelon; the parameter classifier
+combines that dimension test with a finite-field search for torus
+solutions of the face critical systems.  That search runs on each
 system's own subtorus, of dimension the rank of its exponent differences,
 and vectorizes the modular arithmetic with numpy, imported inside the
-search only; everything else is exact.
+search only; everything else is exact.  What does not depend on the
+parameter (polytope, faces, volume, weights, the cutoff and the semigroup
+members up to it) lives in a NewtonData, the one way to give B, the
+cutoff and the cone sets, which one caller builds and shares across its
+samples.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import ceil, gcd, lcm, prod
 
 from tglab.errors import (
     StabilizationFailed,
@@ -181,7 +183,8 @@ class WeightData:
 
 
 def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets):
-    """Semigroup monomials of weight <= bound, as a sorted list.
+    """Semigroup monomials of weight w <= bound as (ceil(w), point) pairs,
+    sorted by ceil(w), the least integer bound that admits the point.
 
     With subcone certificates the test is exact provided the subcones tile
     the cone (certified elsewhere by the W-set volume identity); without
@@ -208,8 +211,8 @@ def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets
         if w is None or w > bound:
             continue
         if member(p):
-            out.append((w, p))
-    return out
+            out.append((ceil(w), p))
+    return sorted(out, key=lambda m: m[0])
 
 
 class NewtonData:
@@ -255,86 +258,84 @@ def _cone_is_everything(B: IntegerMatrix) -> bool:
     return not h.equalities and not h.inequalities
 
 
-def jacobian_quotient_dim(
-    B: IntegerMatrix,
-    lam,
-    stabilization_window: int = 3,
-    cutoff: int | None = None,
-    cone_index_sets=(),
-    newton: NewtonData | None = None,
-):
-    """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam.
-
-    Degree slices of the weight filtration are swept until the dimension is
-    constant across the window; raises StabilizationFailed (with the slice
-    history attached) otherwise.  ``newton`` is the NewtonData of B to
-    share between calls; its cutoff and cone sets then stand in for
-    ``cutoff`` and ``cone_index_sets``.
-    """
+def _parameter(B: IntegerMatrix, lam) -> list:
+    """lam as Fractions, one per column of B and none zero."""
     lam = [Fraction(x) for x in lam]
     if len(lam) != B.cols:
         raise ValueError("need one coefficient per column")
     if any(x == 0 for x in lam):
         raise ZeroCoefficient("parameter on the torus boundary")
-    if newton is None:
-        newton = NewtonData(B, cutoff, cone_index_sets)
-    s, t = B.rows, B.cols
-    cutoff = newton.cutoff
+    return lam
+
+
+def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3):
+    """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam.
+
+    Degree slices of the weight filtration are swept until the dimension is
+    constant across the window; raises StabilizationFailed (with the slice
+    history attached) otherwise.  Slice k is the members of weight <= k
+    modulo the rows y^u y_k df/dy_k for the members u of weight <= k - 1.
+    A row's targets u + b_i have weight <= w(u) + 1 (u in w(u) Q, b_i in Q,
+    Q convex), so it is the same at every k past w(u), and each slice only
+    reduces its new rows into one echelon.  The rows are integers: lam is
+    scaled by the lcm of its denominators, which leaves the rank alone.
+    """
+    B = newton.B
+    lam = _parameter(B, lam)
+    den = lcm(*(x.denominator for x in lam))
+    lam = [x.numerator * (den // x.denominator) for x in lam]
     # y_k df/dy_k = -sum_i b_{ki} lam_i y^{b_i}
     gens = []
-    for k in range(s):
+    for k in range(B.rows):
         g = {}
-        for i in range(t):
+        for i in range(B.cols):
             if B.entries[k][i]:
                 col = B.col(i)
-                g[col] = g.get(col, Fraction(0)) - B.entries[k][i] * lam[i]
-        gens.append({e: c for e, c in g.items() if c})
+                g[col] = g.get(col, 0) - B.entries[k][i] * lam[i]
+        gens.append([(e, c) for e, c in g.items() if c])
+    members = newton.members
+    index = {p: i for i, (_, p) in enumerate(members)}
+    pivots = {}  # leading column -> primitive integer row (dict column -> coeff)
+    fed = size = 0
     history = []
-    members_all = newton.members
-    for bound in range(1, cutoff + 1):
-        monos = [p for w, p in members_all if w <= bound]
-        mono_index = {p: i for i, p in enumerate(monos)}
-        multipliers = [p for w, p in members_all if w <= bound - 1]
-        rows = []
-        for u in multipliers:
+    for bound in range(1, newton.cutoff + 1):
+        while size < len(members) and members[size][0] <= bound:
+            size += 1
+        while fed < size and members[fed][0] < bound:
+            u = members[fed][1]
+            fed += 1
             for g in gens:
                 row = {}
-                for e, c in g.items():
-                    tgt = tuple(a + b for a, b in zip(u, e))
-                    if tgt in mono_index:
-                        row[mono_index[tgt]] = row.get(mono_index[tgt], Fraction(0)) + c
-                if row:
-                    rows.append(row)
-        rank = _sparse_rank(rows)
-        dim = len(monos) - rank
-        history.append(dim)
+                for e, c in g:
+                    col = index.get(tuple(a + b for a, b in zip(u, e)))
+                    if col is not None:
+                        row[col] = c
+                _reduce_into(pivots, row)
+        history.append(size - len(pivots))
         if len(history) >= stabilization_window and len(set(history[-stabilization_window:])) == 1:
-            return {"dim": dim, "slices": history}
-    raise StabilizationFailed(
-        f"no stabilization within {cutoff} slices", partial=history
-    )
+            return {"dim": history[-1], "slices": history}
+    raise StabilizationFailed(f"no stabilization within {newton.cutoff} slices", partial=history)
 
 
-def _sparse_rank(rows) -> int:
-    """Exact rank of sparse rational rows (dict col -> coeff)."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            col = min(row)
-            if col in pivots:
-                f = row[col]
-                prow = pivots[col]
-                for c, v in prow.items():
-                    row[c] = row.get(c, Fraction(0)) - f * v
-                row = {c: v for c, v in row.items() if v}
-            else:
-                f = row[col]
-                pivots[col] = {c: v / f for c, v in row.items()}
-                rank += 1
-                break
-    return rank
+def _reduce_into(pivots: dict, row: dict) -> None:
+    """Reduce the integer row fraction-free against the echelon ``pivots``,
+    dividing out its content at each step, and add what is left as a pivot.
+    A row leads with its last column, its heaviest member: those targets
+    are mostly new, so a new row meets few pivots."""
+    while row:
+        g = gcd(*row.values())
+        row = {c: v // g for c, v in row.items()} if g > 1 else row
+        col = max(row)
+        prow = pivots.get(col)
+        if prow is None:
+            pivots[col] = row
+            return
+        g = gcd(row[col], prow[col])
+        a, b = prow[col] // g, row[col] // g
+        new = {c: a * v for c, v in row.items()}
+        for c, v in prow.items():
+            new[c] = new.get(c, 0) - b * v
+        row = {c: v for c, v in new.items() if v}
 
 
 def face_critical_system(B: IntegerMatrix, face_indices, lam):
@@ -353,6 +354,9 @@ def face_critical_system(B: IntegerMatrix, face_indices, lam):
         f = f + LaurentPoly.monomial(s, B.col(i), lam[i])
     eqs = [f] + [f.log_derivative(k) for k in range(s)]
     return {"equations": eqs, "contains_origin": has_origin}
+
+
+PRIMES = (101, 103)  # of the finite-field face search
 
 
 def _fp_witness(eqs, s, p):
@@ -410,15 +414,7 @@ def _fp_witness(eqs, s, p):
     return point
 
 
-def classify_parameter(
-    B: IntegerMatrix,
-    lam,
-    primes=(101, 103),
-    stabilization_window: int = 3,
-    cutoff: int | None = None,
-    cone_index_sets=(),
-    newton: NewtonData | None = None,
-):
+def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
     """good / non_tame_suspected / bad_suspected with the evidence recorded.
 
     good means the Jacobian quotient dimension equals the normalized volume
@@ -427,15 +423,11 @@ def classify_parameter(
     each proper face it looks for a common zero of the face's critical
     system on (F_p^*)^s, reduced to the face's own torus of dimension
     at most s - 1 (see `_fp_witness`), and every point it reports has
-    been checked against the equations mod p.  ``newton`` is as in
-    `jacobian_quotient_dim`; pass one NewtonData to classify many samples
-    of the same B.
+    been checked against the equations mod p.  One NewtonData serves every
+    sample of the same B.
     """
-    lam = [Fraction(x) for x in lam]
-    if any(x == 0 for x in lam):
-        raise ZeroCoefficient("parameter on the torus boundary")
-    if newton is None:
-        newton = NewtonData(B, cutoff, cone_index_sets)
+    B = newton.B
+    lam = _parameter(B, lam)
     s = B.rows
     vol = newton.volume
     evidence = {"volume": vol}
@@ -455,7 +447,7 @@ def classify_parameter(
         # zero over any field, so the face can be skipped exactly.
         if any(len(e.coeffs) == 1 for e in eqs if not e.is_zero()):
             continue
-        for p in primes:
+        for p in PRIMES:
             wit = _fp_witness(eqs, s, p)
             if wit is not None:
                 if not sys["contains_origin"]:
@@ -468,9 +460,7 @@ def classify_parameter(
     if witness_info:
         evidence["bad_face_witness"] = witness_info
         return {"verdict": "bad_suspected", "evidence": evidence}
-    jac = jacobian_quotient_dim(
-        B, lam, stabilization_window=stabilization_window, newton=newton
-    )
+    jac = jacobian_quotient_dim(newton, lam, stabilization_window=stabilization_window)
     evidence["jacobian_dim"] = jac["dim"]
     if jac["dim"] != vol:
         evidence["dimension_mismatch"] = True

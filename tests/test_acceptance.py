@@ -23,7 +23,7 @@ import pytest
 
 from tglab import corpus
 from tglab.intlinalg import IntegerMatrix, kernel_lattice, section_system
-from tglab.lgfamily import classify_parameter
+from tglab.lgfamily import NewtonData, classify_parameter
 from tglab.models import build_model
 from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
@@ -214,7 +214,7 @@ def test_c06_jacobian_dimension_equals_volume():
             lam = [
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)
             ]
-            verdict = classify_parameter(B, lam, cone_index_sets=cones)
+            verdict = classify_parameter(NewtonData(B, cone_index_sets=cones), lam)
             if verdict["verdict"] != "good":
                 continue
             assert verdict["evidence"]["jacobian_dim"] == expected, name

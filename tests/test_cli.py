@@ -96,6 +96,10 @@ def p1_options(**opts):
                      "max_cones", ["validate"], id="cone-index-float"),
         pytest.param(json.dumps({"fan": P1_FAN, "bundles": [[2.5, 0]]}), "bundles",
                      ["validate"], id="bundle-float"),
+        pytest.param(p1_options(bogus=3), "unknown option 'bogus'", ["construct"],
+                     id="option-unknown"),
+        pytest.param(json.dumps({"fan": P1_FAN, "bundle": [[2, 0]]}),
+                     "unknown spec field 'bundle'", ["construct"], id="field-unknown"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, text, message, argv):
@@ -174,6 +178,23 @@ def test_lg_f3_face_search_in_time():
     assert rc == 1
     assert [s["verdict"] for s in samples] == ["non_tame_suspected"] * 3
     assert elapsed < 5.0
+
+
+def test_lg_window_12_in_time(tmp_path):
+    """With window and cutoff 12 no slice history stabilizes on P1xP1/O(1,1);
+    each gradient row is reduced once, so sweeping to the cutoff is cheap."""
+    spec = json.loads((SPECS / "p1p1_o11.json").read_text(encoding="utf-8"))
+    spec["options"]["stabilization_window"] = 12
+    path = tmp_path / "p1p1_o11_window12.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = io.StringIO()
+    start = time.monotonic()
+    with redirect_stdout(out):
+        rc = cli.main(["lg", "--spec", str(path), "--cutoff", "12", "--samples", "1", "--json"])
+    elapsed = time.monotonic() - start
+    assert rc == 1
+    assert json.loads(out.getvalue())["error"]["type"] == "StabilizationFailed"
+    assert elapsed < 6.0
 
 
 def test_lg_scans_members_once_per_call(monkeypatch):

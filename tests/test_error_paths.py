@@ -11,7 +11,7 @@ from tglab.errors import (
     UnboundedSearch,
 )
 from tglab.intlinalg import IntegerMatrix
-from tglab.lgfamily import jacobian_quotient_dim
+from tglab.lgfamily import NewtonData, jacobian_quotient_dim
 from tglab.models import build_model
 from tglab.qdmcheck import annihilation_check
 from tglab.semigroups import AffineSemigroup, semigroup_contains, toric_ideal_binomials
@@ -38,11 +38,9 @@ def test_jacobian_stabilization_failure_reports_partial():
     B = total.ray_matrix()
     with pytest.raises(StabilizationFailed) as err:
         jacobian_quotient_dim(
-            B,
+            NewtonData(B, 2, [tuple(c) for c in total.max_cones]),
             [1, 1, 1],
             stabilization_window=5,
-            cutoff=2,
-            cone_index_sets=[tuple(c) for c in total.max_cones],
         )
     assert err.value.partial  # slice history travels with the error
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.errors import ZeroCoefficient
+from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import (
     LaurentPoly,
@@ -107,14 +107,14 @@ def test_km_q_one_recovers_family_at_section():
 def test_jacobian_dim_p1():
     fan = corpus.projective_line()
     B = fan.ray_matrix()
-    res = jacobian_quotient_dim(B, [1, 1], cone_index_sets=cones_of(fan))
+    res = jacobian_quotient_dim(NewtonData(B, cone_index_sets=cones_of(fan)), [1, 1])
     assert res["dim"] == 2
 
 
 def test_jacobian_dim_p2():
     fan = corpus.projective_plane()
     res = jacobian_quotient_dim(
-        fan.ray_matrix(), [1, 1, 1], cone_index_sets=cones_of(fan)
+        NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 1, 1]
     )
     assert res["dim"] == 3
 
@@ -123,7 +123,7 @@ def test_jacobian_dim_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     res = jacobian_quotient_dim(
-        total.ray_matrix(), [1, Fraction(3, 2), 1], cone_index_sets=cones_of(total)
+        NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total)), [1, Fraction(3, 2), 1]
     )
     assert res["dim"] == 2
 
@@ -131,7 +131,7 @@ def test_jacobian_dim_p1_o2():
 def test_jacobian_rejects_zero_coefficient():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        jacobian_quotient_dim(fan.ray_matrix(), [1, 0])
+        jacobian_quotient_dim(NewtonData(fan.ray_matrix()), [1, 0])
 
 
 def test_jacobian_dim_rescaling_invariance():
@@ -140,6 +140,7 @@ def test_jacobian_dim_rescaling_invariance():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
+    newton = NewtonData(B, cone_index_sets=cones_of(total))
     rng = random.Random(13)
     for _ in range(3):
         lam = [Fraction(rng.randint(1, 5)) for _ in range(3)]
@@ -150,9 +151,116 @@ def test_jacobian_dim_rescaling_invariance():
             for k in range(2):
                 factor *= g[k] ** (-B.entries[k][i])
             scaled.append(lam[i] * factor)
-        d1 = jacobian_quotient_dim(B, lam, cone_index_sets=cones_of(total))["dim"]
-        d2 = jacobian_quotient_dim(B, scaled, cone_index_sets=cones_of(total))["dim"]
+        d1 = jacobian_quotient_dim(newton, lam)["dim"]
+        d2 = jacobian_quotient_dim(newton, scaled)["dim"]
         assert d1 == d2
+
+
+def _sparse_rank(rows) -> int:
+    """Exact rank of sparse rational rows (dict col -> coeff)."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            if col in pivots:
+                f = row[col]
+                prow = pivots[col]
+                for c, v in prow.items():
+                    row[c] = row.get(c, Fraction(0)) - f * v
+                row = {c: v for c, v in row.items() if v}
+            else:
+                f = row[col]
+                pivots[col] = {c: v / f for c, v in row.items()}
+                rank += 1
+                break
+    return rank
+
+
+def reference_sweep(newton, lam, stabilization_window):
+    """The Jacobian sweep rebuilt from scratch at every bound: the monomial
+    index, every multiplier row and a Fraction echelon, with the members
+    weighed by `WeightData.weight`."""
+    B = newton.B
+    lam = [Fraction(x) for x in lam]
+    s, t = B.rows, B.cols
+    gens = []
+    for k in range(s):
+        g = {}
+        for i in range(t):
+            if B.entries[k][i]:
+                col = B.col(i)
+                g[col] = g.get(col, Fraction(0)) - B.entries[k][i] * lam[i]
+        gens.append({e: c for e, c in g.items() if c})
+    history = []
+    members_all = [(newton.weights.weight(p), p) for _, p in newton.members]
+    for bound in range(1, newton.cutoff + 1):
+        monos = [p for w, p in members_all if w <= bound]
+        mono_index = {p: i for i, p in enumerate(monos)}
+        multipliers = [p for w, p in members_all if w <= bound - 1]
+        rows = []
+        for u in multipliers:
+            for g in gens:
+                row = {}
+                for e, c in g.items():
+                    tgt = tuple(a + b for a, b in zip(u, e))
+                    if tgt in mono_index:
+                        row[mono_index[tgt]] = row.get(mono_index[tgt], Fraction(0)) + c
+                if row:
+                    rows.append(row)
+        dim = len(monos) - _sparse_rank(rows)
+        history.append(dim)
+        if len(history) >= stabilization_window and len(set(history[-stabilization_window:])) == 1:
+            return {"dim": dim, "slices": history}
+    raise StabilizationFailed(f"no stabilization within {newton.cutoff} slices", partial=history)
+
+
+def sweep_outcome(sweep, newton, lam, window):
+    try:
+        return sweep(newton, lam, window)
+    except StabilizationFailed as exc:
+        return {"partial": exc.partial}
+
+
+TOTAL_SPACES = {
+    name: total_space_fan(*build())
+    for name, build in [
+        ("p1_o2", corpus.p1_o2),
+        ("p2_o1", corpus.p2_o1),
+        ("p1p1_o11", corpus.p1p1_o11),
+        ("f3_minus_k", corpus.f3_minus_k),
+    ]
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
+    newton = NewtonData(total.ray_matrix(), draw(st.integers(1, 8)), cones_of(total))
+    coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    lam = draw(st.lists(coeff, min_size=newton.B.cols, max_size=newton.B.cols))
+    return newton, lam, draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_cases())
+def test_one_pass_sweep_matches_per_bound_rebuild(case):
+    """The one-pass integer sweep gives the dimension, the slice history
+    and the StabilizationFailed history of the per-bound Fraction rebuild."""
+    newton, lam, window = case
+    assert sweep_outcome(jacobian_quotient_dim, newton, lam, window) == sweep_outcome(
+        reference_sweep, newton, lam, window
+    )
+
+
+@pytest.mark.parametrize("check", [jacobian_quotient_dim, classify_parameter])
+def test_parameter_length_checked(check):
+    """Too few coefficients is a ValueError, before any face is searched."""
+    fan, d = corpus.p1_o2()
+    total = total_space_fan(fan, d)
+    with pytest.raises(ValueError, match="one coefficient per column"):
+        check(NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total)), [1, 1])
 
 
 def test_face_critical_vertex_no_solution():
@@ -178,14 +286,14 @@ def test_classify_good_p1():
     fan = corpus.projective_line()
     B = fan.ray_matrix()
     for lam in ([1, 1], [2, Fraction(1, 3)], [5, 7]):
-        verdict = classify_parameter(B, lam, cone_index_sets=cones_of(fan))
+        verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(fan)), lam)
         assert verdict["verdict"] == "good"
 
 
 def test_classify_rejects_boundary():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        classify_parameter(fan.ray_matrix(), [1, 0])
+        classify_parameter(NewtonData(fan.ray_matrix()), [1, 0])
 
 
 def test_classify_bad_parameter_p1_o2():
@@ -194,7 +302,7 @@ def test_classify_bad_parameter_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
-    verdict = classify_parameter(B, [1, 1, -2], cone_index_sets=cones_of(total))
+    verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, -2])
     assert verdict["verdict"] == "bad_suspected"
     witness = verdict["evidence"]["bad_face_witness"]
     assert 0 not in witness["face"]
@@ -207,11 +315,11 @@ def test_shared_newton_data_scans_members_lazily():
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
     newton = NewtonData(B, cone_index_sets=cones_of(total))
-    bad = classify_parameter(B, [1, 1, -2], newton=newton)
+    bad = classify_parameter(newton, [1, 1, -2])
     assert bad["verdict"] == "bad_suspected"
     assert "members" not in vars(newton)
-    good = classify_parameter(B, [1, 1, 1], newton=newton)
-    assert good == classify_parameter(B, [1, 1, 1], cone_index_sets=cones_of(total))
+    good = classify_parameter(newton, [1, 1, 1])
+    assert good == classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, 1])
     assert "members" in vars(newton)
 
 
@@ -219,7 +327,7 @@ def test_classify_good_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
-    verdict = classify_parameter(B, [1, 1, 1], cone_index_sets=cones_of(total))
+    verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, 1])
     assert verdict["verdict"] == "good"
     assert verdict["evidence"]["jacobian_dim"] == 2
 
@@ -240,7 +348,7 @@ def test_dim_equals_volume_at_random_good_parameters():
             lam = [
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)
             ]
-            verdict = classify_parameter(B, lam, cone_index_sets=cones)
+            verdict = classify_parameter(NewtonData(B, cone_index_sets=cones), lam)
             if verdict["verdict"] != "good":
                 continue
             assert verdict["evidence"]["jacobian_dim"] == expected
