@@ -69,9 +69,10 @@ def _is_int_rows(rows) -> bool:
     )
 
 
-# The fields of a spec, and its options with their defaults; load_spec
-# refuses any other key, so a misspelt one cannot be silently ignored.
+# The fields of a spec and of its fan, and its options with their defaults;
+# load_spec refuses any other key, so a misspelt one cannot be silently ignored.
 SPEC_KEYS = ("fan", "bundles", "basis_p", "options")
+FAN_KEYS = ("rays", "max_cones")
 OPTIONS = {"degree_bound": 6, "dmax": 8, "seed": 0, "stabilization_window": 3}
 
 
@@ -93,6 +94,9 @@ def load_spec(path: str) -> dict:
         rays, cones = fan_data["rays"], fan_data["max_cones"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad fan data: {exc}")
+    unknown = [key for key in fan_data if key not in FAN_KEYS]
+    if unknown:
+        raise ParseError(f"unknown fan field {unknown[0]!r}; known: {', '.join(FAN_KEYS)}")
     if not _is_int_rows(rays):
         raise ParseError("rays must be a list of integer lists")
     if not _is_int_rows(cones):
@@ -453,11 +457,6 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         _apply_flags(spec, args)
-    except ParseError as exc:
-        print(f"tglab: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = COMMANDS[args.command](spec, args)
     except ParseError as exc:
         print(f"tglab: {exc}", file=sys.stderr)

@@ -2,15 +2,17 @@
 
 A term is coeff * z^a * lambda^alpha * T^e * partial^beta where T denotes
 z^2 d/dz, kept as a primitive generator.  Terms are stored normal-ordered
-(all lambda and z powers left of T and the partials), and the commutation
-rules are
+(all lambda and z powers left of T and the partials).  A product is put in
+that order by two closed forms (Saito-Sturmfels-Takayama, Groebner
+Deformations of Hypergeometric Differential Equations, 2000, 1.1):
 
-    partial_i lambda_i = lambda_i partial_i + 1
-    T z^a = z^a T + a z^{a+1}
+    partial_i^b lambda_i^a = sum_k C(b,k) a(a-1)...(a-k+1) lambda_i^{a-k} partial_i^{b-k}
+    T^e z^a = sum_k C(e,k) a(a+1)...(a+k-1) z^{a+k} T^{e-k}
 
-with everything else commuting.  Negative lambda powers are only allowed
-for variables whose ``laurent`` flag is set; negative z powers are always
-allowed (the hat-side modules are localized along z = 0).
+with everything else commuting.  Both hold for every integer a.  Negative
+lambda powers are only allowed for variables whose ``laurent`` flag is
+set; negative z powers are always allowed (the hat-side modules are
+localized along z = 0).
 
 The second half of the file builds the operator families: plain and
 homogenized box/Euler generators, their hat (z-twisted) forms, the
@@ -147,16 +149,31 @@ class WeylOp:
         return WeylOp(self.ctx, {k: v * Fraction(c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
+        """(z^a1 lambda^alpha1 T^e1 partial^beta1) (z^a2 lambda^alpha2 T^e2 partial^beta2)
+        = z^a1 lambda^alpha1 (T^e1 z^a2) prod_i (partial_i^beta1_i lambda_i^alpha2_i)
+        T^e2 partial^beta2, and each bracket is expanded by _leibniz on its own."""
         self._check(other)
+        ctx = self.ctx
         acc = {}
-        for rkey, rc in other.terms.items():
-            rz, rlam, rth, rpa = rkey
-            for lkey, lc in self.terms.items():
-                piece = _term_times_generators(self.ctx, lkey, rz, rlam, rth, rpa)
+        for (rz, rlam, rth, rpa), rc in other.terms.items():
+            for i, a in enumerate(rlam):
+                if a < 0 and not ctx.laurent[i]:
+                    raise NotLogExpressible(
+                        f"negative power of non-invertible variable {ctx.names[i]}"
+                    )
+            for (lz, llam, lth, lpa), lc in self.terms.items():
+                blocks = [[(lz + rz + k, lth + rth - k, c) for k, c in _leibniz(lth, rz, 1)]]
+                blocks += [
+                    [(la + ra - k, lb + rb - k, c) for k, c in _leibniz(lb, ra, -1)]
+                    for la, lb, ra, rb in zip(llam, lpa, rlam, rpa)
+                ]
                 f = lc * rc
-                for k, v in piece.items():
-                    acc[k] = acc.get(k, Fraction(0)) + f * v
-        return WeylOp(self.ctx, acc)
+                for (z, th, c), *combo in product(*blocks):
+                    for _, _, ci in combo:
+                        c *= ci
+                    key = (z, tuple(x[0] for x in combo), th, tuple(x[1] for x in combo))
+                    acc[key] = acc.get(key, Fraction(0)) + f * c
+        return WeylOp(ctx, acc)
 
     def __eq__(self, other):
         return isinstance(other, WeylOp) and self.ctx == other.ctx and self.terms == other.terms
@@ -225,99 +242,20 @@ class WeylOp:
         return " + ".join(parts)
 
 
-def _term_times_generators(ctx, lkey, rz, rlam, rth, rpa):
-    """left term * (z^rz * lambda^rlam * T^rth * partial^rpa), normal ordered.
+def _leibniz(e, a, step):
+    """[(k, C(e, k) * a (a + step) ... (a + (k - 1) step)) for k = 0..e],
+    cut at the first zero coefficient, after which every one is zero.
 
-    The right factor is consumed generator by generator in its own written
-    order, so the product of two normal-ordered terms is exact."""
-    acc = {lkey: Fraction(1)}
-    step = abs(rz)
-    sign = 1 if rz >= 0 else -1
-    for _ in range(step):
-        acc = _mul_z(ctx, acc, sign)
-    for i, e in enumerate(rlam):
-        s = 1 if e >= 0 else -1
-        for _ in range(abs(e)):
-            acc = _mul_lambda(ctx, acc, i, s)
-    if rth:
-        acc = {(z, lam, th + rth, pa): c for (z, lam, th, pa), c in acc.items()}
-    if any(rpa):
-        out = {}
-        for (z, lam, th, pa), c in acc.items():
-            npa = tuple(a + b for a, b in zip(pa, rpa))
-            out[(z, lam, th, npa)] = out.get((z, lam, th, npa), Fraction(0)) + c
-        acc = out
-    return acc
-
-
-def _mul_z(ctx, terms, sign):
-    out = {}
-
-    def emit(key, c):
-        out[key] = out.get(key, Fraction(0)) + c
-
-    for key, c in terms.items():
-        for k2, c2 in _term_mul_z(key, sign).items():
-            emit(k2, c * c2)
-    return out
-
-
-def _term_mul_z(key, sign):
-    z, lam, th, pa = key
-    if th == 0:
-        return {(z + sign, lam, 0, pa): Fraction(1)}
-    # T^e z = (T^{e-1} z) T + (T^{e-1} z) z  and  T^e z^-1 = (T^{e-1} z^-1) T - T^{e-1}
-    base = _term_mul_z((z, lam, th - 1, pa), sign)
-    out = {}
-    for (bz, blam, bth, bpa), c in base.items():
-        k_theta = (bz, blam, bth + 1, bpa)
-        out[k_theta] = out.get(k_theta, Fraction(0)) + c
-    if sign > 0:
-        for bkey, c in base.items():
-            for k2, c2 in _term_mul_z(bkey, 1).items():
-                out[k2] = out.get(k2, Fraction(0)) + c * c2
-    else:
-        k_drop = (z, lam, th - 1, pa)
-        out[k_drop] = out.get(k_drop, Fraction(0)) - 1
-    return out
-
-
-def _mul_lambda(ctx, terms, i, sign):
-    out = {}
-    for key, c in terms.items():
-        for k2, c2 in _term_mul_lambda(ctx, key, i, sign).items():
-            out[k2] = out.get(k2, Fraction(0)) + c * c2
-    return out
-
-
-def _term_mul_lambda(ctx, key, i, sign):
-    z, lam, th, pa = key
-    b = pa[i]
-    if sign > 0:
-        # partial_i^b lambda_i = lambda_i partial_i^b + b partial_i^{b-1}
-        out = {}
-        lam_up = lam[:i] + (lam[i] + 1,) + lam[i + 1 :]
-        out[(z, lam_up, th, pa)] = Fraction(1)
-        if b:
-            pa_dn = pa[:i] + (b - 1,) + pa[i + 1 :]
-            out[(z, lam, th, pa_dn)] = Fraction(b)
-        return out
-    if not ctx.laurent[i]:
-        raise NotLogExpressible(
-            f"negative power of non-invertible variable {ctx.names[i]}"
-        )
-    if b == 0:
-        lam_dn = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
-        return {(z, lam_dn, th, pa): Fraction(1)}
-    # partial_i^b lambda_i^-1 = partial_i^{b-1} (lambda_i^-1 partial_i - lambda_i^-2)
-    base_key = (z, lam, th, pa[:i] + (b - 1,) + pa[i + 1 :])
-    base = _term_mul_lambda(ctx, base_key, i, -1)
-    out = {}
-    for (bz, blam, bth, bpa), c in base.items():
-        up = bpa[:i] + (bpa[i] + 1,) + bpa[i + 1 :]
-        out[(bz, blam, bth, up)] = out.get((bz, blam, bth, up), Fraction(0)) + c
-        for k2, c2 in _term_mul_lambda(ctx, (bz, blam, bth, bpa), i, -1).items():
-            out[k2] = out.get(k2, Fraction(0)) - c * c2
+    With step -1 these are the coefficients of partial^e lambda^a =
+    sum_k c_k lambda^(a-k) partial^(e-k); with step +1 those of
+    T^e z^a = sum_k c_k z^(a+k) T^(e-k).  Both hold for every integer a."""
+    out = []
+    c = 1
+    for k in range(e + 1):
+        if not c:
+            break
+        out.append((k, c))
+        c = c * (e - k) * (a + step * k) // (k + 1)
     return out
 
 

@@ -100,6 +100,8 @@ def p1_options(**opts):
                      id="option-unknown"),
         pytest.param(json.dumps({"fan": P1_FAN, "bundle": [[2, 0]]}),
                      "unknown spec field 'bundle'", ["construct"], id="field-unknown"),
+        pytest.param(json.dumps({"fan": dict(P1_FAN, bundles=[[2, 0]])}),
+                     "unknown fan field 'bundles'", ["construct"], id="fan-field-unknown"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, text, message, argv):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.errors import NotSameImage
+from tglab.errors import NotLogExpressible, NotSameImage
 from tglab.intlinalg import IntegerMatrix, homogenize, kernel_lattice
 from tglab.models import build_model
 from tglab.weylops import (
@@ -66,6 +66,20 @@ def test_laurent_inverse_commutation():
     l = WeylOp.var(ctx, 0)
     assert (l * linv) == WeylOp.one(ctx)
     assert (linv * l) == WeylOp.one(ctx)
+
+
+def test_negative_power_of_non_laurent_variable_refused():
+    """A raw term with lambda^-1 on a non-invertible variable is refused as
+    a right factor, whether or not the left factor differentiates it;
+    lambda^-1 on the invertible variable of the same context is not."""
+    ctx = OpContext.make(2, laurent=(True, False))
+    bad = WeylOp(ctx, {(0, (0, -1), 0, (0, 0)): 1})
+    for left in (WeylOp.one(ctx), WeylOp.partial(ctx, 1), WeylOp.partial(ctx, 0)):
+        with pytest.raises(NotLogExpressible):
+            left * bad
+    assert WeylOp.partial(ctx, 0) * WeylOp.var(ctx, 0, -1) == WeylOp(
+        ctx, {(0, (-1, 0), 0, (1, 0)): 1, (0, (-2, 0), 0, (0, 0)): -1}
+    )
 
 
 def test_normal_order_confluence_random():

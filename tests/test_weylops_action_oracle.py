@@ -4,12 +4,18 @@ A normal-ordered term z^a lambda^alpha T^e partial^beta acts on a monomial
 lambda^gamma z^w by first the falling factorials of the partials, then the
 T factors w(w+1)...(w+e-1) with the z-exponent rising, then the monomial
 multiplication.  The product of two operators must act as the composition
-of their actions; the coefficients are polynomials in (gamma, w) of bounded
-degree, so agreement on a grid larger than the degree forces equality.
+of their actions.  For each shift of the exponents, the coefficient is a
+polynomial in (gamma, w) of bounded degree: agreement on a grid larger
+than the degree forces equality, and agreement at a dozen points spread
+over a wide box catches a difference with high probability
+(Schwartz-Zippel).
 """
 
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tglab.weylops import OpContext, WeylOp
 
@@ -47,16 +53,34 @@ def act(op, monomials):
     return {k: v for k, v in out.items() if v}
 
 
-def random_op(rng, ctx):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        z = rng.randint(-2, 2)
-        lam = tuple(rng.randint(-2, 2) if ctx.laurent[i] else rng.randint(0, 2)
-                    for i in range(ctx.nvars))
-        th = rng.randint(0, 3)
-        pa = tuple(rng.randint(0, 2) for _ in range(ctx.nvars))
-        terms[(z, lam, th, pa)] = Fraction(rng.randint(-4, 4))
-    return WeylOp(ctx, terms)
+@st.composite
+def operator_pairs(draw):
+    """A context of 1-3 variables with mixed Laurent flags, and two
+    operators of 1-3 terms: z^-3..z^3, T, partial and lambda powers up to 4
+    (down to -4 on an invertible variable)."""
+    laurent = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    ctx = OpContext.make(len(laurent), laurent=tuple(laurent))
+
+    def op():
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            lam = tuple(draw(st.integers(-4 if inv else 0, 4)) for inv in laurent)
+            pa = tuple(draw(st.integers(0, 4)) for _ in laurent)
+            key = (draw(st.integers(-3, 3)), lam, draw(st.integers(0, 4)), pa)
+            terms[key] = Fraction(draw(st.integers(-4, 4)))
+        return WeylOp(ctx, terms)
+
+    return ctx, op(), op()
+
+
+def spread_points(nvars, count=12):
+    """Monomials (gamma, w) with every exponent drawn from -40..40.  A
+    coefficient polynomial here has total degree at most 32, so a nonzero
+    one vanishes at one point with probability at most 32/81, and at all
+    twelve with probability below 1e-4."""
+    rng = random.Random(nvars)
+    return [(tuple(rng.randint(-40, 40) for _ in range(nvars)), rng.randint(-40, 40))
+            for _ in range(count)]
 
 
 def grid(ctx):
@@ -68,15 +92,14 @@ def grid(ctx):
     return points
 
 
-def test_product_acts_as_composition():
-    rng = random.Random(97)
-    ctx = OpContext.make(2, laurent=(True, True))
-    base = grid(ctx)
-    for _ in range(60):
-        A, B = random_op(rng, ctx), random_op(rng, ctx)
-        direct = act(A * B, base)
-        staged = act(A, act(B, base))
-        assert direct == staged
+@settings(max_examples=80, deadline=None)
+@given(operator_pairs())
+def test_product_acts_as_composition(pair):
+    ctx, A, B = pair
+    product = A * B
+    for point in spread_points(ctx.nvars):
+        base = {point: Fraction(1)}
+        assert act(product, base) == act(A, act(B, base))
 
 
 def test_known_operators_act_correctly():
