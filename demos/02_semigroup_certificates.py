@@ -9,6 +9,7 @@ from tglab.semigroups import (
     gorenstein_shift_check,
     interior_shift_check_ungraded,
     saturation_check,
+    scan_cone_points,
     toric_ideal_binomials,
 )
 from tglab.toricfan import total_space_fan
@@ -20,14 +21,13 @@ S = doubled_semigroup(total.ray_matrix())
 print("doubled generators:", [S.gen(i) for i in range(S.n_gens)])
 ok, witness = saturation_check(S, 6)
 print("saturated up to degree 6:", ok)
+scan = scan_cone_points(S, 6)
 shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
-print("Gorenstein shift by", shift, "->", gorenstein_shift_check(S, shift, 6))
+print("Gorenstein shift by", shift, "->", gorenstein_shift_check(S, shift, 6, scan))
 Ap = total.ray_matrix()
-Sp = AffineSemigroup(
-    Ap, graded=False, cone_index_sets=tuple(tuple(c) for c in total.max_cones)
-)
+Sp = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
 print("interior of the undoubled cone is the bundle shift:",
-      interior_shift_check_ungraded(Sp, S, Ap.col(2), 6))
+      interior_shift_check_ungraded(Sp, S, Ap.col(2), 6, scan))
 
 print()
 print("== the F3 anticanonical example ==")
@@ -38,7 +38,8 @@ ok, witness = saturation_check(S, 6)
 print("d = (1,1,1,1): saturated:", ok, "(normal; the slice tiles into")
 print("  five unimodular generator simplices, so no witness can exist)")
 shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(5)))
-print("  Gorenstein shift still fails:", gorenstein_shift_check(S, shift, 5))
+print("  Gorenstein shift still fails:",
+      gorenstein_shift_check(S, shift, 5, scan_cone_points(S, 5)))
 
 alt = IntegerMatrix.from_rows([(0, 2, 4, 0)])
 total_alt = total_space_fan(corpus.hirzebruch(3), alt)

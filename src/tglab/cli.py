@@ -105,9 +105,11 @@ def load_spec(path: str) -> dict:
     cones = [tuple(i - 1 for i in c) for c in cones]
     if len({len(r) for r in rays}) > 1:
         raise ParseError("rays must all have the same length")
+    if not rays or not rays[0]:
+        raise ParseError("rays must be a non-empty list of non-empty integer lists")
     if any(not 0 <= i < len(rays) for c in cones for i in c):
         raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
-    dim = len(rays[0]) if rays else 0
+    dim = len(rays[0])
     for c in cones:
         if len(c) != dim:
             raise ParseError(f"max_cones entry {[i + 1 for i in c]} must list {dim} rays")
@@ -237,9 +239,10 @@ def cmd_semigroup(spec, args) -> dict:
         [tuple(0 for _ in range(Btot.rows))] + [Btot.col(i) for i in range(Btot.cols)]
     )
     S = doubled_semigroup(Btot)
-    # One pass gives the saturation witness and the interior points.
+    # One box scan gives the saturation witness, the interior points and
+    # the points of the interior-shift test.
     scan = scan_cone_points(S, bound)
-    witness = scan[0]
+    witness = scan.witness
     saturated = witness is None
     out = {
         "degree_bound": bound,
@@ -254,14 +257,12 @@ def cmd_semigroup(spec, args) -> dict:
             gen = S.gen(1 + fan.n_rays + j)
             shift = [a + b for a, b in zip(shift, gen)]
         out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound, scan)
-        Sprime = AffineSemigroup(
-            Btot, graded=False, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones)
-        )
+        Sprime = AffineSemigroup(Btot, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones))
         shiftp = [0] * Btot.rows
         for j in range(c):
             col = Btot.col(fan.n_rays + j)
             shiftp = [a + b for a, b in zip(shiftp, col)]
-        out["interior_shift"] = interior_shift_check_ungraded(Sprime, S, shiftp, bound)
+        out["interior_shift"] = interior_shift_check_ungraded(Sprime, S, shiftp, bound, scan)
         out["passed"] = bool(out["gorenstein_shift"] and out["interior_shift"])
     else:
         out["passed"] = False
@@ -332,7 +333,7 @@ def cmd_lg(spec, args) -> dict:
     window = spec["stabilization_window"]
     cones = [tuple(c) for c in model.total.max_cones]
     # Everything that does not depend on lambda is computed once, here.
-    newton = NewtonData(B, spec["cutoff"], cones)
+    newton = NewtonData(B, spec["cutoff"], cone_index_sets=cones)
     vol = newton.volume
     samples = []
     good = 0

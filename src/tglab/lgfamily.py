@@ -9,24 +9,21 @@ solutions of the face critical systems.  That search runs on each
 system's own subtorus, of dimension the rank of its exponent differences,
 and vectorizes the modular arithmetic with numpy, imported inside the
 search only; everything else is exact.  What does not depend on the
-parameter (polytope, faces, volume, weights, the cutoff and the semigroup
-members up to it) lives in a NewtonData, the one way to give B, the
-cutoff and the cone sets, which one caller builds and shares across its
-samples.
+parameter (polytope, faces, volume, the cutoff and the semigroup members
+up to it) lives in a NewtonData, the one way to give B, the cutoff and the
+cone sets, which one caller builds and shares across its samples.  Each
+member comes with its weight rounded up, which is its least grading in
+the doubled cone, read off the one scan of the dilated polytope in
+`semigroups.graded_slice_points`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, gcd, lcm, prod
+from math import gcd, lcm, prod
 
-from tglab.errors import (
-    StabilizationFailed,
-    UnboundedSearch,
-    ZeroCoefficient,
-)
+from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
 from tglab.polytopes import LatticePolytope, faces, normalized_volume
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
@@ -150,112 +147,61 @@ def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
     return LatticePolytope.from_points(pts)
 
 
-@dataclass(frozen=True)
-class WeightData:
-    """Facet data of the Newton polytope turned into the weight function
-    w(u) = min {l : u in l*Q}, with denominator e."""
-
-    poly: LatticePolytope
-    e: int
-
-    @staticmethod
-    def from_matrix(B: IntegerMatrix) -> "WeightData":
-        poly = newton_polytope(B)
-        dens = [f.offset for f in poly.facets if f.offset > 0]
-        e = 1
-        for d in dens:
-            e = lcm(e, d)
-        return WeightData(poly, e)
-
-    def weight(self, u):
-        """Weight as a Fraction, or None when u is outside the cone."""
-        w = Fraction(0)
-        for f in self.poly.facets:
-            val = sum(a * b for a, b in zip(f.normal, u))
-            if f.offset == 0:
-                if val < 0:
-                    return None
-            else:
-                need = Fraction(-val, f.offset)
-                if need > w:
-                    w = need
-        return w
-
-
-def _members_up_to(B: IntegerMatrix, wd: WeightData, bound: int, cone_index_sets):
+def _members_up_to(B: IntegerMatrix, bound: int, cone_index_sets):
     """Semigroup monomials of weight w <= bound as (ceil(w), point) pairs,
     sorted by ceil(w), the least integer bound that admits the point.
 
-    With subcone certificates the test is exact provided the subcones tile
-    the cone (certified elsewhere by the W-set volume identity); without
-    them the matrix must present the full lattice (complete-fan case) and
-    we raise otherwise.
+    w(u) = min {l : u in l*Q} for the Newton polytope Q, so ceil(w(u)) is
+    the least grading of u in the doubled cone, which the one scan of
+    bound * Q gives.  The subcone certificates make the test exact provided
+    the subcones tile the cone (certified elsewhere by the W-set volume
+    identity).
     """
-    s = B.rows
+    member = AffineSemigroup(B, cone_index_sets=cone_index_sets).certified
     pts = graded_slice_points(doubled_semigroup(B), bound)
-    if cone_index_sets:
-        member = AffineSemigroup(B, cone_index_sets=tuple(map(tuple, cone_index_sets))).certified
-    else:
-        diag = smith_normal_form(B).diagonal
-        if len(diag) < s or any(x != 1 for x in diag[:s]) or not _cone_is_everything(B):
-            raise UnboundedSearch(
-                "need subcone certificates or a lattice-spanning complete set of columns"
-            )
-
-        def member(u):
-            return True
-
-    out = []
-    for p in pts:
-        w = wd.weight(p)
-        if w is None or w > bound:
-            continue
-        if member(p):
-            out.append((ceil(w), p))
-    return sorted(out, key=lambda m: m[0])
+    return sorted(((j, p) for j, p in pts if member(p)), key=lambda m: m[0])
 
 
 class NewtonData:
     """The lambda-independent data of the family of B, built once and
-    shared by every parameter sample of one call: the weight function of
-    the Newton polytope, its faces and normalized volume, the slice cutoff
-    (4 e diam(B) unless given), and the semigroup members up to the cutoff.
+    shared by every parameter sample of one call: the Newton polytope and
+    the lcm e of its facet offsets, its faces and normalized volume, the
+    slice cutoff (4 e diam(B) unless given), and the semigroup members up to
+    the cutoff, which need the unimodular cones of the total-space fan.
     Each is computed on first use, so a sample that stops at a bad face
     never pays for the members scan."""
 
-    def __init__(self, B: IntegerMatrix, cutoff: int | None = None, cone_index_sets=()):
+    def __init__(self, B: IntegerMatrix, cutoff: int | None = None, *, cone_index_sets):
         self.B = B
         self.cone_index_sets = tuple(map(tuple, cone_index_sets))
         self._cutoff = cutoff
 
     @cached_property
-    def weights(self) -> WeightData:
-        return WeightData.from_matrix(self.B)
+    def polytope(self) -> LatticePolytope:
+        return newton_polytope(self.B)
+
+    @cached_property
+    def e(self) -> int:
+        return lcm(1, *(f.offset for f in self.polytope.facets if f.offset > 0))
 
     @cached_property
     def faces(self) -> list:
-        return faces(self.weights.poly)
+        return faces(self.polytope)
 
     @cached_property
     def volume(self) -> int:
-        return normalized_volume(self.weights.poly.points)
+        return normalized_volume(self.polytope.points)
 
     @cached_property
     def cutoff(self) -> int:
         if self._cutoff is not None:
             return self._cutoff
         diam = max(1, max((abs(x) for row in self.B.entries for x in row), default=1))
-        return 4 * self.weights.e * diam
+        return 4 * self.e * diam
 
     @cached_property
     def members(self) -> list:
-        return _members_up_to(self.B, self.weights, self.cutoff, self.cone_index_sets)
-
-
-def _cone_is_everything(B: IntegerMatrix) -> bool:
-    """True when the columns positively span the whole space."""
-    h = AffineSemigroup(B).cone
-    return not h.equalities and not h.inequalities
+        return _members_up_to(self.B, self.cutoff, self.cone_index_sets)
 
 
 def _parameter(B: IntegerMatrix, lam) -> list:

@@ -1,12 +1,16 @@
 """Affine semigroups: membership, saturation, Gorenstein shift, toric ideals.
 
-The graded semigroups here all look like N A'' (first coordinate counts the
-number of generators used), so their grading-k elements form a finite slice,
-built once per semigroup by slice_k = slice_{k-1} + generators.  The
-ungraded N A' is handled through unimodular subcone certificates plus a
-graded lift, which is exact whenever the subcones cover the cone (that is
-checked separately through the W-set volume identity).  Every semigroup
-lies in its cone, so a point outside the cone is never a member.
+The graded semigroups here all look like N A'' (first generator the apex
+(1, 0, ..., 0), first coordinate counting the generators used), so their
+grading-k elements form a finite slice, built once per semigroup by
+slice_k = slice_{k-1} + generators.  One scan of the top dilate of
+conv(0, a'_i) gives every cone point up to a grading bound with its least
+grading, an integer read off the cone's facets; the semigroup certificates
+and the lg members take their points from it.  The ungraded N A' is
+handled through unimodular subcone certificates plus a graded lift, which
+is exact whenever the subcones cover the cone (that is checked separately
+through the W-set volume identity).  Every semigroup lies in its cone, so
+a point outside the cone is never a member.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import mul
+from typing import NamedTuple
 
 from tglab.errors import BoundTooSmall, NotSaturated, UnboundedSearch
 from tglab.intlinalg import IntegerMatrix, _unimodular_inverse, kernel_lattice
@@ -24,15 +30,12 @@ from tglab.rationalcone import HForm, cone_hform
 class AffineSemigroup:
     """Semigroup generated by the columns of ``generators``.
 
-    ``graded`` marks that the first row of the generator matrix is all ones,
-    so the first coordinate of any element counts generators with
-    multiplicity.  ``cone_index_sets`` optionally lists generator index
-    tuples that form unimodular bases (one per maximal cone of a fan);
-    nonnegative integer coordinates in one of them certify membership.
+    ``cone_index_sets`` optionally lists generator index tuples that form
+    unimodular bases (one per maximal cone of a fan); nonnegative integer
+    coordinates in one of them certify membership.
     """
 
     generators: IntegerMatrix
-    graded: bool = False
     cone_index_sets: tuple = ()
 
     @property
@@ -45,6 +48,14 @@ class AffineSemigroup:
 
     def gen(self, i: int) -> tuple:
         return self.generators.col(i)
+
+    @cached_property
+    def graded(self) -> bool:
+        """The form of `doubled_semigroup`: the first generator is the apex
+        (1, 0, ..., 0) and the first row is all ones, so the first
+        coordinate of an element counts generators with multiplicity."""
+        apex = (1,) + (0,) * (self.dim - 1)
+        return self.gen(0) == apex and all(x == 1 for x in self.generators.entries[0])
 
     @cached_property
     def cone(self) -> HForm:
@@ -65,8 +76,8 @@ class AffineSemigroup:
 
     @cached_property
     def _slices(self) -> list:
-        if any(x != 1 for x in self.generators.entries[0]):
-            raise UnboundedSearch("grading row must be all ones")
+        if not self.graded:
+            raise UnboundedSearch("not graded: apex (1, 0, ..., 0) first, first row all ones")
         return [frozenset({(0,) * self.dim})]
 
     def slice(self, k: int) -> frozenset:
@@ -81,11 +92,6 @@ class AffineSemigroup:
                 frozenset(tuple(a + b for a, b in zip(u, g)) for u in slices[-1] for g in gens)
             )
         return slices[k]
-
-
-def from_columns(cols, graded=False, cone_index_sets=()) -> AffineSemigroup:
-    mat = IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(len(cols[0]))])
-    return AffineSemigroup(mat, graded=graded, cone_index_sets=tuple(map(tuple, cone_index_sets)))
 
 
 def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) -> bool:
@@ -112,47 +118,71 @@ def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) ->
 
 def doubled_semigroup(aprime: IntegerMatrix) -> AffineSemigroup:
     """The graded semigroup on the columns (1,0) and (1, a'_i)."""
-    cols = [(1,) + tuple(0 for _ in range(aprime.rows))]
-    for j in range(aprime.cols):
-        cols.append((1,) + aprime.col(j))
-    return from_columns(cols, graded=True)
+    rows = [[1] * (aprime.cols + 1)] + [[0] + list(row) for row in aprime.entries]
+    return AffineSemigroup(IntegerMatrix.from_rows(rows))
 
 
 def graded_slice_points(S: AffineSemigroup, k: int):
-    """Lattice points of the cone of S at grading k, grading dropped: the
-    points of k * conv(generators), in lex order.
+    """The lattice points of k * conv(generators), grading dropped, in lex
+    order, each as (least grading, point): the least j with (j, point) in
+    the cone of S, so the points at grading j <= k are those with least
+    grading <= j.
 
-    Scans the box k * [min, max] of the generators and keeps the points in
-    the cone, so the facet offsets scale with k and nothing is re-hulled.
+    Scans the box k * [min, max] of the generators once and keeps the points
+    p with (k, p) in the cone.  The cone contains the apex (1, 0, ..., 0),
+    so every equality has e_0 = 0 and every inequality n_0 >= 0; the least
+    grading is the largest ceil(-n'.p / n_0) over n_0 > 0, or 0.  Raises
+    UnboundedSearch for a semigroup that is not graded.
     """
-    tails = [g[1:] for g in S.slice(1)]
-    ranges = [range(k * min(c), k * max(c) + 1) for c in zip(*tails)]
-    return [p for p in product(*ranges) if S.cone.contains((k,) + p)]
-
-
-def _cone_points(S: AffineSemigroup, degree_bound: int):
-    """Lattice points of the cone of a graded semigroup at grading <= bound,
-    by grading then lex, each with its semigroup membership."""
     if not S.graded:
-        raise UnboundedSearch("saturation check needs the graded form")
+        raise UnboundedSearch("not graded: apex (1, 0, ..., 0) first, first row all ones")
+    flats = [e[1:] for e in S.cone.equalities]
+    ineqs = [(n[0], n[1:]) for n in S.cone.inequalities]
+    tails = [S.gen(i)[1:] for i in range(S.n_gens)]
+    ranges = [range(k * min(c), k * max(c) + 1) for c in zip(*tails)]
+    out = []
+    for p in product(*ranges):
+        if any(sum(map(mul, e, p)) for e in flats):
+            continue
+        j = 0
+        for n0, n in ineqs:
+            v = sum(map(mul, n, p))
+            if n0 * k + v < 0:
+                break
+            if n0 and -(v // n0) > j:
+                j = -(v // n0)
+        else:
+            out.append((j, p))
+    return out
+
+
+class ConeScan(NamedTuple):
+    """The result of `scan_cone_points`."""
+
+    witness: tuple | None
+    interior: set
+    points: list
+
+
+def scan_cone_points(S: AffineSemigroup, degree_bound: int) -> ConeScan:
+    """One box scan, `graded_slice_points` at the bound, and one pass over
+    the cone points at grading <= bound, by grading then lex.  The witness
+    is the first cone point outside the semigroup, or None; the pass stops
+    there, so the interior points are complete only when the witness is
+    None.  The scanned points are always complete."""
+    points = graded_slice_points(S, degree_bound)
+    interior = set()
     for k in range(degree_bound + 1):
         members = S.slice(k)
-        for pt in graded_slice_points(S, k):
-            yield (k,) + pt, (k,) + pt in members
-
-
-def scan_cone_points(S: AffineSemigroup, degree_bound: int):
-    """One pass over the cone points at grading <= bound, by grading then
-    lex: (witness, interior).  The witness is the first cone point outside
-    the semigroup, or None; the pass stops there, so the set of interior
-    points is complete only when the witness is None."""
-    interior = set()
-    for pt, member in _cone_points(S, degree_bound):
-        if not member:
-            return pt, interior
-        if S.cone.contains_interior(pt):
-            interior.add(pt)
-    return None, interior
+        for j, p in points:
+            if j > k:
+                continue
+            pt = (k,) + p
+            if pt not in members:
+                return ConeScan(pt, interior, points)
+            if S.cone.contains_interior(pt):
+                interior.add(pt)
+    return ConeScan(None, interior, points)
 
 
 def saturation_check(S: AffineSemigroup, degree_bound: int):
@@ -161,42 +191,41 @@ def saturation_check(S: AffineSemigroup, degree_bound: int):
     Returns (saturated_up_to_bound, witness); the witness is the first cone
     point that fails semigroup membership, scanned by grading then lex.
     """
-    witness, _ = scan_cone_points(S, degree_bound)
+    witness = scan_cone_points(S, degree_bound).witness
     return witness is None, witness
 
 
-def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan=None) -> bool:
+def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan: ConeScan) -> bool:
     """Interior points at grading <= bound coincide with shift + semigroup.
 
     ``shift`` is the distinguished interior element (grading c+1 for the
-    doubled total-space semigroup).  Requires saturation up to the bound:
-    raises NotSaturated with the witness of `saturation_check` otherwise.
-    ``scan`` is the result of `scan_cone_points` for the same S and bound,
-    made here when not given.
+    doubled total-space semigroup).  ``scan`` is `scan_cone_points` of S at
+    the same bound.  Requires saturation up to the bound: raises
+    NotSaturated with the scan's witness otherwise.
     """
-    witness, interior = scan_cone_points(S, degree_bound) if scan is None else scan
-    if witness is not None:
-        raise NotSaturated(f"not saturated up to {degree_bound}, witness {witness}")
+    if scan.witness is not None:
+        raise NotSaturated(f"not saturated up to {degree_bound}, witness {scan.witness}")
     shift = tuple(int(x) for x in shift)
     shifted = {
         tuple(a + b for a, b in zip(u, shift))
         for k in range(degree_bound - shift[0] + 1)
         for u in S.slice(k)
     }
-    return interior == shifted
+    return scan.interior == shifted
 
 
 def interior_shift_check_ungraded(
-    S: AffineSemigroup, lift: AffineSemigroup, shift, degree_bound: int
+    S: AffineSemigroup, lift: AffineSemigroup, shift, degree_bound: int, scan: ConeScan
 ) -> bool:
     """Interior of the cone of S equals shift + S, tested on all lattice
-    points of the degree_bound-dilated hull of 0 and the generators.
+    points of the degree_bound-dilated hull of 0 and the generators, which
+    ``scan``, `scan_cone_points` of ``lift`` at the same bound, holds.
 
     Exact when the unimodular subcones of S cover its cone, which is what
     the W-set volume identity certifies.
     """
     shift = tuple(int(x) for x in shift)
-    for pt in graded_slice_points(lift, degree_bound):
+    for _, pt in scan.points:
         inside = S.cone.contains_interior(pt)
         member = semigroup_contains(
             S,

@@ -33,6 +33,7 @@ from tglab.semigroups import (
     gorenstein_shift_check,
     interior_shift_check_ungraded,
     saturation_check,
+    scan_cone_points,
 )
 from tglab.toricfan import (
     anticanonical_consistency_check,
@@ -119,19 +120,18 @@ def test_c04_semigroup_certificates():
         S = doubled_semigroup(total.ray_matrix())
         saturated, witness = saturation_check(S, 6)
         assert saturated and witness is None, name
+        scan = scan_cone_points(S, 6)
         c = d.rows
         shift = list(S.gen(0))
         for j in range(c):
             shift = [a + b for a, b in zip(shift, S.gen(1 + fan.n_rays + j))]
-        assert gorenstein_shift_check(S, shift, 6), name
+        assert gorenstein_shift_check(S, shift, 6, scan), name
         Ap = total.ray_matrix()
-        Sp = AffineSemigroup(
-            Ap, graded=False, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones)
-        )
+        Sp = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones))
         shiftp = [0] * Ap.rows
         for j in range(c):
             shiftp = [a + b for a, b in zip(shiftp, Ap.col(fan.n_rays + j))]
-        assert interior_shift_check_ungraded(Sp, S, shiftp, 6), name
+        assert interior_shift_check_ungraded(Sp, S, shiftp, 6, scan), name
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"{name} took {elapsed:.1f}s"
     report(4, True, "saturation, Gorenstein shift and interior description, degree 6")

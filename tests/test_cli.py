@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tglab import cli, lgfamily
+from tglab import cli, lgfamily, semigroups
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -102,6 +102,10 @@ def p1_options(**opts):
                      "unknown spec field 'bundle'", ["construct"], id="field-unknown"),
         pytest.param(json.dumps({"fan": dict(P1_FAN, bundles=[[2, 0]])}),
                      "unknown fan field 'bundles'", ["construct"], id="fan-field-unknown"),
+        pytest.param(json.dumps({"fan": {"rays": [], "max_cones": []}}), "rays",
+                     ["validate"], id="rays-empty"),
+        pytest.param(json.dumps({"fan": {"rays": [[], []], "max_cones": [[], []]}}), "rays",
+                     ["construct"], id="rays-zero-length"),
     ],
 )
 def test_parse_error_exit_code(tmp_path, text, message, argv):
@@ -213,6 +217,26 @@ def test_lg_scans_members_once_per_call(monkeypatch):
     with redirect_stdout(io.StringIO()):
         rc = cli.main(["lg", "--spec", str(SPECS / "f3_minus_k.json"), "--samples", "3"])
     assert rc == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "--degree", "6"], ["lg", "--samples", "3"]],
+                         ids=["semigroup", "lg"])
+def test_one_box_scan_per_call(monkeypatch, argv):
+    """Every grading up to the bound, both semigroup certificates and every
+    lg sample read the one scan of the top dilate of the hull."""
+    calls = []
+    scan = semigroups.graded_slice_points
+
+    def counting_scan(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(semigroups, "graded_slice_points", counting_scan)
+    monkeypatch.setattr(lgfamily, "graded_slice_points", counting_scan)
+    with redirect_stdout(io.StringIO()):
+        rc = cli.main([argv[0], "--spec", str(SPECS / "p1_o2.json"), *argv[1:]])
+    assert rc == 0
     assert len(calls) == 1
 
 

@@ -131,7 +131,7 @@ def test_jacobian_dim_p1_o2():
 def test_jacobian_rejects_zero_coefficient():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        jacobian_quotient_dim(NewtonData(fan.ray_matrix()), [1, 0])
+        jacobian_quotient_dim(NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 0])
 
 
 def test_jacobian_dim_rescaling_invariance():
@@ -178,10 +178,20 @@ def _sparse_rank(rows) -> int:
     return rank
 
 
+def fraction_weight(poly, u):
+    """w(u) = min {l >= 0 : u in l * poly} as a Fraction, from the facets
+    offset + normal . x >= 0 of a polytope that contains the origin."""
+    return max(
+        [Fraction(0)]
+        + [Fraction(-sum(a * b for a, b in zip(f.normal, u)), f.offset)
+           for f in poly.facets if f.offset > 0]
+    )
+
+
 def reference_sweep(newton, lam, stabilization_window):
     """The Jacobian sweep rebuilt from scratch at every bound: the monomial
     index, every multiplier row and a Fraction echelon, with the members
-    weighed by `WeightData.weight`."""
+    weighed by `fraction_weight`."""
     B = newton.B
     lam = [Fraction(x) for x in lam]
     s, t = B.rows, B.cols
@@ -194,7 +204,8 @@ def reference_sweep(newton, lam, stabilization_window):
                 g[col] = g.get(col, Fraction(0)) - B.entries[k][i] * lam[i]
         gens.append({e: c for e, c in g.items() if c})
     history = []
-    members_all = [(newton.weights.weight(p), p) for _, p in newton.members]
+    poly = newton_polytope(B)
+    members_all = [(fraction_weight(poly, p), p) for _, p in newton.members]
     for bound in range(1, newton.cutoff + 1):
         monos = [p for w, p in members_all if w <= bound]
         mono_index = {p: i for i, p in enumerate(monos)}
@@ -237,7 +248,8 @@ TOTAL_SPACES = {
 @st.composite
 def sweep_cases(draw):
     total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
-    newton = NewtonData(total.ray_matrix(), draw(st.integers(1, 8)), cones_of(total))
+    cutoff = draw(st.integers(1, 8))
+    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
     coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
     lam = draw(st.lists(coeff, min_size=newton.B.cols, max_size=newton.B.cols))
     return newton, lam, draw(st.integers(1, 5))
@@ -293,7 +305,7 @@ def test_classify_good_p1():
 def test_classify_rejects_boundary():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        classify_parameter(NewtonData(fan.ray_matrix()), [1, 0])
+        classify_parameter(NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 0])
 
 
 def test_classify_bad_parameter_p1_o2():

@@ -14,7 +14,6 @@ from tglab.polytopes import LatticePolytope, lattice_points
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
-    from_columns,
     gorenstein_shift_check,
     graded_slice_points,
     interior_shift_check_ungraded,
@@ -39,7 +38,8 @@ def test_membership_trivial_zero():
 
 def test_membership_p1_doubled():
     # columns (1,0), (1,1), (1,-1): (2,1) = (1,0)+(1,1)
-    S = from_columns([(1, 0), (1, 1), (1, -1)], graded=True)
+    S = doubled_semigroup(IntegerMatrix.from_rows([[1, -1]]))
+    assert S.graded
     assert semigroup_contains(S, (2, 1))
     assert not semigroup_contains(S, (1, 2))
 
@@ -76,8 +76,8 @@ def test_gorenstein_shift_p1_c0():
     fan = corpus.projective_line()
     S = doubled_semigroup(fan.ray_matrix())
     shift = S.gen(0)  # grading c+1 = 1
-    assert gorenstein_shift_check(S, shift, 5)
-    interior = scan_cone_points(S, 5)[1]
+    assert gorenstein_shift_check(S, shift, 5, scan_cone_points(S, 5))
+    interior = scan_cone_points(S, 5).interior
     # interior points (k, j) with |j| < k
     expected = {(k, j) for k in range(6) for j in range(-k + 1, k) if k >= 1}
     assert interior == expected
@@ -87,7 +87,7 @@ def test_gorenstein_shift_p1_o2():
     total, S = p1o2_doubled()
     shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
     assert shift[0] == 2
-    assert gorenstein_shift_check(S, shift, 6)
+    assert gorenstein_shift_check(S, shift, 6, scan_cone_points(S, 6))
 
 
 def test_gorenstein_requires_saturation():
@@ -96,7 +96,7 @@ def test_gorenstein_requires_saturation():
     total = total_space_fan(fan, d)
     S = doubled_semigroup(total.ray_matrix())
     with pytest.raises(NotSaturated):
-        gorenstein_shift_check(S, S.gen(0), 4)
+        gorenstein_shift_check(S, S.gen(0), 4, scan_cone_points(S, 4))
 
 
 def test_gorenstein_shift_degree_and_injectivity():
@@ -104,7 +104,7 @@ def test_gorenstein_shift_degree_and_injectivity():
     shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
     seen = set()
     for k in range(4):
-        for pt in graded_slice_points(S, k):
+        for _, pt in graded_slice_points(S, k):
             full = (k,) + tuple(pt)
             image = tuple(a + b for a, b in zip(full, shift))
             assert image[0] == full[0] + 2  # degree shift c+1
@@ -116,32 +116,26 @@ def test_interior_aprime_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(
-        Ap, graded=False, cone_index_sets=tuple(tuple(c) for c in total.max_cones)
-    )
+    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
     lift = doubled_semigroup(Ap)
-    assert interior_shift_check_ungraded(S, lift, Ap.col(2), 6)
+    assert interior_shift_check_ungraded(S, lift, Ap.col(2), 6, scan_cone_points(lift, 6))
 
 
 def test_interior_aprime_c0():
     fan = corpus.projective_line()
     A = fan.ray_matrix()
-    S = AffineSemigroup(
-        A, graded=False, cone_index_sets=tuple(tuple(c) for c in fan.max_cones)
-    )
+    S = AffineSemigroup(A, cone_index_sets=tuple(tuple(c) for c in fan.max_cones))
     lift = doubled_semigroup(A)
-    assert interior_shift_check_ungraded(S, lift, (0,), 5)
+    assert interior_shift_check_ungraded(S, lift, (0,), 5, scan_cone_points(lift, 5))
 
 
 def test_interior_aprime_p1p1():
     fan, d = corpus.p1p1_o11()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(
-        Ap, graded=False, cone_index_sets=tuple(tuple(c) for c in total.max_cones)
-    )
+    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
     lift = doubled_semigroup(Ap)
-    assert interior_shift_check_ungraded(S, lift, Ap.col(4), 5)
+    assert interior_shift_check_ungraded(S, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
 
 
 def test_toric_ideal_p1_o2():
@@ -240,11 +234,15 @@ columns_2d = st.lists(
 def test_slices_against_multiset_oracle(cols):
     S = doubled_semigroup(IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(2)]))
     gens = [S.gen(i) for i in range(S.n_gens)]
+    hulls = [dilated_hull_points(S, k) for k in range(ORACLE_GRADING + 1)]
     expected_witness = None
     for k in range(ORACLE_GRADING + 1):
         members = multiset_sums(gens, k)
-        reference = dilated_hull_points(S, k)
-        assert graded_slice_points(S, k) == reference
+        reference = hulls[k]
+        points = graded_slice_points(S, k)
+        assert [p for _, p in points] == reference
+        # each point's least grading is the first dilate that holds it
+        assert all(j == next(i for i, hull in enumerate(hulls) if p in hull) for j, p in points)
         r = 2 * k + 1
         for tail in product(range(-r, r + 1), repeat=2):
             v = (k,) + tail
@@ -266,9 +264,7 @@ def test_ungraded_lift_on_nonconvex_support():
     fan, d = corpus.p1_ok(-1)
     total = total_space_fan(fan, d, allow_negative=True)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(
-        Ap, graded=False, cone_index_sets=tuple(tuple(c) for c in total.max_cones)
-    )
+    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
     lift = doubled_semigroup(Ap)
     cols = [Ap.col(i) for i in range(Ap.cols)]
 
