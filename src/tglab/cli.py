@@ -110,11 +110,15 @@ def load_spec(path: str) -> dict:
     if any(not 0 <= i < len(rays) for c in cones for i in c):
         raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
     dim = len(rays[0])
+    seen = set()
     for c in cones:
         if len(c) != dim:
             raise ParseError(f"max_cones entry {[i + 1 for i in c]} must list {dim} rays")
         if len(set(c)) != len(c):
             raise ParseError(f"max_cones entry {[i + 1 for i in c]} repeats a ray")
+        if frozenset(c) in seen:
+            raise ParseError(f"max_cones entry {[i + 1 for i in c]} lists a cone twice")
+        seen.add(frozenset(c))
     bundles = raw.get("bundles", [])
     if not _is_int_rows(bundles):
         raise ParseError("bundles must be a list of integer lists")

@@ -14,7 +14,6 @@ combines them into the integer matrix of cup product with c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
@@ -89,16 +88,16 @@ class Multiplier:
         return Multiplier.reduced(rows, self.den * other.den)
 
 
-@dataclass
 class CohomologyRing:
     """Finite presentation of the rational cohomology of a toric variety."""
 
-    fan: Fan
-    basis: tuple                 # monomial exponent tuples, all degrees
-    basis_by_degree: dict        # degree -> list of basis monomials
-    nf_table: dict = field(repr=False)  # monomial -> {basis monomial: coeff}
-    point_monomial: tuple = ()
-    point_scale: Fraction = Fraction(1)
+    def __init__(self, fan: Fan, basis: tuple, basis_by_degree: dict, nf_table: dict):
+        self.fan = fan
+        self.basis = basis                      # monomial exponent tuples, all degrees
+        self.basis_by_degree = basis_by_degree  # degree -> list of basis monomials
+        self.nf_table = nf_table                # monomial -> {basis monomial: coeff}
+        self.point_monomial = ()                # both set by build_ring
+        self.point_scale = Fraction(1)
 
     @property
     def dimension(self) -> int:

@@ -10,27 +10,36 @@ here can overflow or round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from tglab.errors import DimensionMismatch, NotARelation, NotSurjective
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable dense integer matrix, row-major."""
+    """Immutable dense integer matrix, row-major; equal and hashed by value."""
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows:
             raise DimensionMismatch("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise DimensionMismatch("column count does not match entries")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries  # tuple of row tuples
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, IntegerMatrix)
+            and (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows) -> "IntegerMatrix":
@@ -176,8 +185,7 @@ def row_reduce(rows, ncols):
     return pivots, reduced
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U * A * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
 
     U: IntegerMatrix
@@ -189,8 +197,7 @@ class SmithDecomposition:
         return [self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols))]
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(NamedTuple):
     """Saturated integer kernel lattice; columns of ``basis`` span ker(B)."""
 
     basis: IntegerMatrix
@@ -203,8 +210,7 @@ class RelationLattice:
         return self.basis.col(a)
 
 
-@dataclass(frozen=True)
-class SectionSystem:
+class SectionSystem(NamedTuple):
     """Matrices C, L, M, D with M*L = I, B*C = I, B*L = 0, M*C = 0 and
     C*B + L*M = I."""
 

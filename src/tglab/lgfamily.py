@@ -365,28 +365,23 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
 
     good means the Jacobian quotient dimension equals the normalized volume
     and no proper face avoiding the origin has a torus witness over the
-    test primes.  The face search is a sound-but-incomplete heuristic: for
-    each proper face it looks for a common zero of the face's critical
-    system on (F_p^*)^s, reduced to the face's own torus of dimension
-    at most s - 1 (see `_fp_witness`), and every point it reports has
-    been checked against the equations mod p.  One NewtonData serves every
-    sample of the same B.
+    test primes.  Only those faces are searched: a face through the origin
+    never decides the verdict.  The face search is a sound-but-incomplete
+    heuristic: for each such face it looks for a common zero of the face's
+    critical system on (F_p^*)^s, reduced to the face's own torus of
+    dimension at most s - 1 (see `_fp_witness`), and every point it reports
+    has been checked against the equations mod p.  One NewtonData serves
+    every sample of the same B.
     """
     B = newton.B
     lam = _parameter(B, lam)
     s = B.rows
     vol = newton.volume
     evidence = {"volume": vol}
-    witness_info = None
-    tame_witness = None
     for face in newton.faces:
-        if face.supporting is None:
-            continue  # the whole polytope
-        sys = face_critical_system(B, sorted(face.indices), lam)
-        if sys["contains_origin"]:
-            eqs = sys["equations"][1:]  # lambda_0 absorbs the fiber equation
-        else:
-            eqs = sys["equations"]
+        if 0 in face.indices:
+            continue  # through the origin, the whole polytope included
+        eqs = face_critical_system(B, face.indices, lam)["equations"]
         if all(e.is_zero() for e in eqs):
             continue
         # A single-monomial equation with a nonzero coefficient has no torus
@@ -396,21 +391,12 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
         for p in PRIMES:
             wit = _fp_witness(eqs, s, p)
             if wit is not None:
-                if not sys["contains_origin"]:
-                    witness_info = {"face": sorted(face.indices), "prime": p, "point": wit}
-                else:
-                    tame_witness = {"face": sorted(face.indices), "prime": p, "point": wit}
-                break
-        if witness_info:
-            break
-    if witness_info:
-        evidence["bad_face_witness"] = witness_info
-        return {"verdict": "bad_suspected", "evidence": evidence}
+                evidence["bad_face_witness"] = {"face": sorted(face.indices), "prime": p,
+                                                "point": wit}
+                return {"verdict": "bad_suspected", "evidence": evidence}
     jac = jacobian_quotient_dim(newton, lam, stabilization_window=stabilization_window)
     evidence["jacobian_dim"] = jac["dim"]
     if jac["dim"] != vol:
         evidence["dimension_mismatch"] = True
         return {"verdict": "non_tame_suspected", "evidence": evidence}
-    if tame_witness:
-        evidence["tame_face_witness"] = tame_witness
     return {"verdict": "good", "evidence": evidence}

@@ -9,8 +9,6 @@ quantum-D-module generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from tglab.errors import BasisConditionFailed, BasisNotNef, KahlerConeEmpty
 from tglab.cohomring import CohomologyRing, build_ring, chern_data
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
@@ -25,21 +23,24 @@ from tglab.weylops import (
 )
 
 
-@dataclass
 class MirrorModel:
-    fan: Fan
-    d: IntegerMatrix
-    total: Fan
-    A: IntegerMatrix
-    Aprime: IntegerMatrix
-    Adoubleprime: IntegerMatrix
-    kernel_ext: IntegerMatrix      # extended kernel basis of A'
-    L: IntegerMatrix               # kernel basis rebased to the nef basis p
-    M: IntegerMatrix               # retraction with M L = I
-    C: IntegerMatrix               # section of A'
-    basis_U: IntegerMatrix         # rows: p_a in the extended-basis coordinates
-    ring: CohomologyRing = field(repr=False)
-    chern: dict = field(repr=False)
+    def __init__(self, fan: Fan, d: IntegerMatrix, total: Fan, A: IntegerMatrix,
+                 Aprime: IntegerMatrix, Adoubleprime: IntegerMatrix, kernel_ext: IntegerMatrix,
+                 L: IntegerMatrix, M: IntegerMatrix, C: IntegerMatrix, basis_U: IntegerMatrix,
+                 ring: CohomologyRing, chern: dict):
+        self.fan = fan
+        self.d = d
+        self.total = total
+        self.A = A
+        self.Aprime = Aprime
+        self.Adoubleprime = Adoubleprime
+        self.kernel_ext = kernel_ext  # extended kernel basis of A'
+        self.L = L                    # kernel basis rebased to the nef basis p
+        self.M = M                    # retraction with M L = I
+        self.C = C                    # section of A'
+        self.basis_U = basis_U        # rows: p_a in the extended-basis coordinates
+        self.ring = ring
+        self.chern = chern
 
     @property
     def m(self) -> int:

@@ -12,8 +12,8 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
@@ -24,8 +24,7 @@ def _lift(points):
     return [(1,) + tuple(p) for p in points]
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
+class AffineConstraint(NamedTuple):
     """offset + normal . x  (>= 0 on the polytope, = 0 on the face)."""
 
     offset: int
@@ -35,8 +34,7 @@ class AffineConstraint:
         return self.offset + sum(a * b for a, b in zip(self.normal, x))
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(NamedTuple):
     """A face given by the generator indices lying on it."""
 
     indices: frozenset
@@ -44,15 +42,16 @@ class FaceDescriptor:
     supporting: AffineConstraint | None  # None for the whole polytope
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
     """Convex hull of integer generator points (not necessarily vertices)."""
 
-    ambient_dim: int
-    points: tuple            # generator points, order preserved
-    vertex_indices: tuple    # indices into points
-    equalities: tuple        # AffineConstraint, = 0 on the polytope
-    facets: tuple            # AffineConstraint, >= 0 on the polytope
+    def __init__(self, ambient_dim: int, points: tuple, vertex_indices: tuple, equalities: tuple,
+                 facets: tuple):
+        self.ambient_dim = ambient_dim
+        self.points = points                  # generator points, order preserved
+        self.vertex_indices = vertex_indices  # indices into points
+        self.equalities = equalities          # AffineConstraint, = 0 on the polytope
+        self.facets = facets                  # AffineConstraint, >= 0 on the polytope
 
     @staticmethod
     def from_points(points) -> "LatticePolytope":

@@ -11,9 +11,9 @@ pointed cone are the facets of its dual cone, so `extreme_rays` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
+from typing import NamedTuple
 
 from tglab.intlinalg import row_reduce
 
@@ -45,8 +45,7 @@ def nullspace(rows, dim):
     return basis
 
 
-@dataclass(frozen=True)
-class HForm:
+class HForm(NamedTuple):
     """Cone {x : e.x = 0 for e in equalities, n.x >= 0 for n in inequalities}."""
 
     dim: int
@@ -120,13 +119,13 @@ def intersect_hforms(forms):
     return HForm(dim, tuple(seen_e), tuple(seen_i))
 
 
-@dataclass(frozen=True)
 class RationalCone:
     """A finitely generated rational cone kept in both forms."""
 
-    dim: int
-    generators: tuple
-    hform: HForm
+    def __init__(self, dim: int, generators: tuple, hform: HForm):
+        self.dim = dim
+        self.generators = generators
+        self.hform = hform
 
     @staticmethod
     def from_hform(h: HForm) -> "RationalCone":

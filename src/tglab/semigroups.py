@@ -15,7 +15,6 @@ a point outside the cone is never a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import mul
@@ -26,7 +25,6 @@ from tglab.intlinalg import IntegerMatrix, _unimodular_inverse, kernel_lattice
 from tglab.rationalcone import HForm, cone_hform
 
 
-@dataclass(frozen=True)
 class AffineSemigroup:
     """Semigroup generated by the columns of ``generators``.
 
@@ -35,8 +33,9 @@ class AffineSemigroup:
     coordinates in one of them certify membership.
     """
 
-    generators: IntegerMatrix
-    cone_index_sets: tuple = ()
+    def __init__(self, generators: IntegerMatrix, cone_index_sets: tuple = ()):
+        self.generators = generators
+        self.cone_index_sets = cone_index_sets
 
     @property
     def dim(self) -> int:

@@ -9,11 +9,11 @@ and the test suite checks that they do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from tglab.errors import (
     BundleNotNef,
@@ -37,13 +37,22 @@ from tglab.rationalcone import (
 )
 
 
-@dataclass(frozen=True)
 class Fan:
-    """Rays are primitive integer vectors; max_cones are 0-based index tuples."""
+    """Rays are primitive integer vectors; max_cones are 0-based index tuples.
+    Fans are equal and hashed by value."""
 
-    dim: int
-    rays: tuple
-    max_cones: tuple
+    def __init__(self, dim: int, rays: tuple, max_cones: tuple):
+        self.dim = dim
+        self.rays = rays
+        self.max_cones = max_cones
+
+    def __eq__(self, other):
+        return isinstance(other, Fan) and (self.dim, self.rays, self.max_cones) == (
+            other.dim, other.rays, other.max_cones
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.rays, self.max_cones))
 
     @staticmethod
     def make(rays, max_cones) -> "Fan":
@@ -75,8 +84,7 @@ class Fan:
         return validate_fan(self)
 
 
-@dataclass(frozen=True)
-class FanDiagnostics:
+class FanDiagnostics(NamedTuple):
     is_fan: bool
     smooth: bool
     complete: bool

@@ -23,9 +23,9 @@ change, and a bounded left-ideal membership search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from tglab.errors import (
     DimensionMismatch,
@@ -36,8 +36,7 @@ from tglab.errors import (
 from tglab.intlinalg import IntegerMatrix, row_reduce
 
 
-@dataclass(frozen=True)
-class OpContext:
+class OpContext(NamedTuple):
     """Variable layout of an operator: count, invertibility, display names."""
 
     nvars: int
@@ -546,8 +545,7 @@ def qdm_euler(ctx, kernel_matrix: IntegerMatrix) -> WeylOp:
     return WeylOp.theta_z(ctx) + _log_field(ctx, coords, 1)
 
 
-@dataclass(frozen=True)
-class TorusChange:
+class TorusChange(NamedTuple):
     """Data of the coordinate change lambda -> (f, q): the section matrices
     and the bundle range, with sign twist on the bundle variables."""
 

@@ -88,6 +88,8 @@ def p1_options(**opts):
         pytest.param(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
                                          "max_cones": [[1, 2], [2, 3], [3, 3]]}}),
                      "max_cones", ["validate"], id="cone-repeated-ray"),
+        pytest.param(json.dumps({"fan": {"rays": [[1], [-1]], "max_cones": [[1], [2], [1]]}}),
+                     "max_cones", ["validate"], id="cone-duplicate"),
         pytest.param(json.dumps({"fan": {"rays": [[1.5], [-1]], "max_cones": [[1], [2]]}}),
                      "rays", ["validate"], id="ray-float"),
         pytest.param(json.dumps({"fan": {"rays": [[True], [-1]], "max_cones": [[1], [2]]}}),
@@ -161,15 +163,16 @@ def test_closed_stdout_exits_without_traceback(fmt):
     assert proc.returncode == 0
 
 
-def test_import_does_not_load_numpy():
-    """numpy is imported by the F_p face search only, not at startup."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tglab.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
+def test_import_loads_no_numpy_or_dataclasses():
+    """``import tglab.cli`` loads neither numpy (the F_p face search imports
+    it) nor dataclasses and the inspect machinery it pulls in."""
+    probe = (
+        "import sys; before = set(sys.modules); import tglab.cli; "
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lg_f3_face_search_in_time():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from tglab.errors import NotARelation, NotSurjective
+from tglab.errors import DimensionMismatch, NotARelation, NotSurjective
 from tglab.intlinalg import (
     IntegerMatrix,
     _unimodular_inverse,
@@ -139,6 +139,22 @@ def test_extend_relation_is_lattice_isomorphism():
     for a in range(len(ext)):
         assert ext[a] not in seen
         seen.add(ext[a])
+
+
+def test_matrix_equality_is_by_value():
+    rows = [[1, -1, 0], [2, 0, 1]]
+    a, b = IntegerMatrix.from_rows(rows), IntegerMatrix.from_rows(rows)
+    assert a == b and hash(a) == hash(b)
+    assert a != a.transpose() and a != IntegerMatrix.from_rows([[1, -1, 0], [2, 0, 2]])
+    assert IntegerMatrix.zero(0, 2) != IntegerMatrix.zero(0, 3)
+    assert a != rows
+
+
+@pytest.mark.parametrize("rows, cols, entries", [(2, 2, ((1, 2),)), (1, 2, ((1, 2, 3),))],
+                         ids=["row-count", "column-count"])
+def test_matrix_shape_is_checked(rows, cols, entries):
+    with pytest.raises(DimensionMismatch):
+        IntegerMatrix(rows, cols, entries)
 
 
 def test_homogenize_single_row():

@@ -94,6 +94,20 @@ def test_total_space_fan_p1_o2():
     assert validate_fan(total).smooth
 
 
+def test_fan_equality_is_by_value():
+    a, b = corpus.projective_plane(), corpus.projective_plane()
+    assert a == b and hash(a) == hash(b)
+    assert a != corpus.p1_times_p1()
+    assert a != Fan.make(a.rays, a.max_cones[:2])
+
+
+def test_diagnostics_repr_names_the_fields():
+    """demos/01 prints the diagnostics record."""
+    assert repr(validate_fan(corpus.projective_plane())) == (
+        "FanDiagnostics(is_fan=True, smooth=True, complete=True, simplicial=True)"
+    )
+
+
 def test_total_space_fan_rank_zero():
     fan = corpus.projective_plane()
     assert total_space_fan(fan, IntegerMatrix(0, 3, ())) == fan

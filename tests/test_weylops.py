@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.errors import NotLogExpressible, NotSameImage
+from tglab.errors import DimensionMismatch, NotLogExpressible, NotSameImage
 from tglab.intlinalg import IntegerMatrix, homogenize, kernel_lattice
 from tglab.models import build_model
 from tglab.weylops import (
@@ -66,6 +66,17 @@ def test_laurent_inverse_commutation():
     l = WeylOp.var(ctx, 0)
     assert (l * linv) == WeylOp.one(ctx)
     assert (linv * l) == WeylOp.one(ctx)
+
+
+def test_context_equality_is_by_value():
+    """Operators of equal contexts combine; of different contexts they do not."""
+    a, b = OpContext.make(2, laurent=(True, False)), OpContext.make(2, laurent=(True, False))
+    assert a == b and hash(a) == hash(b)
+    assert WeylOp.var(a, 0) + WeylOp.var(b, 0) == WeylOp.var(a, 0).scale(2)
+    other = OpContext.make(2, laurent=(True, False), prefix="f")
+    assert a != other
+    with pytest.raises(DimensionMismatch):
+        WeylOp.var(a, 0) + WeylOp.var(other, 0)
 
 
 def test_negative_power_of_non_laurent_variable_refused():
