@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from tglab import errors
-from tglab.errors import ParseError
+from tglab.errors import InputError, ParseError
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import NewtonData, build_family, classify_parameter, restrict_to_km
 from tglab.models import build_model
@@ -101,30 +101,13 @@ def load_spec(path: str) -> dict:
         raise ParseError("rays must be a list of integer lists")
     if not _is_int_rows(cones):
         raise ParseError("max_cones must be a list of integer lists")
-    rays = [tuple(r) for r in rays]
-    cones = [tuple(i - 1 for i in c) for c in cones]
-    if len({len(r) for r in rays}) > 1:
-        raise ParseError("rays must all have the same length")
-    if not rays or not rays[0]:
-        raise ParseError("rays must be a non-empty list of non-empty integer lists")
-    if any(not 0 <= i < len(rays) for c in cones for i in c):
-        raise ParseError(f"max_cones indices are 1-based and must lie in 1..{len(rays)}")
-    dim = len(rays[0])
-    seen = set()
-    for c in cones:
-        if len(c) != dim:
-            raise ParseError(f"max_cones entry {[i + 1 for i in c]} must list {dim} rays")
-        if len(set(c)) != len(c):
-            raise ParseError(f"max_cones entry {[i + 1 for i in c]} repeats a ray")
-        if frozenset(c) in seen:
-            raise ParseError(f"max_cones entry {[i + 1 for i in c]} lists a cone twice")
-        seen.add(frozenset(c))
+    fan = Fan.make(rays, [[i - 1 for i in c] for c in cones])
     bundles = raw.get("bundles", [])
     if not _is_int_rows(bundles):
         raise ParseError("bundles must be a list of integer lists")
     bundle_rows = [tuple(row) for row in bundles]
-    if any(len(row) != len(rays) for row in bundle_rows):
-        raise ParseError(f"bundle rows must have one entry per ray ({len(rays)})")
+    if any(len(row) != fan.n_rays for row in bundle_rows):
+        raise ParseError(f"bundle rows must have one entry per ray ({fan.n_rays})")
     opts = raw.get("options", {})
     if not isinstance(opts, dict) or not all(_is_int(v) for v in opts.values()):
         raise ParseError("options must be an object with integer values")
@@ -137,7 +120,7 @@ def load_spec(path: str) -> dict:
     ):
         raise ParseError("basis_p must be null or a list of integer rows of one length")
     spec = {
-        "fan": Fan.make(rays, cones),
+        "fan": fan,
         "bundles": bundle_rows,
         "basis_p": basis_p,
         **{key: opts.get(key, default) for key, default in OPTIONS.items()},
@@ -463,7 +446,7 @@ def main(argv=None) -> int:
         spec = load_spec(args.spec)
         _apply_flags(spec, args)
         result = COMMANDS[args.command](spec, args)
-    except ParseError as exc:
+    except InputError as exc:
         print(f"tglab: {exc}", file=sys.stderr)
         return 2
     except errors.TglabError as exc:

@@ -5,6 +5,18 @@ class TglabError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(TglabError):
+    """Malformed spec or flag data; the command line exits 2.
+
+    Input errors are JSON types and keys, shapes (ragged rays, cones of the
+    wrong size, a basis_p that is not r rows of one entry per ray), ray
+    numbers out of range, repeated or non-primitive rays, repeated cones
+    and settings out of range.  Every other TglabError is a verdict on
+    well-formed input: it exits 1 with its report (a negative bundle
+    coefficient is the non-nef counterexample, not bad input).
+    """
+
+
 class NotSurjective(TglabError):
     """Columns of the matrix do not generate the full lattice Z^s."""
 
@@ -17,7 +29,7 @@ class DimensionMismatch(TglabError):
     """Shapes of the supplied objects are inconsistent."""
 
 
-class NonPrimitiveRay(TglabError):
+class NonPrimitiveRay(InputError):
     """A ray generator is not primitive (gcd of entries != 1)."""
 
 
@@ -105,5 +117,5 @@ class FanNotSmoothComplete(TglabError):
     """Cohomology ring construction needs a smooth complete fan."""
 
 
-class ParseError(TglabError):
+class ParseError(InputError):
     """Problem specification could not be parsed."""

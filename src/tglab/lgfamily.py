@@ -287,19 +287,15 @@ def _reduce_into(pivots: dict, row: dict) -> None:
 def face_critical_system(B: IntegerMatrix, face_indices, lam):
     """Equations of the critical system of the face: the face part of f and
     its log derivatives.  Indices refer to the generator list (0, b_1..b_t)
-    of the Newton polytope; index 0 is the origin."""
+    of the Newton polytope; the face must avoid the origin, index 0."""
+    if 0 in face_indices:
+        raise ValueError("a face through the origin has no critical system here")
     s = B.rows
     lam = [Fraction(x) for x in lam]
     f = LaurentPoly(s)
-    has_origin = False
     for idx in sorted(face_indices):
-        if idx == 0:
-            has_origin = True
-            continue
-        i = idx - 1
-        f = f + LaurentPoly.monomial(s, B.col(i), lam[i])
-    eqs = [f] + [f.log_derivative(k) for k in range(s)]
-    return {"equations": eqs, "contains_origin": has_origin}
+        f = f + LaurentPoly.monomial(s, B.col(idx - 1), lam[idx - 1])
+    return [f] + [f.log_derivative(k) for k in range(s)]
 
 
 PRIMES = (101, 103)  # of the finite-field face search
@@ -381,7 +377,7 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
     for face in newton.faces:
         if 0 in face.indices:
             continue  # through the origin, the whole polytope included
-        eqs = face_critical_system(B, face.indices, lam)["equations"]
+        eqs = face_critical_system(B, face.indices, lam)
         if all(e.is_zero() for e in eqs):
             continue
         # A single-monomial equation with a nonzero coefficient has no torus

@@ -9,7 +9,7 @@ quantum-D-module generators.
 
 from __future__ import annotations
 
-from tglab.errors import BasisConditionFailed, BasisNotNef, KahlerConeEmpty
+from tglab.errors import BasisConditionFailed, BasisNotNef, InputError, KahlerConeEmpty
 from tglab.cohomring import CohomologyRing, build_ring, chern_data
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
 from tglab.rationalcone import RationalCone, cone_hform
@@ -78,7 +78,8 @@ class MirrorModel:
 
 
 def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
-    """Construct the full derived data; raises the basis errors when the
+    """Construct the full derived data; raises InputError for a basis_p
+    that is not r rows of one entry per ray, and the basis errors when the
     requested (or auto-selected) nef basis fails its conditions."""
     total = total_space_fan(fan, d)
     A = fan.ray_matrix()
@@ -100,9 +101,11 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
             )
         U = IntegerMatrix.from_rows(sorted(rays))
     else:
+        if len(basis_p) != r or any(len(row) != fan.n_rays for row in basis_p):
+            raise InputError(
+                f"basis_p must have r = {r} rows of {fan.n_rays} entries, one per ray"
+            )
         pi = IntegerMatrix.from_rows(basis_p)
-        if pi.rows != r or pi.cols != fan.n_rays:
-            raise BasisNotNef("basis_p must be r rows of ray-divisor coefficients")
         U = pi.mul(kernel_ext.submatrix(range(fan.n_rays), range(r)))
     if abs(U.det()) != 1:
         raise BasisNotNef("requested basis is not a lattice basis of the dual")

@@ -2,9 +2,10 @@
 
 A fan is stored as primitive ray generators plus maximal cones given by
 ray index sets.  Only simplicial full-dimensional maximal cones are
-accepted.  The nef cone is computed both as an intersection of anticones
-and as the cone of convex piecewise-linear functions; the two must agree
-and the test suite checks that they do.
+accepted; `Fan.make` refuses any other shape with an InputError.  The
+nef cone is computed both as an intersection of anticones and as the
+cone of convex piecewise-linear functions; the two must agree and the
+test suite checks that they do.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from tglab.errors import (
     BundleNotNef,
     DimensionMismatch,
     IncompleteFan,
+    InputError,
     InputNotSmooth,
     KahlerConeEmpty,
     NegativeCoefficient,
@@ -56,10 +58,33 @@ class Fan:
 
     @staticmethod
     def make(rays, max_cones) -> "Fan":
+        """The one constructor, and the one check of a fan's shape: rays
+        non-empty, of one length and primitive; each cone `dim` distinct
+        rays (0-based indices) and no cone twice.  Messages number rays
+        from 1, as a spec does."""
         rays = tuple(tuple(int(x) for x in r) for r in rays)
-        cones = tuple(tuple(sorted(int(i) for i in c)) for c in max_cones)
-        dim = len(rays[0]) if rays else 0
-        return Fan(dim, rays, cones)
+        if not rays or not rays[0]:
+            raise InputError("rays must be a non-empty list of non-empty integer lists")
+        dim = len(rays[0])
+        if any(len(r) != dim for r in rays):
+            raise InputError("rays must all have the same length")
+        for k, r in enumerate(rays, 1):
+            if gcd(*r) != 1:
+                raise NonPrimitiveRay(f"ray {k}, {list(r)}, is not primitive")
+        cones = []
+        for c in max_cones:
+            c = tuple(int(i) for i in c)
+            entry = [i + 1 for i in c]
+            if not all(0 <= i < len(rays) for i in c):
+                raise InputError(f"max_cones entry {entry} names a ray outside 1..{len(rays)}")
+            if len(c) != dim:
+                raise InputError(f"max_cones entry {entry} must list {dim} rays")
+            if len(set(c)) != dim:
+                raise InputError(f"max_cones entry {entry} repeats a ray")
+            if tuple(sorted(c)) in cones:
+                raise InputError(f"max_cones entry {entry} lists a cone twice")
+            cones.append(tuple(sorted(c)))
+        return Fan(dim, rays, tuple(cones))
 
     @property
     def n_rays(self) -> int:
@@ -91,34 +116,15 @@ class FanDiagnostics(NamedTuple):
     simplicial: bool
 
 
-def _is_primitive(vec) -> bool:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g == 1
-
-
 def validate_fan(fan: Fan) -> FanDiagnostics:
-    """Check primitivity, the fan condition, smoothness and completeness.
+    """Check the fan condition, smoothness and completeness; `Fan.make`
+    has checked the shape.
 
     Completeness is decided combinatorially: every facet of every maximal
     cone is shared by exactly two maximal cones and the facet graph is
     connected.  This computes afresh on every call; `Fan.diagnostics`
     keeps the result with the fan for callers that check one fan often.
     """
-    for r in fan.rays:
-        if len(r) != fan.dim:
-            raise DimensionMismatch("ray of wrong dimension")
-        if not _is_primitive(r):
-            raise NonPrimitiveRay(f"ray {r} is not primitive")
-    for cone in fan.max_cones:
-        if len(cone) != fan.dim:
-            raise DimensionMismatch(
-                f"maximal cone {cone} does not have {fan.dim} rays (non-simplicial "
-                "or non-full-dimensional cones are not supported)"
-            )
-        if len(set(cone)) != len(cone) or any(i < 0 or i >= fan.n_rays for i in cone):
-            raise DimensionMismatch(f"bad ray indices in cone {cone}")
     dets = [fan.cone_matrix(c).det() for c in fan.max_cones]
     if any(d == 0 for d in dets):
         return FanDiagnostics(False, False, False, True)

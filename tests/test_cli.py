@@ -60,6 +60,10 @@ def p1_options(**opts):
                      id="basis-p-string"),
         pytest.param(json.dumps({"fan": P1_FAN, "basis_p": [[1], [1, 2]]}), "basis_p",
                      ["construct"], id="basis-p-ragged"),
+        pytest.param(json.dumps({"fan": P1_FAN, "bundles": [[2, 0]], "basis_p": [[1, 2, 3]]}),
+                     "basis_p must have r = 1 rows of 2 entries", ["construct"], id="basis-p-rows"),
+        pytest.param(json.dumps({"fan": {"rays": [[2], [-1]], "max_cones": [[1], [2]]}}),
+                     "ray 1, [2], is not primitive", ["validate"], id="ray-non-primitive"),
         pytest.param(p1_options(), "degree_bound", ["semigroup", "--degree", "-2"],
                      id="degree-flag-negative"),
         pytest.param(p1_options(degree_bound=-2), "degree_bound", ["semigroup"],
@@ -117,6 +121,7 @@ def test_parse_error_exit_code(tmp_path, text, message, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("tglab: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """The CLI contract under random specs: any JSON file given to ``validate``
 or ``construct`` ends in exit 0, 1 or 2, with at most one ``tglab:`` line
-on stderr and no exception escaping ``main``."""
+on stderr and no exception escaping ``main``; a fan with a ray of gcd other
+than 1 is an input error, exit 2."""
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -77,6 +79,12 @@ documents = st.one_of(
 )
 
 
+def has_non_primitive_ray(doc) -> bool:
+    fan = doc.get("fan") if isinstance(doc, dict) else None
+    rays = fan.get("rays") if isinstance(fan, dict) else None
+    return cli._is_int_rows(rays) and any(gcd(*ray) != 1 for ray in rays)
+
+
 @settings(
     max_examples=100,
     deadline=None,
@@ -94,3 +102,5 @@ def test_any_spec_keeps_the_exit_contract(tmp_path, doc, command, as_json):
     assert sum(line.startswith("tglab:") for line in lines) <= 1
     assert "Traceback" not in err.getvalue()
     assert (rc == 2) == bool(lines)
+    if has_non_primitive_ray(doc):
+        assert rc == 2

@@ -277,21 +277,25 @@ def test_parameter_length_checked(check):
 
 def test_face_critical_vertex_no_solution():
     B = corpus.projective_line().ray_matrix()
-    sys = face_critical_system(B, [1], [1, 1])
+    eqs = face_critical_system(B, [1], [1, 1])
     # lambda_1 y = 0 has no torus solution
-    assert not sys["equations"][0].is_zero()
-    assert sys["equations"][1] == sys["equations"][0]
+    assert not eqs[0].is_zero()
+    assert eqs[1] == eqs[0]
 
 
-def test_face_critical_whole_polytope():
-    B = corpus.projective_line().ray_matrix()
-    poly = newton_polytope(B)
-    whole = [f for f in faces(poly) if f.supporting is None][0]
-    sys = face_critical_system(B, sorted(whole.indices), [1, 1])
-    assert sys["contains_origin"]
-    f, logd = sys["equations"][0], sys["equations"][1]
-    assert f.coeffs == {(1,): Fraction(1), (-1,): Fraction(1)}
-    assert logd.coeffs == {(1,): Fraction(1), (-1,): Fraction(-1)}
+def test_face_critical_edge_avoiding_the_origin():
+    """The edge [1, 2, 3] of P1/O(2) misses the origin: b_3 = (0, 1) lies
+    between b_1 = (1, 2) and b_2 = (-1, 0).  Its system is the face part
+    of f and its two log derivatives."""
+    fan, d = corpus.p1_o2()
+    B = total_space_fan(fan, d).ray_matrix()
+    assert [1, 2, 3] in [sorted(f.indices) for f in faces(newton_polytope(B))]
+    f, dx, dy = face_critical_system(B, [1, 2, 3], [1, 2, 3])
+    assert f.coeffs == {(1, 2): 1, (-1, 0): 2, (0, 1): 3}
+    assert dx.coeffs == {(1, 2): 1, (-1, 0): -2}
+    assert dy.coeffs == {(1, 2): 2, (0, 1): 3}
+    with pytest.raises(ValueError, match="through the origin"):
+        face_critical_system(B, [0, 1, 2], [1, 2, 3])
 
 
 def test_classify_good_p1():

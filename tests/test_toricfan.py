@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.errors import BundleNotNef, IncompleteFan, NegativeCoefficient, NonPrimitiveRay
+from tglab.errors import (
+    BundleNotNef,
+    IncompleteFan,
+    InputError,
+    NegativeCoefficient,
+    NonPrimitiveRay,
+)
 from tglab.intlinalg import IntegerMatrix
 from tglab.rationalcone import RationalCone, cone_hform, intersect_hforms
 from tglab.toricfan import (
@@ -81,9 +87,37 @@ def test_fan_condition_on_a_shared_facet(case):
     assert validate_fan(Fan.make(rays, cones)).is_fan == expected
 
 
-def test_validate_rejects_non_primitive():
-    with pytest.raises(NonPrimitiveRay):
-        validate_fan(Fan.make([(2, 0), (0, 1)], [(0, 1)]))
+def test_make_rejects_non_primitive():
+    with pytest.raises(NonPrimitiveRay, match=r"ray 1, \[2, 0\], is not primitive"):
+        Fan.make([(2, 0), (0, 1)], [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "rays, cones, message",
+    [
+        pytest.param([], [], "non-empty", id="no-rays"),
+        pytest.param([(), ()], [(), ()], "non-empty", id="rays-of-length-zero"),
+        pytest.param([(1, 0), (0, 1), (-1,)], [(0, 1)], "same length", id="rays-ragged"),
+        pytest.param([(1, 0), (0, 0)], [(0, 1)], r"ray 2, \[0, 0\]", id="ray-zero"),
+        pytest.param([(1,), (-1,)], [(0,), (2,)], r"\[3\] names a ray outside 1..2",
+                     id="ray-number-past-last"),
+        pytest.param([(1,), (-1,)], [(0,), (-1,)], r"\[0\] names a ray outside 1..2",
+                     id="ray-number-zero"),
+        pytest.param([(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)], "must list 2 rays",
+                     id="cone-too-small"),
+        pytest.param([(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 1)], "repeats a ray",
+                     id="cone-repeats-a-ray"),
+        pytest.param([(1,), (-1,)], [(0,), (1,), (0,)], "lists a cone twice",
+                     id="cone-twice"),
+        pytest.param([(1, 0), (0, 1), (-1, -1)], [(0, 1), (2, 1), (1, 2)], r"\[2, 3\] lists",
+                     id="cone-twice-in-another-order"),
+    ],
+)
+def test_make_refuses_each_shape_rule(rays, cones, message):
+    """Fan.make is the one check of a fan's shape; its messages number rays
+    from 1, as a spec does."""
+    with pytest.raises(InputError, match=message):
+        Fan.make(rays, cones)
 
 
 def test_total_space_fan_p1_o2():
