@@ -7,13 +7,15 @@ cone of convex PL functions.
 """
 
 from tglab import corpus
+from tglab.rationalcone import RationalCone
 from tglab.toricfan import (
     anticanonical_consistency_check,
     class_is_nef,
     conv_in_support_check,
+    extended_kernel,
     nef_cone_anticones,
     nef_cone_pl,
-    nef_cone_pullback_check,
+    nef_hform,
     pl_is_convex,
     total_space_fan,
     validate_fan,
@@ -48,18 +50,21 @@ for name, (f, dd) in [
     ("P2/O(1)", corpus.p2_o1()),
     ("P1xP1/O(1,1)", corpus.p1p1_o11()),
 ]:
+    # One total fan per bundle; every check reads it.
+    tf = total_space_fan(f, dd)
+    nef_total = RationalCone.from_hform(nef_hform(tf, extended_kernel(f, dd)))
     print(
-        f"{name}: nef pullback {nef_cone_pullback_check(f, dd)},",
-        f"anticanonical consistency {anticanonical_consistency_check(f, dd)},",
-        f"hull in support {conv_in_support_check(f, dd)},",
-        f"W-set convex {w_set_convexity(f, dd)}",
+        f"{name}: nef pullback {nef_total.equals(nef_cone_anticones(f))},",
+        f"anticanonical consistency {anticanonical_consistency_check(f, dd, tf)},",
+        f"hull in support {conv_in_support_check(f, dd, tf)},",
+        f"W-set convex {w_set_convexity(tf)}",
     )
 
 print()
 print("== negative controls ==")
 fan, d = corpus.f3_minus_k()
 print("F3 with the anticanonical bundle: bundle nef:", class_is_nef(fan, d.row(0)))
-print("  W-set convex:", w_set_convexity(fan, d))
+print("  W-set convex:", w_set_convexity(total_space_fan(fan, d)))
 fan, d = corpus.p1_ok(-1)
 print("P1 with the degree -1 bundle: bundle nef:", class_is_nef(fan, d.row(0)))
-print("  W-set convex:", w_set_convexity(fan, d))
+print("  W-set convex:", w_set_convexity(total_space_fan(fan, d, allow_negative=True)))

@@ -30,6 +30,7 @@ from tglab.qdmcheck import (
     homogeneity_check,
     quot_landing_check,
 )
+from tglab.rationalcone import RationalCone
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
@@ -44,7 +45,6 @@ from tglab.toricfan import (
     conv_in_support_check,
     nef_cone_anticones,
     nef_cone_pl,
-    nef_cone_pullback_check,
     total_space_fan,
     w_set_convexity,
 )
@@ -203,10 +203,11 @@ def cmd_construct(spec, args) -> dict:
         "section_D": model.C.mul(model.Aprime).transpose().to_lists(),
         "nef_cone_rays": [list(g) for g in nef.generators],
         "nef_cones_agree": nef.equals(pl),
-        "nef_pullback_identity": nef_cone_pullback_check(fan, d),
-        "anticanonical_consistency": anticanonical_consistency_check(fan, d),
-        "w_set_convex": w_set_convexity(fan, d),
-        "conv_in_support": conv_in_support_check(fan, d),
+        # The total fan's nef cone, in the extended relation lattice, is the base's.
+        "nef_pullback_identity": RationalCone.from_hform(model.nef).equals(nef),
+        "anticanonical_consistency": anticanonical_consistency_check(fan, d, model.total),
+        "w_set_convex": w_set_convexity(model.total),
+        "conv_in_support": conv_in_support_check(fan, d, model.total),
     }
     out["passed"] = bool(
         out["nef_cones_agree"]
@@ -321,6 +322,10 @@ def cmd_lg(spec, args) -> dict:
     cones = [tuple(c) for c in model.total.max_cones]
     # Everything that does not depend on lambda is computed once, here.
     newton = NewtonData(B, spec["cutoff"], cone_index_sets=cones)
+    if window > newton.cutoff:
+        raise InputError(
+            f"stabilization_window must be at most the cutoff, {newton.cutoff}, got {window}"
+        )
     vol = newton.volume
     samples = []
     good = 0

@@ -153,9 +153,10 @@ def _members_up_to(B: IntegerMatrix, bound: int, cone_index_sets):
 
     w(u) = min {l : u in l*Q} for the Newton polytope Q, so ceil(w(u)) is
     the least grading of u in the doubled cone, which the one scan of
-    bound * Q gives.  The subcone certificates make the test exact provided
-    the subcones tile the cone (certified elsewhere by the W-set volume
-    identity).
+    bound * Q gives.  Only points a subcone certifies are kept, and nothing
+    here checks that the subcones tile the cone; when they do not, the list
+    misses points.  On F3 with -K (`w_set_convexity` is False) it misses 286
+    points at cutoff 12 (ROADMAP item 2).
     """
     member = AffineSemigroup(B, cone_index_sets=cone_index_sets).certified
     pts = graded_slice_points(doubled_semigroup(B), bound)

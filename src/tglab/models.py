@@ -12,7 +12,7 @@ from __future__ import annotations
 from tglab.errors import BasisConditionFailed, BasisNotNef, InputError, KahlerConeEmpty
 from tglab.cohomring import CohomologyRing, build_ring, chern_data
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
-from tglab.rationalcone import RationalCone, cone_hform
+from tglab.rationalcone import HForm, RationalCone, cone_hform
 from tglab.toricfan import Fan, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
     TorusChange,
@@ -26,8 +26,8 @@ from tglab.weylops import (
 class MirrorModel:
     def __init__(self, fan: Fan, d: IntegerMatrix, total: Fan, A: IntegerMatrix,
                  Aprime: IntegerMatrix, Adoubleprime: IntegerMatrix, kernel_ext: IntegerMatrix,
-                 L: IntegerMatrix, M: IntegerMatrix, C: IntegerMatrix, basis_U: IntegerMatrix,
-                 ring: CohomologyRing, chern: dict):
+                 nef: HForm, L: IntegerMatrix, M: IntegerMatrix, C: IntegerMatrix,
+                 basis_U: IntegerMatrix, ring: CohomologyRing, chern: dict):
         self.fan = fan
         self.d = d
         self.total = total
@@ -35,6 +35,7 @@ class MirrorModel:
         self.Aprime = Aprime
         self.Adoubleprime = Adoubleprime
         self.kernel_ext = kernel_ext  # extended kernel basis of A'
+        self.nef = nef                # nef cone of the total fan, in kernel_ext coordinates
         self.L = L                    # kernel basis rebased to the nef basis p
         self.M = M                    # retraction with M L = I
         self.C = C                    # section of A'
@@ -134,6 +135,7 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
         Aprime=Aprime,
         Adoubleprime=Adp,
         kernel_ext=kernel_ext,
+        nef=nef,
         L=L_fin,
         M=M_fin,
         C=sec.C,

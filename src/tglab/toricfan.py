@@ -362,27 +362,18 @@ def class_is_nef(fan: Fan, divisor_coeffs) -> bool:
     return convex
 
 
-def nef_cone_pullback_check(fan: Fan, d: IntegerMatrix) -> bool:
-    """Nef cone of the total-space fan equals the nef cone of the base,
-    after identifying the relation lattices by the extension isomorphism."""
-    total = total_space_fan(fan, d)
-    nef_total = RationalCone.from_hform(nef_hform(total, extended_kernel(fan, d)))
-    nef_base = nef_cone_anticones(fan)
-    return nef_total.equals(nef_base)
-
-
-def anticanonical_consistency_check(fan: Fan, d: IntegerMatrix) -> bool:
-    """The total-space anticanonical class (PL value -1 on every ray) is nef
-    exactly when the base class -K - sum of bundle classes is nef."""
-    total = total_space_fan(fan, d)
+def anticanonical_consistency_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:
+    """The anticanonical class of ``total``, the total-space fan of (fan, d),
+    is nef exactly when the base class -K - sum of bundle classes is nef."""
     total_nef, _ = _pl_convex_raw(total, [-1] * total.n_rays)
     coeffs = [1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)]
     base_nef = class_is_nef(fan, coeffs)
     return total_nef == base_nef
 
 
-def conv_in_support_check(fan: Fan, d: IntegerMatrix) -> bool:
-    """Hull of 0 and all total-space rays sits inside the fan support.
+def conv_in_support_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:
+    """Hull of 0 and all rays of ``total``, the total-space fan of (fan, d),
+    sits inside its support; every bundle row must be nef.
 
     Decided on vertices and barycenters of every vertex simplex, each point
     tested for membership in some maximal cone.
@@ -390,7 +381,6 @@ def conv_in_support_check(fan: Fan, d: IntegerMatrix) -> bool:
     for j in range(d.rows):
         if not class_is_nef(fan, d.row(j)):
             raise BundleNotNef(f"bundle row {j} is not nef")
-    total = total_space_fan(fan, d, allow_negative=True)
     dim = total.dim
     zero = tuple(0 for _ in range(dim))
     pts = [zero] + list(total.rays)
@@ -411,14 +401,14 @@ def conv_in_support_check(fan: Fan, d: IntegerMatrix) -> bool:
     return True
 
 
-def w_set_convexity(fan: Fan, d: IntegerMatrix) -> bool:
-    """The union of per-cone hulls equals the full hull of 0 and all rays.
+def w_set_convexity(total: Fan) -> bool:
+    """For a total-space fan, the union of per-cone hulls equals the full
+    hull of 0 and all rays.
 
     The pieces project into distinct maximal cones of the base fan, so
     their interiors are disjoint and the union equals the hull iff the
     normalized volumes agree.
     """
-    total = total_space_fan(fan, d, allow_negative=True)
     zero = tuple(0 for _ in range(total.dim))
     hull_vol = normalized_volume([zero] + list(total.rays))
     pieces = 0

@@ -27,6 +27,7 @@ from tglab.lgfamily import NewtonData, classify_parameter
 from tglab.models import build_model
 from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
+from tglab.rationalcone import RationalCone
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
@@ -38,9 +39,10 @@ from tglab.semigroups import (
 from tglab.toricfan import (
     anticanonical_consistency_check,
     class_is_nef,
+    extended_kernel,
     nef_cone_anticones,
     nef_cone_pl,
-    nef_cone_pullback_check,
+    nef_hform,
     total_space_fan,
     w_set_convexity,
 )
@@ -108,8 +110,10 @@ def test_c02_nef_cone_two_ways():
 def test_c03_pullback_and_anticanonical():
     ok = True
     for name, (fan, d) in BUNDLE_CORPUS.items():
-        ok = ok and nef_cone_pullback_check(fan, d)
-        ok = ok and anticanonical_consistency_check(fan, d)
+        total = total_space_fan(fan, d)
+        nef_total = RationalCone.from_hform(nef_hform(total, extended_kernel(fan, d)))
+        ok = ok and nef_total.equals(nef_cone_anticones(fan))
+        ok = ok and anticanonical_consistency_check(fan, d, total)
     report(3, ok, "nef pullback identity and anticanonical consistency")
 
 
@@ -173,11 +177,10 @@ def test_c05b_f3_alternate_representative_witness():
 
 
 def test_c05c_negative_controls_w_set_and_nef():
-    fan, d = corpus.f3_minus_k()
-    ok = not w_set_convexity(fan, d)
+    ok = not w_set_convexity(total_space_fan(*corpus.f3_minus_k()))
     for k in (-1, -3):
         fan_k, d_k = corpus.p1_ok(k)
-        ok = ok and not w_set_convexity(fan_k, d_k)
+        ok = ok and not w_set_convexity(total_space_fan(fan_k, d_k, allow_negative=True))
         ok = ok and not class_is_nef(fan_k, d_k.row(0))
     report("5c", ok, "W-set fails for F3/-K and P1/O(k<0); O(k<0) is not nef")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tglab import cli, lgfamily, semigroups
+from tglab import cli, lgfamily, semigroups, toricfan
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -137,11 +137,15 @@ def test_parse_error_exit_code(tmp_path, text, message, argv):
 @pytest.mark.parametrize("above", [0, 1], ids=["at-ceiling", "above-ceiling"])
 def test_setting_ceiling(tmp_path, capsys, command, key, flag, above):
     """A setting at its maximum runs (on P1/O(2)); one above exits 2 with
-    one tglab: line, whether it comes from a flag or from the options."""
+    one tglab: line, whether it comes from a flag or from the options.  The
+    window runs with the cutoff at its maximum too, since a window above
+    the cutoff is refused."""
     value = cli.MAXIMUM[key] + above
     spec = tmp_path / "p1.json"
     spec.write_text(p1_options(**({} if flag else {key: value})), encoding="utf-8")
     argv = [command, "--spec", str(spec), "--json"] + ([flag, str(value)] if flag else [])
+    if key == "stabilization_window":
+        argv += ["--cutoff", str(cli.MAXIMUM["cutoff"])]
     rc = cli.main(argv)
     err = capsys.readouterr().err
     if above:
@@ -209,6 +213,36 @@ def test_lg_window_12_in_time(tmp_path):
     assert rc == 1
     assert json.loads(out.getvalue())["error"]["type"] == "StabilizationFailed"
     assert elapsed < 6.0
+
+
+def test_lg_window_above_cutoff_exits_2(tmp_path):
+    """A window longer than the sweep can never stabilize: on P2 the
+    default cutoff is 4, so window 12 is an input error, not a verdict."""
+    spec = json.loads((SPECS / "p2.json").read_text(encoding="utf-8"))
+    spec["options"]["stabilization_window"] = 12
+    path = tmp_path / "p2_window12.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    proc = run_cli("lg", "--spec", str(path), "--json")
+    assert proc.returncode == 2
+    assert proc.stderr == "tglab: stabilization_window must be at most the cutoff, 4, got 12\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["p1p1_o11", "f3_minus_k"])
+def test_construct_builds_the_total_fan_once(monkeypatch, name):
+    """construct makes two fans, the spec's and its total-space fan, and
+    every check reads that one total fan."""
+    made = []
+    make = toricfan.Fan.make
+
+    def counting_make(*args):
+        made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(toricfan.Fan, "make", staticmethod(counting_make))
+    with redirect_stdout(io.StringIO()):
+        cli.main(["construct", "--spec", str(SPECS / f"{name}.json"), "--json"])
+    assert len(made) == 2
 
 
 def test_lg_scans_members_once_per_call(monkeypatch):

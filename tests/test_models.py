@@ -56,7 +56,7 @@ def test_anticanonical_consistency_holds_when_both_sides_fail():
     assert class_is_nef(fan, d.row(0))
     coeffs = [1 - d.entries[0][i] for i in range(fan.n_rays)]
     assert not class_is_nef(fan, coeffs)
-    assert anticanonical_consistency_check(fan, d)
+    assert anticanonical_consistency_check(fan, d, total_space_fan(fan, d))
 
 
 def test_beta_regime_flag():

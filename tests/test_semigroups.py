@@ -198,8 +198,8 @@ def test_w_convexity_implies_saturation_on_corpus():
     from tglab.toricfan import w_set_convexity
 
     for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
-        assert w_set_convexity(fan, d)
         total = total_space_fan(fan, d)
+        assert w_set_convexity(total)
         S = doubled_semigroup(total.ray_matrix())
         ok, _ = saturation_check(S, 4)
         assert ok
