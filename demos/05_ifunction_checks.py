@@ -12,9 +12,9 @@ model = build_model(corpus.projective_plane(), IntegerMatrix(0, 3, ()))
 table = model.i_table(9)
 print("A_1 (inverse cube of p + z):", table[(1,)])
 box = model.qdm_generators()["boxes"][0]
-rep = annihilation_check(box, model.ring, model.L, table, 8)
+rep = annihilation_check(box, table, 8)
 print("all residues vanish through degree 8:", rep["all_zero"])
-hom = homogeneity_check(model.ring, model.L, table, 8)
+hom = homogeneity_check(table, 8)
 print("weights -3d:", [r["expected"] for r in hom["rows"][:5]])
 
 print()
@@ -24,8 +24,8 @@ model = build_model(fan, d)
 table = model.i_table(9)
 print("A_1:", table[(1,)])
 g = model.qdm_generators()
-rep = annihilation_check(g["boxes"][0], model.ring, model.L, table, 8)
-hom = homogeneity_check(model.ring, model.L, table, 8)
+rep = annihilation_check(g["boxes"][0], table, 8)
+hom = homogeneity_check(table, 8)
 print("residues vanish:", rep["all_zero"], "| weights all zero:",
       all(r["expected"] == 0 for r in hom["rows"]))
 
@@ -41,8 +41,7 @@ cert = bounded_ideal_membership(
     T.scale(2) * P, [g["boxes"][0], g["euler"]], 2, z_range=(0, 2), lam_range=[(0, 2)]
 )
 print("top-class multiple sits in the ideal:", cert["status"])
-ctop, euler = model.chern["c_top"], model.chern["euler_class"]
-land = quot_landing_check(P, model.ring, model.L, ctop, euler, table, 6)
+land = quot_landing_check(P, table, 6)
 print("all residues land in the multiplication kernel:", land["all_land"])
-land_one = quot_landing_check(WeylOp.one(ctx), model.ring, model.L, ctop, euler, table, 6)
+land_one = quot_landing_check(WeylOp.one(ctx), table, 6)
 print("the identity operator correctly fails:", not land_one["all_land"])

@@ -24,12 +24,7 @@ from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import NewtonData, build_family, classify_parameter, restrict_to_km
 from tglab.models import build_model
 from tglab.polytopes import normalized_volume
-from tglab.qdmcheck import (
-    annihilation_check,
-    basis_multipliers,
-    homogeneity_check,
-    quot_landing_check,
-)
+from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
 from tglab.rationalcone import RationalCone
 from tglab.semigroups import (
     AffineSemigroup,
@@ -169,12 +164,16 @@ def cmd_validate(spec, args) -> dict:
             "simplicial": diag.simplicial,
         }
     }
-    nef_rows = [class_is_nef(fan, row) for row in d.entries]
+    # The nef tests need a complete fan; an incomplete one reports null.
+    nef_rows = adjoint_nef = None
+    if diag.complete:
+        nef_rows = [class_is_nef(fan, row) for row in d.entries]
+        coeffs = [
+            1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)
+        ]
+        adjoint_nef = class_is_nef(fan, coeffs)
     out["bundle_nef"] = nef_rows
-    coeffs = [
-        1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)
-    ]
-    out["adjoint_class_nef"] = class_is_nef(fan, coeffs)
+    out["adjoint_class_nef"] = adjoint_nef
     ok = diag.is_fan and diag.smooth and diag.complete and all(nef_rows)
     if ok:
         total = total_space_fan(fan, d)
@@ -361,17 +360,11 @@ def cmd_ifun(spec, args) -> dict:
     dmax = spec["dmax"]
     table = model.i_table(dmax + 1)
     g = model.qdm_generators()
-    p_mul = basis_multipliers(model.ring, model.L)
-    ctop = model.chern["c_top"]
-    euler = model.chern["euler_class"]
-    euler_mul = model.ring.multiplier(euler)
     rows = []
     all_zero = True
     for a, box in enumerate(g["boxes"]):
-        rep = annihilation_check(box, model.ring, model.L, table, dmax, p_mul)
-        landing = quot_landing_check(
-            box, model.ring, model.L, ctop, euler, table, dmax, p_mul, euler_mul
-        )
+        rep = annihilation_check(box, table, dmax)
+        landing = quot_landing_check(box, table, dmax)
         for brow, lrow in zip(rep["rows"], landing["rows"]):
             rows.append(
                 {
@@ -382,7 +375,7 @@ def cmd_ifun(spec, args) -> dict:
                 }
             )
         all_zero = all_zero and rep["all_zero"]
-    hom = homogeneity_check(model.ring, model.L, table, dmax)
+    hom = homogeneity_check(table, dmax)
     out = {
         "dmax": dmax,
         "rows": rows,

@@ -10,8 +10,9 @@ quantum-D-module generators.
 from __future__ import annotations
 
 from tglab.errors import BasisConditionFailed, BasisNotNef, InputError, KahlerConeEmpty
-from tglab.cohomring import CohomologyRing, build_ring, chern_data
+from tglab.cohomring import CohomologyRing, build_ring
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
+from tglab.qdmcheck import ITable, i_function
 from tglab.rationalcone import HForm, RationalCone, cone_hform
 from tglab.toricfan import Fan, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
@@ -27,7 +28,7 @@ class MirrorModel:
     def __init__(self, fan: Fan, d: IntegerMatrix, total: Fan, A: IntegerMatrix,
                  Aprime: IntegerMatrix, Adoubleprime: IntegerMatrix, kernel_ext: IntegerMatrix,
                  nef: HForm, L: IntegerMatrix, M: IntegerMatrix, C: IntegerMatrix,
-                 basis_U: IntegerMatrix, ring: CohomologyRing, chern: dict):
+                 basis_U: IntegerMatrix, ring: CohomologyRing):
         self.fan = fan
         self.d = d
         self.total = total
@@ -41,7 +42,6 @@ class MirrorModel:
         self.C = C                    # section of A'
         self.basis_U = basis_U        # rows: p_a in the extended-basis coordinates
         self.ring = ring
-        self.chern = chern
 
     @property
     def m(self) -> int:
@@ -72,9 +72,7 @@ class MirrorModel:
             beta0_beta = [0] * (1 + self.Aprime.rows)
         return star_n_generators(self.Aprime, beta0_beta, self.m, kernel_basis=self.L)
 
-    def i_table(self, d_max: int):
-        from tglab.qdmcheck import i_function
-
+    def i_table(self, d_max: int) -> ITable:
         return i_function(self.ring, self.L, self.m, d_max)
 
 
@@ -126,7 +124,6 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
     L_fin = kernel_ext.mul(Uinv)
     M_fin = U.mul(M_ext)
     ring = build_ring(fan)
-    chern = chern_data(ring, d)
     return MirrorModel(
         fan=fan,
         d=d,
@@ -141,5 +138,4 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
         C=sec.C,
         basis_U=U,
         ring=ring,
-        chern=chern,
     )

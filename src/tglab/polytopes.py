@@ -39,7 +39,6 @@ class FaceDescriptor(NamedTuple):
 
     indices: frozenset
     dim: int
-    supporting: AffineConstraint | None  # None for the whole polytope
 
 
 class LatticePolytope:
@@ -109,8 +108,7 @@ def faces(poly: LatticePolytope):
     (dim, indices).
 
     The proper faces are the facet incidences closed under intersection
-    with a facet; each is supported by the sum of the facets through it.
-    The whole polytope is included with supporting functional None.
+    with a facet.  The whole polytope is included.
     """
     incidences = _incidences(poly.points, poly.facets)
     # A lone point's lifted cone is a ray, whose apex facet holds no point.
@@ -123,15 +121,9 @@ def faces(poly: LatticePolytope):
             if smaller and smaller not in found:
                 found.add(smaller)
                 todo.append(smaller)
-    out = [FaceDescriptor(frozenset(range(len(poly.points))), poly.dim, None)]
+    out = [FaceDescriptor(frozenset(range(len(poly.points))), poly.dim)]
     for idx in found:
-        through = [f for f, on in zip(poly.facets, incidences) if idx <= on]
-        support = AffineConstraint(
-            sum(f.offset for f in through),
-            tuple(sum(col) for col in zip(*(f.normal for f in through))),
-        )
-        dim = len(_direction_basis([poly.points[i] for i in idx]))
-        out.append(FaceDescriptor(idx, dim, support))
+        out.append(FaceDescriptor(idx, len(_direction_basis([poly.points[i] for i in idx]))))
     out.sort(key=lambda f: (f.dim, sorted(f.indices)))
     return out
 

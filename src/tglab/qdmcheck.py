@@ -33,17 +33,19 @@ structure constants), so each linear factor (c1(L_j) + m z),
 (D_theta + m z), (p_a / z + e_a - nu), (p_a + e_a) or (w - E) is one
 sparse integer mat-vec, and (D_theta + m z)^{-1} is one integer numerator
 over m^(K+1), D_theta^(K+1) = 0.  The table walk takes the gcd out after
-each step.  Each check scales the table once by the lcm of its
-denominators and the operator by the lcm of its coefficient denominators,
+each step and puts the whole table over one denominator at its end: an
+``ITable``, which also holds the multipliers every check needs.  Each
+check scales the operator by the lcm of its coefficient denominators,
 then works in ``int`` only.  A positive scale maps zero to zero and keeps
 the support, so the zero tests and residue counts are those of the exact
 rational residues: no float, modular or probabilistic test is involved.
-``Fraction`` appears only where a table or an image is materialised.
+``Fraction`` appears only where a coefficient is read back, ``table[d]``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 from tglab.errors import (
@@ -66,16 +68,6 @@ class ZClass:
     def __init__(self, coeffs, den=1):
         self.coeffs = coeffs
         self.den = den
-
-    @classmethod
-    def from_fractions(cls, ring, zc, den):
-        """The dict (monomial, z exponent) -> Fraction zc over den, a
-        multiple of every denominator in zc."""
-        index = ring.basis_index
-        coeffs = {
-            (index[mono], ze): v.numerator * (den // v.denominator) for (mono, ze), v in zc.items()
-        }
-        return cls(coeffs, den)
 
     def materialise(self, ring):
         """The dict (monomial, z exponent) -> Fraction, zeros dropped."""
@@ -148,11 +140,14 @@ def _linear(mult: Multiplier, shift: int, scalar: int, scalar_shift: int) -> _Fa
     return _Factor(tuple(parts), mult.den)
 
 
+def _identity(size: int) -> Multiplier:
+    return Multiplier(tuple(((i, 1),) for i in range(size)))
+
+
 def _powers(mult: Multiplier):
     """Multipliers of c^0, c^1, ..., up to the last nonzero power of the
     nilpotent class c of mult."""
-    size = len(mult.rows)
-    powers = [Multiplier(tuple(((i, 1),) for i in range(size)))]
+    powers = [_identity(len(mult.rows))]
     while True:
         nxt = powers[-1].then(mult)
         if nxt.is_zero:
@@ -210,12 +205,40 @@ def _classes_from_coords(ring: CohomologyRing, kernel_matrix: IntegerMatrix, coo
     return out
 
 
-def basis_classes(ring: CohomologyRing, kernel_matrix: IntegerMatrix):
-    """The classes p_a dual to the kernel basis columns, a = 0..r-1."""
-    r = kernel_matrix.cols
-    return _classes_from_coords(
-        ring, kernel_matrix, [tuple(int(b == a) for b in range(r)) for a in range(r)]
-    )
+class ITable:
+    """The table of ``i_function``: A_d for every effective degree with
+    |d| <= d_max, keyed in lex order, as ``ZClass``es over one common
+    denominator.  ``table[d]`` is A_d as a dict (basis monomial, z
+    exponent) -> Fraction, zeros dropped.
+
+    It also holds what the checks multiply by, derived from the kernel
+    rows in one elimination: the multipliers ``p_mul`` of the classes p_a
+    dual to the kernel basis columns, and the coordinates and multiplier
+    of the Euler class sum D_theta - sum c1(L_j), whose coordinates are
+    the column sums of the kernel basis.  ``ctop_mul`` is the multiplier
+    of c_top, the product of the bundle classes c1(L_j)."""
+
+    __slots__ = ("ring", "d_max", "classes", "p_mul", "euler_coords", "euler_mul", "ctop_mul")
+
+    def __init__(self, ring: CohomologyRing, kernel_matrix: IntegerMatrix, classes: dict,
+                 ctop_mul: Multiplier):
+        den = lcm(*(zc.den for zc in classes.values()))
+        self.ring = ring
+        self.d_max = max(map(sum, classes))
+        self.classes = {
+            d: ZClass({k: v * (den // zc.den) for k, v in zc.coeffs.items()}, den)
+            for d, zc in classes.items()
+        }
+        r = kernel_matrix.cols
+        self.euler_coords = [sum(row[a] for row in kernel_matrix.entries) for a in range(r)]
+        units = [tuple(int(b == a) for b in range(r)) for a in range(r)]
+        euler, *p_cls = _classes_from_coords(ring, kernel_matrix, [self.euler_coords] + units)
+        self.euler_mul = ring.multiplier(euler)
+        self.p_mul = [ring.multiplier(cls) for cls in p_cls]
+        self.ctop_mul = ctop_mul
+
+    def __getitem__(self, d):
+        return self.classes[d].materialise(self.ring)
 
 
 def i_function(
@@ -223,10 +246,8 @@ def i_function(
     kernel_matrix: IntegerMatrix,
     m: int,
     d_max: int,
-):
-    """Table of coefficients A_d for all effective degrees with |d| <= d_max,
-    keyed in lex order; each A_d a dict (basis monomial, z exponent) ->
-    Fraction.
+) -> ITable:
+    """Table of coefficients A_d for all effective degrees with |d| <= d_max.
 
     kernel_matrix rows 0..m-1 give the basis coordinates of the ray
     classes; rows m.. give minus the bundle first Chern classes.  The
@@ -302,13 +323,8 @@ def i_function(
                     break
         table[d] = _step(table[base], exps[base], new)
         exps[d] = new
-    return {d: table[d].materialise(ring) for d in degrees}
-
-
-def _scaled_table(ring, table):
-    """The table over one common denominator, the lcm of all of its own."""
-    den = lcm(*(v.denominator for zc in table.values() for v in zc.values()))
-    return {e: ZClass.from_fractions(ring, zc, den) for e, zc in table.items()}
+    ctop_mul = reduce(Multiplier.then, linear[:c], _identity(len(ring.basis)))
+    return ITable(ring, kernel_matrix, {d: table[d] for d in degrees}, ctop_mul)
 
 
 def _scaled_terms(op: WeylOp):
@@ -322,11 +338,6 @@ def _scaled_terms(op: WeylOp):
 def _unscaled(images, den):
     """The images of an operator scaled by den, divided by den again."""
     return {d: ZClass(zc.coeffs, zc.den * den) for d, zc in images.items()}
-
-
-def basis_multipliers(ring: CohomologyRing, kernel_matrix: IntegerMatrix):
-    """Multipliers of the classes p_a of ``basis_classes``."""
-    return [ring.multiplier(cls) for cls in basis_classes(ring, kernel_matrix)]
 
 
 def _falling(p_mul, shift):
@@ -347,16 +358,15 @@ def _falling(p_mul, shift):
     return falling
 
 
-def _graded_images(ring, kernel_matrix, op: WeylOp, table, d_max, p_mul):
-    """``_apply_operator_graded`` as ZClasses: the table is scaled once,
-    the work is in integers."""
-    if p_mul is None:
-        p_mul = basis_multipliers(ring, kernel_matrix)
-    table = _scaled_table(ring, table)
+def _graded_images(op: WeylOp, table: ITable, d_max):
+    """Degreewise image of the operator on the z-graded I-series: a dict
+    target degree -> ZClass.  Operators must be free of z^2 d/dz.  Sources
+    outside N^r contribute zero; sources inside N^r but beyond the table
+    raise MissingDegree."""
     r = op.ctx.nvars
     degrees = _effective_degrees(r, d_max)
     # partials act first: falling factors (p_a / z + e_a - nu)
-    falling = _falling(p_mul, -1)
+    falling = _falling(table.p_mul, -1)
     terms, op_den = _scaled_terms(op)
     out = {}
     for (zp, mu, th, pa), coeff in terms:
@@ -366,32 +376,18 @@ def _graded_images(ring, kernel_matrix, op: WeylOp, table, d_max, p_mul):
             e = tuple(d[a] + pa[a] - mu[a] for a in range(r))
             if any(x < 0 for x in e):
                 continue
-            if e not in table:
+            if sum(e) > table.d_max:
                 raise MissingDegree(
                     f"table does not cover source degree {e} needed for target {d}"
                 )
-            out[d] = out.get(d, _ZERO).plus(falling(table[e], pa, e), coeff, zp)
+            out[d] = out.get(d, _ZERO).plus(falling(table.classes[e], pa, e), coeff, zp)
     return _unscaled(out, op_den)
 
 
-def _apply_operator_graded(ring, kernel_matrix, op: WeylOp, table, d_max, p_mul=None):
-    """Degreewise image of the operator on the z-graded I-series.
-
-    Returns a dict target degree -> z-class, a dict (basis monomial, z
-    exponent) -> Fraction.  Operators must be free of z^2 d/dz.  Sources
-    outside N^r contribute zero; sources inside N^r but beyond the table
-    raise MissingDegree.  ``p_mul`` are the multipliers of the basis
-    classes (``basis_multipliers``), computed here when not given.
-    """
-    images = _graded_images(ring, kernel_matrix, op, table, d_max, p_mul)
-    return {d: zc.materialise(ring) for d, zc in images.items()}
-
-
-def annihilation_check(op: WeylOp, ring, kernel_matrix, table, d_max, p_mul=None):
+def annihilation_check(op: WeylOp, table: ITable, d_max):
     """B_d residues of the operator against the table, all degrees up to
-    d_max; returns per-degree zero flags.  ``p_mul`` as in
-    ``_apply_operator_graded``."""
-    images = _graded_images(ring, kernel_matrix, op, table, d_max, p_mul)
+    d_max; returns per-degree zero flags."""
+    images = _graded_images(op, table, d_max)
     report = []
     for d in _effective_degrees(op.ctx.nvars, d_max):
         terms = images[d].support() if d in images else 0
@@ -399,29 +395,22 @@ def annihilation_check(op: WeylOp, ring, kernel_matrix, table, d_max, p_mul=None
     return {"all_zero": all(row["is_zero"] for row in report), "rows": report}
 
 
-def _conjugated_images(
-    ring, kernel_matrix, euler_cls, op: WeylOp, table, d_max, p_mul, euler_mul
-):
-    """``_apply_operator_conjugated`` as ZClasses at z exponent 0: the
-    table is scaled once, the work is in integers."""
-    if p_mul is None:
-        p_mul = basis_multipliers(ring, kernel_matrix)
-    if euler_mul is None:
-        euler_mul = ring.multiplier(euler_cls)
-    table = _scaled_table(ring, table)
+def _conjugated_images(op: WeylOp, table: ITable, d_max):
+    """Degreewise image in the constant-z gauge, which handles z^2 d/dz: a
+    dict target degree -> ZClass at z exponent 0.
+
+    State terms are (degree e, scalar z-offset w, class); the section term
+    is q^(T+e) z^(w - E) class with w starting at -<e, E>."""
     r = op.ctx.nvars
-    euler_coords = [
-        sum(kernel_matrix.entries[i][a] for i in range(kernel_matrix.rows))
-        for a in range(r)
-    ]
+    euler_coords, euler_mul = table.euler_coords, table.euler_mul
     minus_euler = Multiplier(
         tuple(tuple((k, -n) for k, n in row) for row in euler_mul.rows), euler_mul.den
     )
     terms, op_den = _scaled_terms(op)
     sources = _effective_degrees(r, d_max + max((sum(key[3]) for key, _ in terms), default=0))
     # partials first (rightmost block): factors (p_a + e_a - nu) on A_e at z = 1
-    falling = _falling(p_mul, 0)
-    initials = {e: zc.at_one() for e, zc in table.items()}
+    falling = _falling(table.p_mul, 0)
+    initials = {e: zc.at_one() for e, zc in table.classes.items()}
     out = {}
     for (zp, mu, th, pa), coeff in terms:
         bound = d_max + sum(pa)
@@ -431,7 +420,7 @@ def _conjugated_images(
             target = tuple(e0[a] - pa[a] + mu[a] for a in range(r))
             if any(x < 0 for x in target) or sum(target) > d_max:
                 continue
-            if e0 not in table:
+            if sum(e0) > table.d_max:
                 raise MissingDegree(f"table does not cover source degree {e0}")
             cls = falling(initials[e0], pa, e0)
             # then theta factors: z^2 d_z -> (w - E) and w += 1 each time
@@ -443,31 +432,10 @@ def _conjugated_images(
     return _unscaled(out, op_den)
 
 
-def _apply_operator_conjugated(
-    ring, kernel_matrix, euler_cls, op, table, d_max, p_mul=None, euler_mul=None
-):
-    """Degreewise image in the constant-z gauge; handles z^2 d/dz.
-
-    State terms are (degree e, scalar z-offset w, class); the section term
-    is q^(T+e) z^(w - E) class with w starting at -<e, E>.  Returns a dict
-    target degree -> class.  ``p_mul`` as in ``_apply_operator_graded``;
-    ``euler_mul`` is the multiplier of ``euler_cls``, computed here when
-    not given.
-    """
-    images = _conjugated_images(ring, kernel_matrix, euler_cls, op, table, d_max, p_mul, euler_mul)
-    return {
-        d: {mono: v for (mono, _), v in zc.materialise(ring).items()}
-        for d, zc in images.items()
-    }
-
-
-def quot_landing_check(
-    op: WeylOp, ring, kernel_matrix, c_top, euler_cls, table, d_max, p_mul=None, euler_mul=None
-):
-    """True iff c_top times every residue B_d vanishes for d <= d_max.
-    ``p_mul`` and ``euler_mul`` as in ``_apply_operator_conjugated``."""
-    images = _conjugated_images(ring, kernel_matrix, euler_cls, op, table, d_max, p_mul, euler_mul)
-    by_ctop = _linear(ring.multiplier(c_top), 0, 0, 0)
+def quot_landing_check(op: WeylOp, table: ITable, d_max):
+    """True iff c_top times every residue B_d vanishes for d <= d_max."""
+    images = _conjugated_images(op, table, d_max)
+    by_ctop = _linear(table.ctop_mul, 0, 0, 0)
     rows = []
     for d in _effective_degrees(op.ctx.nvars, d_max):
         landed = d not in images or not images[d].times(by_ctop).support()
@@ -475,19 +443,15 @@ def quot_landing_check(
     return {"all_land": all(r["lands"] for r in rows), "rows": rows}
 
 
-def homogeneity_check(ring, kernel_matrix, table, d_max):
+def homogeneity_check(table: ITable, d_max):
     """Each A_d is homogeneous of degree -<d, euler class> with deg z = 1."""
-    r = kernel_matrix.cols
-    euler_coords = [
-        sum(kernel_matrix.entries[i][a] for i in range(kernel_matrix.rows))
-        for a in range(r)
-    ]
+    coords, basis = table.euler_coords, table.ring.basis
     rows = []
-    for d in _effective_degrees(r, d_max):
-        expected = -sum(euler_coords[a] * d[a] for a in range(r))
+    for d in _effective_degrees(len(coords), d_max):
+        expected = -sum(x * y for x, y in zip(coords, d))
         ok = all(
-            sum(mono) + ze == expected
-            for (mono, ze), v in table[d].items()
+            sum(basis[i]) + ze == expected
+            for (i, ze), v in table.classes[d].coeffs.items()
             if v
         )
         rows.append({"degree": d, "expected": expected, "homogeneous": ok})

@@ -7,10 +7,13 @@ slice_k = slice_{k-1} + generators.  One scan of the top dilate of
 conv(0, a'_i) gives every cone point up to a grading bound with its least
 grading, an integer read off the cone's facets; the semigroup certificates
 and the lg members take their points from it.  The ungraded N A' is
-handled through unimodular subcone certificates plus a graded lift, which
-is exact whenever the subcones cover the cone (that is checked separately
-through the W-set volume identity).  Every semigroup lies in its cone, so
-a point outside the cone is never a member.
+handled through unimodular subcone certificates plus a graded lift: a
+point is a member when it has nonnegative integer coordinates in a
+unimodular subcone, or when the lift holds it up to a grading bound.  Both
+yes answers are exact; a no for a cone point only says that the lift
+holds no such point up to the bound.  Nothing here checks that the
+subcones cover the cone.  Every semigroup lies in its cone, so a point
+outside the cone is never a member.
 """
 
 from __future__ import annotations
@@ -220,8 +223,13 @@ def interior_shift_check_ungraded(
     points of the degree_bound-dilated hull of 0 and the generators, which
     ``scan``, `scan_cone_points` of ``lift`` at the same bound, holds.
 
-    Exact when the unimodular subcones of S cover its cone, which is what
-    the W-set volume identity certifies.
+    A point shift + v counts as a member of shift + S when v has a
+    unimodular subcone certificate or the lift holds it at a grading up to
+    degree_bound * (S.dim + 2).  A yes is exact; a no for a point of the
+    cone is exact only up to that lift bound, and so is the verdict.  No
+    cover of the cone by the subcones is checked here; where they do cover
+    it, every cone point is certified and the verdict is exact on the
+    scanned points.
     """
     shift = tuple(int(x) for x in shift)
     for _, pt in scan.points:

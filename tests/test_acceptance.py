@@ -304,9 +304,9 @@ def test_c11_annihilation_and_homogeneity():
         model = build_model(fan, d)
         table = model.i_table(9)
         for box in model.qdm_generators()["boxes"]:
-            rep = annihilation_check(box, model.ring, model.L, table, 8)
+            rep = annihilation_check(box, table, 8)
             assert rep["all_zero"], name
-        hom = homogeneity_check(model.ring, model.L, table, 8)
+        hom = homogeneity_check(table, 8)
         assert hom["all_homogeneous"], name
         for row in hom["rows"]:
             assert row["expected"] == slope * row["degree"][0], (name, row)
@@ -329,11 +329,9 @@ def test_c12_kernel_landing():
     )
     assert cert["status"] == "certificate"
     table = model.i_table(7)
-    ctop = model.chern["c_top"]
-    euler = model.chern["euler_class"]
-    land = quot_landing_check(P, model.ring, model.L, ctop, euler, table, 6)
+    land = quot_landing_check(P, table, 6)
     one = WeylOp.one(ctx)
-    land_one = quot_landing_check(one, model.ring, model.L, ctop, euler, table, 6)
+    land_one = quot_landing_check(one, table, 6)
     report(
         12,
         land["all_land"] and not land_one["all_land"],

@@ -73,4 +73,4 @@ def test_annihilation_missing_degree():
     ctx = model.qdm_generators()["ctx"]
     op = WeylOp.partial(ctx, 0, 2)  # needs sources two degrees above targets
     with pytest.raises(MissingDegree):
-        annihilation_check(op, model.ring, model.L, table, 2)
+        annihilation_check(op, table, 2)

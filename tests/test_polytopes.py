@@ -28,8 +28,6 @@ def test_segment_faces():
     fs = faces(poly)
     vertex_sets = sorted(tuple(sorted(f.indices)) for f in fs if f.dim == 0)
     assert vertex_sets == [(1,), (2,)]
-    whole = [f for f in fs if f.supporting is None]
-    assert len(whole) == 1 and whole[0].dim == 1
 
 
 def test_p2_polytope_faces():
@@ -40,7 +38,7 @@ def test_p2_polytope_faces():
     assert sum(1 for f in fs if f.dim == 1) == 3
     assert sum(1 for f in fs if f.dim == 2) == 1
     # the origin is interior, on no proper face
-    assert all(0 not in f.indices for f in fs if f.supporting is not None)
+    assert all(0 not in f.indices for f in fs if f.dim < poly.dim)
 
 
 def test_p1_o2_edge_point():
@@ -136,8 +134,8 @@ def reference_vertex_indices(poly):
 
 
 def reference_faces(poly):
-    """(dim, sorted indices, is the whole polytope) of every nonempty
-    intersection of a nonempty set of facets, plus the whole polytope."""
+    """(dim, sorted indices) of every nonempty intersection of a nonempty
+    set of facets, plus the whole polytope."""
     seen = set()
     for r in range(1, len(poly.facets) + 1):
         for subset in combinations(range(len(poly.facets)), r):
@@ -149,10 +147,9 @@ def reference_faces(poly):
             if idx:
                 seen.add(idx)
     out = [
-        (len(_direction_basis([poly.points[i] for i in idx])), sorted(idx), False)
-        for idx in seen
+        (len(_direction_basis([poly.points[i] for i in idx])), sorted(idx)) for idx in seen
     ]
-    out.append((poly.dim, list(range(len(poly.points))), True))
+    out.append((poly.dim, list(range(len(poly.points)))))
     return sorted(out)
 
 
@@ -221,13 +218,7 @@ def test_vertices_and_faces_against_subset_enumeration(pts):
     poly = LatticePolytope.from_points(pts)
     assert poly.vertex_indices == reference_vertex_indices(poly)
     fs = faces(poly)
-    assert [(f.dim, sorted(f.indices), f.supporting is None) for f in fs] == (
-        sorted(reference_faces(poly), key=lambda t: (t[0], t[1]))
-    )
-    for f in fs:
-        if f.supporting is not None:
-            values = [f.supporting.value(p) for p in poly.points]
-            assert all(v == 0 if i in f.indices else v > 0 for i, v in enumerate(values))
+    assert [(f.dim, sorted(f.indices)) for f in fs] == sorted(reference_faces(poly))
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,15 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.cohomring import build_ring
+from tglab.cohomring import build_ring, chern_data
 from tglab.errors import UnsupportedOperator
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.models import build_model
 from tglab.qdmcheck import (
-    _apply_operator_conjugated,
-    _apply_operator_graded,
+    ITable,
+    ZClass,
+    _conjugated_images,
+    _graded_images,
     annihilation_check,
-    basis_classes,
     homogeneity_check,
     i_function,
     quot_landing_check,
@@ -33,6 +34,11 @@ def p2_model():
 def p1o2_model():
     fan, d = corpus.p1_o2()
     return build_model(fan, d)
+
+
+def _materialised(ring, images):
+    """Images as dicts (basis monomial, z exponent) -> Fraction."""
+    return {d: zc.materialise(ring) for d, zc in images.items()}
 
 
 def test_table_a0_is_one():
@@ -66,7 +72,7 @@ def test_annihilation_p2():
     model = p2_model()
     table = model.i_table(9)
     box = model.qdm_generators()["boxes"][0]
-    rep = annihilation_check(box, model.ring, model.L, table, 8)
+    rep = annihilation_check(box, table, 8)
     assert rep["all_zero"]
 
 
@@ -74,7 +80,7 @@ def test_annihilation_p1_o2():
     model = p1o2_model()
     table = model.i_table(9)
     box = model.qdm_generators()["boxes"][0]
-    rep = annihilation_check(box, model.ring, model.L, table, 8)
+    rep = annihilation_check(box, table, 8)
     assert rep["all_zero"]
 
 
@@ -83,7 +89,7 @@ def test_annihilation_p1p1_o11():
     model = build_model(fan, d)
     table = model.i_table(9)
     for box in model.qdm_generators()["boxes"]:
-        rep = annihilation_check(box, model.ring, model.L, table, 8)
+        rep = annihilation_check(box, table, 8)
         assert rep["all_zero"]
 
 
@@ -92,9 +98,9 @@ def test_annihilation_and_homogeneity_p2_o1():
     model = build_model(fan, d)
     table = model.i_table(9)
     for box in model.qdm_generators()["boxes"]:
-        rep = annihilation_check(box, model.ring, model.L, table, 8)
+        rep = annihilation_check(box, table, 8)
         assert rep["all_zero"]
-    hom = homogeneity_check(model.ring, model.L, table, 8)
+    hom = homogeneity_check(table, 8)
     assert hom["all_homogeneous"]
     # adjoint weight: 3p - p = 2p, so A_d has degree -2d
     assert [r["expected"] for r in hom["rows"][:4]] == [0, -2, -4, -6]
@@ -109,9 +115,9 @@ def test_annihilation_f1_negative_pairing_branch():
     assert any(x < 0 for row in model.L.entries for x in row)
     table = model.i_table(7)
     for box in model.qdm_generators()["boxes"]:
-        rep = annihilation_check(box, model.ring, model.L, table, 6)
+        rep = annihilation_check(box, table, 6)
         assert rep["all_zero"]
-    hom = homogeneity_check(model.ring, model.L, table, 6)
+    hom = homogeneity_check(table, 6)
     assert hom["all_homogeneous"]
 
 
@@ -120,7 +126,7 @@ def test_non_annihilating_operator_leaves_residue():
     table = model.i_table(4)
     ctx = model.qdm_generators()["ctx"]
     op = WeylOp.var(ctx, 0)  # multiplication by q alone
-    rep = annihilation_check(op, model.ring, model.L, table, 3)
+    rep = annihilation_check(op, table, 3)
     assert not rep["all_zero"]
 
 
@@ -146,14 +152,12 @@ def test_degree_action_rule_composition():
     for _ in range(8):
         P, Q = random_small_op(), random_small_op()
         dmax = 4
-        via_product = _apply_operator_graded(model.ring, model.L, P * Q, table, dmax)
-        stage = _apply_operator_graded(model.ring, model.L, Q, table, dmax + 3)
+        via_product = _materialised(model.ring, _graded_images(P * Q, table, dmax))
+        stage = _graded_images(Q, table, dmax + 3)
         # pad the intermediate table with zeros where Q produced nothing
-        full_stage = {
-            d: stage.get(d, {})
-            for d in set(list(stage) + [(k,) for k in range(dmax + 4)])
-        }
-        via_stages = _apply_operator_graded(model.ring, model.L, P, full_stage, dmax)
+        full_stage = {(k,): stage.get((k,), ZClass({})) for k in range(dmax + 4)}
+        stage_table = ITable(model.ring, model.L, full_stage, table.ctop_mul)
+        via_stages = _materialised(model.ring, _graded_images(P, stage_table, dmax))
         for d in via_product:
             assert via_product[d] == via_stages.get(d, {}) or (
                 not via_product[d] and not via_stages.get(d, {})
@@ -163,7 +167,7 @@ def test_degree_action_rule_composition():
 def test_homogeneity_p2():
     model = p2_model()
     table = model.i_table(8)
-    rep = homogeneity_check(model.ring, model.L, table, 8)
+    rep = homogeneity_check(table, 8)
     assert rep["all_homogeneous"]
     assert [r["expected"] for r in rep["rows"][:4]] == [0, -3, -6, -9]
 
@@ -171,7 +175,7 @@ def test_homogeneity_p2():
 def test_homogeneity_p1_o2_weight_zero():
     model = p1o2_model()
     table = model.i_table(8)
-    rep = homogeneity_check(model.ring, model.L, table, 8)
+    rep = homogeneity_check(table, 8)
     assert rep["all_homogeneous"]
     assert all(r["expected"] == 0 for r in rep["rows"])
 
@@ -180,9 +184,7 @@ def test_landing_generator_trivial():
     model = p1o2_model()
     table = model.i_table(7)
     g = model.qdm_generators()
-    ctop = model.chern["c_top"]
-    euler = model.chern["euler_class"]
-    rep = quot_landing_check(g["boxes"][0], model.ring, model.L, ctop, euler, table, 6)
+    rep = quot_landing_check(g["boxes"][0], table, 6)
     assert rep["all_land"]
 
 
@@ -190,10 +192,8 @@ def test_landing_fails_for_one():
     model = p1o2_model()
     table = model.i_table(7)
     g = model.qdm_generators()
-    ctop = model.chern["c_top"]
-    euler = model.chern["euler_class"]
     one = WeylOp.one(g["ctx"])
-    rep = quot_landing_check(one, model.ring, model.L, ctop, euler, table, 6)
+    rep = quot_landing_check(one, table, 6)
     assert not rep["all_land"]
     assert rep["rows"][0]["lands"] is False  # c_top * A_0 = c_top != 0
 
@@ -220,9 +220,7 @@ def test_landing_of_constructed_kernel_element():
     )
     assert res_p["status"] == "inconclusive"
     table = model.i_table(7)
-    rep = quot_landing_check(
-        P, model.ring, model.L, model.chern["c_top"], model.chern["euler_class"], table, 6
-    )
+    rep = quot_landing_check(P, table, 6)
     assert rep["all_land"]
 
 
@@ -231,16 +229,14 @@ def test_annihilation_rejects_theta_terms():
     table = model.i_table(3)
     g = model.qdm_generators()
     with pytest.raises(UnsupportedOperator):
-        annihilation_check(g["euler"], model.ring, model.L, table, 2)
+        annihilation_check(g["euler"], table, 2)
 
 
 def test_euler_lands_in_conjugated_gauge():
     model = p1o2_model()
     table = model.i_table(7)
     g = model.qdm_generators()
-    ctop = model.chern["c_top"]
-    euler = model.chern["euler_class"]
-    rep = quot_landing_check(g["euler"], model.ring, model.L, ctop, euler, table, 6)
+    rep = quot_landing_check(g["euler"], table, 6)
     assert rep["all_land"]
 
 
@@ -284,19 +280,28 @@ def _ref_inverse(ring, cls, mm):
     return out
 
 
+def _ref_class(ring, kernel_matrix, coords):
+    """The class sum t_i D_i with sum t_i row_i = coords over the ray rows."""
+    rows, n_rays = kernel_matrix.entries, ring.fan.n_rays
+    aug = [[rows[i][a] for i in range(n_rays)] + [c] for a, c in enumerate(coords)]
+    pivots, reduced = row_reduce(aug, n_rays + 1)
+    tvec = [0] * n_rays
+    for red, col in zip(reduced, pivots):
+        tvec[col] = red[n_rays]
+    return ring.combination(tvec)
+
+
+def _ref_basis_classes(ring, kernel_matrix):
+    r = kernel_matrix.cols
+    return [_ref_class(ring, kernel_matrix, [int(b == a) for b in range(r)]) for a in range(r)]
+
+
 def reference_i_function(ring, kernel_matrix, m, d_max):
     """The from-scratch product: each A_d multiplies out all its factors."""
     rows = kernel_matrix.entries
     r, n_rays = kernel_matrix.cols, ring.fan.n_rays
     unit = tuple(0 for _ in range(n_rays))
-    bundle_cls = []
-    for row in rows[m:]:
-        aug = [[rows[i][a] for i in range(n_rays)] + [-row[a]] for a in range(r)]
-        pivots, reduced = row_reduce(aug, n_rays + 1)
-        tvec = [0] * n_rays
-        for red, col in zip(reduced, pivots):
-            tvec[col] = red[n_rays]
-        bundle_cls.append(ring.combination(tvec))
+    bundle_cls = [_ref_class(ring, kernel_matrix, [-x for x in row]) for row in rows[m:]]
     degrees = sorted(d for d in product(range(d_max + 1), repeat=r) if sum(d) <= d_max)
     table = {}
     for d in degrees:
@@ -350,8 +355,8 @@ def test_i_function_against_from_scratch_products(case):
     d_max = 4 if r == 2 else 6
     table = i_function(ring, kernel, len(rays), d_max)
     expected = reference_i_function(ring, kernel, len(rays), d_max)
-    assert list(table) == list(expected)
-    assert table == expected
+    assert list(table.classes) == list(expected)
+    assert {d: table[d] for d in table.classes} == expected
 
 
 # An oracle for the integer operator action: the Fraction implementation
@@ -372,7 +377,7 @@ def _ref_degrees(r, d_max):
 
 def reference_graded(ring, kernel_matrix, op, table, d_max):
     r = op.ctx.nvars
-    p_cls = basis_classes(ring, kernel_matrix)
+    p_cls = _ref_basis_classes(ring, kernel_matrix)
     unit = tuple(0 for _ in range(ring.fan.n_rays))
     out = {}
     for (zp, mu, th, pa), coeff in op.terms.items():
@@ -394,7 +399,7 @@ def reference_graded(ring, kernel_matrix, op, table, d_max):
 def reference_conjugated(ring, kernel_matrix, euler_cls, op, table, d_max):
     r = op.ctx.nvars
     euler_coords = [sum(row[a] for row in kernel_matrix.entries) for a in range(r)]
-    p_cls = basis_classes(ring, kernel_matrix)
+    p_cls = _ref_basis_classes(ring, kernel_matrix)
     out = {}
     for (zp, mu, th, pa), coeff in op.terms.items():
         for e0 in _ref_degrees(r, d_max + sum(pa)):
@@ -420,8 +425,7 @@ def reference_conjugated(ring, kernel_matrix, euler_cls, op, table, d_max):
 
 @st.composite
 def operator_cases(draw):
-    """A kernel as in ``kernels``, an Euler-like class, and an operator with
-    up to four terms: z powers 0..2, q shifts -1..2, partials 0..2, theta
+    """A kernel as in ``kernels`` and an operator with up to four terms: z powers 0..2, q shifts -1..2, partials 0..2, theta
     powers 0..2 (dropped for the z-graded gauge) and coefficients with
     denominators up to 4."""
     name, rays, bundles = draw(kernels())
@@ -436,16 +440,17 @@ def operator_cases(draw):
             tuple(draw(st.integers(0, 2)) for _ in range(r)),
         )
         terms[key] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
-    euler = tuple(draw(st.integers(-2, 2)) for _ in range(ring_of(name).fan.n_rays))
-    return name, rays, bundles, terms, euler
+    return name, rays, bundles, terms
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=operator_cases())
 def test_operator_images_against_fraction_reference(case):
     """Both gauges give exactly the images of the Fraction implementation,
-    degree by degree, on tables deep enough for every source."""
-    name, rays, bundles, terms, euler = case
+    degree by degree, on tables deep enough for every source.  The
+    conjugated oracle is given the Euler class with the kernel's column
+    sums as coordinates, the class the table derives for itself."""
+    name, rays, bundles, terms = case
     r = len(rays[0])
     assume(_full_rank(rays, r))
     ring = ring_of(name)
@@ -453,12 +458,38 @@ def test_operator_images_against_fraction_reference(case):
     d_max = 2
     table = i_function(ring, kernel, len(rays), d_max + 3 * r)
     ctx = qdm_context(r)
-    euler_cls = ring.combination(euler)
+    euler_cls = _ref_class(ring, kernel, [sum(row[a] for row in kernel.entries) for a in range(r)])
     op = WeylOp(ctx, terms)
-    assert _apply_operator_conjugated(
-        ring, kernel, euler_cls, op, table, d_max
-    ) == reference_conjugated(ring, kernel, euler_cls, op, table, d_max)
+    conjugated = {
+        d: {mono: v for (mono, _), v in zc.items()}
+        for d, zc in _materialised(ring, _conjugated_images(op, table, d_max)).items()
+    }
+    assert conjugated == reference_conjugated(ring, kernel, euler_cls, op, table, d_max)
     graded = WeylOp(ctx, {(zp, mu, 0, pa): v for (zp, mu, _, pa), v in terms.items()})
-    assert _apply_operator_graded(ring, kernel, graded, table, d_max) == reference_graded(
+    assert _materialised(ring, _graded_images(graded, table, d_max)) == reference_graded(
         ring, kernel, graded, table, d_max
     )
+
+
+# The classes the table derives from the kernel rows against chern_data,
+# which builds them from the bundle rows: the corpus models whose table
+# exists (the F3 bundle pairs negatively with an effective degree).
+
+CHERN_CASES = {
+    "p2": lambda: (corpus.projective_plane(), IntegerMatrix(0, 3, ())),
+    "p1_o2": corpus.p1_o2,
+    "p2_o1": corpus.p2_o1,
+    "p1p1_o11": corpus.p1p1_o11,
+    "p1_o1": lambda: corpus.p1_ok(1),
+    "F1": lambda: (corpus.hirzebruch(1), IntegerMatrix(0, 4, ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHERN_CASES))
+def test_table_euler_and_ctop_are_chern_data(name):
+    model = build_model(*CHERN_CASES[name]())
+    table = model.i_table(1)
+    cd = chern_data(model.ring, model.d)
+    for got, cls in ((table.euler_mul, cd["euler_class"]), (table.ctop_mul, cd["c_top"])):
+        want = model.ring.multiplier(cls)
+        assert (got.rows, got.den) == (want.rows, want.den)
