@@ -9,12 +9,14 @@ solutions of the face critical systems.  That search runs on each
 system's own subtorus, of dimension the rank of its exponent differences,
 and vectorizes the modular arithmetic with numpy, imported inside the
 search only; everything else is exact.  What does not depend on the
-parameter (polytope, faces, volume, the cutoff and the semigroup members
-up to it) lives in a NewtonData, the one way to give B, the cutoff and the
-cone sets, which one caller builds and shares across its samples.  Each
-member comes with its weight rounded up, which is its least grading in
-the doubled cone, read off the one scan of the dilated polytope in
-`semigroups.graded_slice_points`.
+parameter (polytope, faces, volume, the cutoff and the semigroup members)
+lives in a NewtonData, the one way to give B, the cutoff and the cone
+sets, which one caller builds and shares across its samples.  Each member
+comes with its weight rounded up, which is its least grading in the
+doubled cone, read off a scan of a dilate of the polytope in
+`semigroups.graded_slice_points`.  The member list grows with the sweep:
+the dilates grow geometrically and end on the cutoff, so a sweep that
+stabilizes early never scans the top dilate.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import itemgetter
 
 from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
@@ -147,35 +150,21 @@ def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
     return LatticePolytope.from_points(pts)
 
 
-def _members_up_to(B: IntegerMatrix, bound: int, cone_index_sets):
-    """Semigroup monomials of weight w <= bound as (ceil(w), point) pairs,
-    sorted by ceil(w), the least integer bound that admits the point.
-
-    w(u) = min {l : u in l*Q} for the Newton polytope Q, so ceil(w(u)) is
-    the least grading of u in the doubled cone, which the one scan of
-    bound * Q gives.  Only points a subcone certifies are kept, and nothing
-    here checks that the subcones tile the cone; when they do not, the list
-    misses points.  On F3 with -K (`w_set_convexity` is False) it misses 286
-    points at cutoff 12 (ROADMAP item 2).
-    """
-    member = AffineSemigroup(B, cone_index_sets=cone_index_sets).certified
-    pts = graded_slice_points(doubled_semigroup(B), bound)
-    return sorted(((j, p) for j, p in pts if member(p)), key=lambda m: m[0])
-
-
 class NewtonData:
     """The lambda-independent data of the family of B, built once and
     shared by every parameter sample of one call: the Newton polytope and
     the lcm e of its facet offsets, its faces and normalized volume, the
-    slice cutoff (4 e diam(B) unless given), and the semigroup members up to
-    the cutoff, which need the unimodular cones of the total-space fan.
-    Each is computed on first use, so a sample that stops at a bad face
-    never pays for the members scan."""
+    slice cutoff (4 e diam(B) unless given), and one list of semigroup
+    members that grows with the sweep (`members_up_to`), which needs the
+    unimodular cones of the total-space fan.  Each is computed on first
+    use, so a sample that stops at a bad face never scans a member."""
 
     def __init__(self, B: IntegerMatrix, cutoff: int | None = None, *, cone_index_sets):
         self.B = B
         self.cone_index_sets = tuple(map(tuple, cone_index_sets))
         self._cutoff = cutoff
+        self._members = []
+        self._scanned = -1  # the members are complete up to this grading
 
     @cached_property
     def polytope(self) -> LatticePolytope:
@@ -201,8 +190,42 @@ class NewtonData:
         return 4 * self.e * diam
 
     @cached_property
-    def members(self) -> list:
-        return _members_up_to(self.B, self.cutoff, self.cone_index_sets)
+    def _doubled(self) -> AffineSemigroup:
+        return doubled_semigroup(self.B)
+
+    @cached_property
+    def _certified(self):
+        return AffineSemigroup(self.B, cone_index_sets=self.cone_index_sets).certified
+
+    def members_up_to(self, bound: int) -> list:
+        """The semigroup members as (least grading, point) pairs, sorted by
+        grading then lex and complete at least up to grading
+        min(bound, cutoff); one list, shared by every sample.
+
+        The least grading of u is ceil(w(u)), w(u) = min {l : u in l*Q} for
+        the Newton polytope Q, and the scan of the dilate k * Q in
+        `graded_slice_points` gives every point of least grading <= k.  The
+        list grows by a scan at the least ceil(cutoff / 2^i) >= bound, so a
+        sweep that stops at bound b scans no dilate above 2b, one that runs
+        on ends on a scan at the cutoff, and only the points of gradings not
+        seen before are certified and appended.  Only points a subcone
+        certifies are kept, and nothing here checks that the subcones tile
+        the cone; when they do not, the list misses points.  On F3 with -K
+        (`w_set_convexity` is False) it misses 286 points at cutoff 12
+        (ROADMAP item 2).
+        """
+        if self._scanned < min(bound, self.cutoff):
+            dilate = self.cutoff
+            while bound <= (half := -(-dilate // 2)) < dilate:
+                dilate = half
+            new = [
+                (j, p)
+                for j, p in graded_slice_points(self._doubled, dilate)
+                if j > self._scanned and self._certified(p)
+            ]
+            self._members += sorted(new, key=itemgetter(0))
+            self._scanned = dilate
+        return self._members
 
 
 def _parameter(B: IntegerMatrix, lam) -> list:
@@ -224,7 +247,9 @@ def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3
     modulo the rows y^u y_k df/dy_k for the members u of weight <= k - 1.
     A row's targets u + b_i have weight <= w(u) + 1 (u in w(u) Q, b_i in Q,
     Q convex), so it is the same at every k past w(u), and each slice only
-    reduces its new rows into one echelon.  The rows are integers: lam is
+    reduces its new rows into one echelon.  The targets of slice k have
+    weight <= k, so slice k reads only `newton.members_up_to(k)`, whose
+    order gives the column ids.  The rows are integers: lam is
     scaled by the lcm of its denominators, which leaves the rank alone.
     """
     B = newton.B
@@ -240,12 +265,13 @@ def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3
                 col = B.col(i)
                 g[col] = g.get(col, 0) - B.entries[k][i] * lam[i]
         gens.append([(e, c) for e, c in g.items() if c])
-    members = newton.members
-    index = {p: i for i, (_, p) in enumerate(members)}
+    index = {}  # member point -> column, its place in the member list
     pivots = {}  # leading column -> primitive integer row (dict column -> coeff)
     fed = size = 0
     history = []
     for bound in range(1, newton.cutoff + 1):
+        members = newton.members_up_to(bound)
+        index.update((members[i][1], i) for i in range(len(index), len(members)))
         while size < len(members) and members[size][0] <= bound:
             size += 1
         while fed < size and members[fed][0] < bound:
@@ -261,7 +287,10 @@ def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3
         history.append(size - len(pivots))
         if len(history) >= stabilization_window and len(set(history[-stabilization_window:])) == 1:
             return {"dim": history[-1], "slices": history}
-    raise StabilizationFailed(f"no stabilization within {newton.cutoff} slices", partial=history)
+    dims = ", ".join(map(str, history))
+    raise StabilizationFailed(
+        f"no stabilization within {newton.cutoff} slices: dimensions {dims}", partial=history
+    )
 
 
 def _reduce_into(pivots: dict, row: dict) -> None:

@@ -3,10 +3,11 @@
 The graded semigroups here all look like N A'' (first generator the apex
 (1, 0, ..., 0), first coordinate counting the generators used), so their
 grading-k elements form a finite slice, built once per semigroup by
-slice_k = slice_{k-1} + generators.  One scan of the top dilate of
-conv(0, a'_i) gives every cone point up to a grading bound with its least
-grading, an integer read off the cone's facets; the semigroup certificates
-and the lg members take their points from it.  The ungraded N A' is
+slice_k = slice_{k-1} + generators.  One scan of the dilate k conv(0, a'_i)
+gives every cone point up to grading k with its least grading, an integer
+read off the cone's facets; the semigroup certificates take their points
+from one scan at their bound, and the lg members from scans at dilates
+that grow with the Jacobian sweep.  The ungraded N A' is
 handled through unimodular subcone certificates plus a graded lift: a
 point is a member when it has nonnegative integer coordinates in a
 unimodular subcone, or when the lift holds it up to a grading bound.  Both

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -263,28 +264,101 @@ def test_construct_builds_the_total_fan_once(monkeypatch, name):
     assert len(made) == 2
 
 
-def test_lg_scans_members_once_per_call(monkeypatch):
-    """The semigroup members up to the cutoff depend on B, the cutoff and
-    the cones only, so three samples share one scan."""
-    calls = []
-    scan = lgfamily._members_up_to
+def test_lg_certifies_each_point_once_per_call(monkeypatch):
+    """The three samples share one growing member list: a scan at a higher
+    dilate certifies only the points of gradings not seen before."""
+    certified = []
+    certify = semigroups.AffineSemigroup.certified
 
-    def counting_scan(*args):
-        calls.append(args)
-        return scan(*args)
+    def counting_certify(self, v):
+        certified.append(v)
+        return certify(self, v)
 
-    monkeypatch.setattr(lgfamily, "_members_up_to", counting_scan)
+    monkeypatch.setattr(semigroups.AffineSemigroup, "certified", counting_certify)
     with redirect_stdout(io.StringIO()):
         rc = cli.main(["lg", "--spec", str(SPECS / "f3_minus_k.json"), "--samples", "3"])
     assert rc == 1
-    assert len(calls) == 1
+    assert certified and len(certified) == len(set(certified))
 
 
-@pytest.mark.parametrize("argv", [["semigroup", "--degree", "6"], ["lg", "--samples", "3"]],
-                         ids=["semigroup", "lg"])
+THREEFOLDS = {
+    "p1cube_o111": {
+        "fan": {
+            "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+            "max_cones": [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)],
+        },
+        "bundles": [[1, 0, 1, 0, 1, 0]],
+    },
+    "p3_o2": {
+        "fan": {
+            "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+            "max_cones": [list(c) for c in combinations(range(1, 5), 3)],
+        },
+        "bundles": [[2, 0, 0, 0]],
+    },
+    "p2_o1o1": {
+        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[1, 2], [2, 3], [1, 3]]},
+        "bundles": [[1, 0, 0], [1, 0, 0]],
+    },
+}
+
+
+def threefold_spec(tmp_path, name):
+    """A threefold total space written outside `specs/`, which the records
+    and the fuzz tests glob."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(THREEFOLDS[name]), encoding="utf-8")
+    return path
+
+
+def lg_json(path, *flags):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main(["lg", "--spec", str(path), "--json", *flags])
+    return rc, out.getvalue()
+
+
+def test_lg_stabilization_failure_names_the_slice_dimensions(tmp_path):
+    """P1^3/O(1,1,1) does not stabilize within its default cutoff 4, and the
+    report gives the slice history; at cutoff 6 all three samples are good."""
+    path = threefold_spec(tmp_path, "p1cube_o111")
+    rc, out = lg_json(path)
+    assert rc == 1
+    assert json.loads(out)["error"] == {
+        "type": "StabilizationFailed",
+        "message": "no stabilization within 4 slices: dimensions 4, 7, 8, 8",
+    }
+    rc, out = lg_json(path, "--cutoff", "6")
+    assert rc == 0
+    assert [s["verdict"] for s in json.loads(out)["results"]["samples"]] == ["good"] * 3
+
+
+@pytest.mark.parametrize("name", ["p1_o2", "p2_o1", "p1p1_o11", "f3_minus_k", "p3_o2", "p2_o1o1"])
+def test_lg_report_does_not_depend_on_the_cutoff_past_stabilization(monkeypatch, tmp_path, name):
+    """Once every sample's sweep has stabilized, a higher cutoff changes
+    nothing: the report at the stabilization slice, one above it and 12 is
+    the same.  The growing member list scans only as far as the sweep."""
+    path = SPECS / f"{name}.json" if name not in THREEFOLDS else threefold_spec(tmp_path, name)
+    lengths = []
+    sweep = lgfamily.jacobian_quotient_dim
+
+    def recording_sweep(*args, **kwargs):
+        res = sweep(*args, **kwargs)
+        lengths.append(len(res["slices"]))
+        return res
+
+    monkeypatch.setattr(lgfamily, "jacobian_quotient_dim", recording_sweep)
+    top = lg_json(path, "--cutoff", "12")
+    stable = max(lengths)
+    assert stable < 12
+    for cutoff in (stable, stable + 1):
+        assert lg_json(path, "--cutoff", str(cutoff)) == top
+
+
+@pytest.mark.parametrize("argv", [["semigroup", "--degree", "6"]], ids=["semigroup"])
 def test_one_box_scan_per_call(monkeypatch, argv):
-    """Every grading up to the bound, both semigroup certificates and every
-    lg sample read the one scan of the top dilate of the hull."""
+    """Every grading up to the bound and both semigroup certificates read
+    the one scan of the top dilate of the hull."""
     calls = []
     scan = semigroups.graded_slice_points
 
@@ -293,7 +367,6 @@ def test_one_box_scan_per_call(monkeypatch, argv):
         return scan(*args)
 
     monkeypatch.setattr(semigroups, "graded_slice_points", counting_scan)
-    monkeypatch.setattr(lgfamily, "graded_slice_points", counting_scan)
     with redirect_stdout(io.StringIO()):
         rc = cli.main([argv[0], "--spec", str(SPECS / "p1_o2.json"), *argv[1:]])
     assert rc == 0

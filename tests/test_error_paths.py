@@ -56,7 +56,10 @@ def test_jacobian_stabilization_failure_reports_partial():
             [1, 1, 1],
             stabilization_window=5,
         )
-    assert err.value.partial  # slice history travels with the error
+    history = err.value.partial  # slice history travels with the error, and is named in it
+    dims = ", ".join(map(str, history))
+    assert len(history) == 2
+    assert str(err.value) == f"no stabilization within 2 slices: dimensions {dims}"
 
 
 def test_i_table_rejects_non_nef_pairing():

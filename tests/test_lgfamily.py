@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+from tglab import corpus, lgfamily
 from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import (
@@ -25,6 +26,7 @@ from tglab.lgfamily import (
 )
 from tglab.models import build_model
 from tglab.polytopes import faces, normalized_volume
+from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 from tglab.toricfan import total_space_fan
 
 
@@ -188,10 +190,18 @@ def fraction_weight(poly, u):
     )
 
 
+def full_member_list(newton):
+    """Every certified cone point up to the cutoff, from one scan at the
+    cutoff, by least grading then lex."""
+    certified = AffineSemigroup(newton.B, cone_index_sets=newton.cone_index_sets).certified
+    points = graded_slice_points(doubled_semigroup(newton.B), newton.cutoff)
+    return sorted(((j, p) for j, p in points if certified(p)), key=itemgetter(0))
+
+
 def reference_sweep(newton, lam, stabilization_window):
     """The Jacobian sweep rebuilt from scratch at every bound: the monomial
-    index, every multiplier row and a Fraction echelon, with the members
-    weighed by `fraction_weight`."""
+    index, every multiplier row and a Fraction echelon, with the members of
+    `full_member_list` weighed by `fraction_weight`."""
     B = newton.B
     lam = [Fraction(x) for x in lam]
     s, t = B.rows, B.cols
@@ -205,7 +215,7 @@ def reference_sweep(newton, lam, stabilization_window):
         gens.append({e: c for e, c in g.items() if c})
     history = []
     poly = newton_polytope(B)
-    members_all = [(fraction_weight(poly, p), p) for _, p in newton.members]
+    members_all = [(fraction_weight(poly, p), p) for _, p in full_member_list(newton)]
     for bound in range(1, newton.cutoff + 1):
         monos = [p for w, p in members_all if w <= bound]
         mono_index = {p: i for i, p in enumerate(monos)}
@@ -266,6 +276,68 @@ def test_one_pass_sweep_matches_per_bound_rebuild(case):
     )
 
 
+@st.composite
+def growth_cases(draw):
+    total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
+    cutoff = draw(st.integers(1, 12))
+    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
+    return newton, draw(st.lists(st.integers(0, cutoff), min_size=1, max_size=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(growth_cases())
+def test_growing_members_are_a_prefix_of_the_full_list(case):
+    """Asked for any bounds in any order, the growing list is a prefix of
+    the one-scan list at the cutoff and holds all of its members of
+    grading <= bound, the origin at grading 0 first."""
+    newton, bounds = case
+    full = full_member_list(newton)
+    assert full[0] == (0, (0,) * newton.B.rows)
+    for bound in bounds + list(range(newton.cutoff + 1)):
+        grown = newton.members_up_to(bound)
+        assert grown == full[: len(grown)]
+        assert [m for m in grown if m[0] <= bound] == [m for m in full if m[0] <= bound]
+
+
+def counting_scans(monkeypatch):
+    """The dilates of every `graded_slice_points` call the lg members make."""
+    dilates = []
+    scan = lgfamily.graded_slice_points
+
+    def counting_scan(S, k):
+        dilates.append(k)
+        return scan(S, k)
+
+    monkeypatch.setattr(lgfamily, "graded_slice_points", counting_scan)
+    return dilates
+
+
+@pytest.mark.parametrize("name", sorted(TOTAL_SPACES))
+def test_sweep_scans_no_dilate_above_twice_its_bound(monkeypatch, name):
+    """A sweep that stops at bound b scans rising dilates up to 2b at most,
+    whatever the cutoff."""
+    total = TOTAL_SPACES[name]
+    dilates = counting_scans(monkeypatch)
+    newton = NewtonData(total.ray_matrix(), 12, cone_index_sets=cones_of(total))
+    res = jacobian_quotient_dim(newton, [1] * newton.B.cols)
+    assert dilates == sorted(set(dilates))
+    assert dilates[-1] <= 2 * len(res["slices"]) < newton.cutoff
+
+
+@pytest.mark.parametrize("cutoff", [2, 5, 7, 12])
+def test_sweep_to_the_cutoff_ends_on_a_scan_at_it(monkeypatch, cutoff):
+    """With the window at the cutoff no history on P1xP1/O(1,1) stabilizes,
+    so the sweep runs to the cutoff; each dilate at most doubles the last
+    and the last is the cutoff."""
+    total = TOTAL_SPACES["p1p1_o11"]
+    dilates = counting_scans(monkeypatch)
+    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
+    with pytest.raises(StabilizationFailed):
+        jacobian_quotient_dim(newton, [1, 2, 3, 4, 5], stabilization_window=cutoff)
+    assert dilates[0] == 1 and dilates[-1] == cutoff
+    assert all(a < b <= 2 * a for a, b in zip(dilates, dilates[1:]))
+
+
 @pytest.mark.parametrize("check", [jacobian_quotient_dim, classify_parameter])
 def test_parameter_length_checked(check):
     """Too few coefficients is a ValueError, before any face is searched."""
@@ -324,19 +396,21 @@ def test_classify_bad_parameter_p1_o2():
     assert 0 not in witness["face"]
 
 
-def test_shared_newton_data_scans_members_lazily():
-    """One NewtonData serves many samples; a bad_suspected sample stops
-    before the Jacobian sweep and leaves the members unscanned."""
+def test_bad_samples_scan_no_members(monkeypatch):
+    """One NewtonData serves many samples; bad_suspected samples stop
+    before the Jacobian sweep and scan nothing, and a later good sample
+    gets the verdict of a fresh NewtonData."""
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
+    dilates = counting_scans(monkeypatch)
     newton = NewtonData(B, cone_index_sets=cones_of(total))
-    bad = classify_parameter(newton, [1, 1, -2])
-    assert bad["verdict"] == "bad_suspected"
-    assert "members" not in vars(newton)
+    for _ in range(2):
+        assert classify_parameter(newton, [1, 1, -2])["verdict"] == "bad_suspected"
+    assert dilates == []
     good = classify_parameter(newton, [1, 1, 1])
     assert good == classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, 1])
-    assert "members" in vars(newton)
+    assert dilates
 
 
 def test_classify_good_p1_o2():
