@@ -15,6 +15,17 @@ from tglab.models import build_model
 from tglab.polytopes import normalized_volume
 from tglab.toricfan import total_space_fan
 
+
+def show(poly, names):
+    """A family as sorted terms, e.g. - y1^-1 q1 + y2 - y1 y2^2."""
+    terms = []
+    for e, c in sorted(poly.items()):
+        factors = [] if abs(c) == 1 else [str(abs(c))]
+        factors += [v if a == 1 else f"{v}^{a}" for v, a in zip(names, e) if a]
+        terms.append(("- " if c < 0 else "+ ") + (" ".join(factors) or "1"))
+    return " ".join(terms).removeprefix("+ ")
+
+
 fan, d = corpus.p1_o2()
 model = build_model(fan, d)
 B = model.Aprime
@@ -22,11 +33,14 @@ total = model.total
 cones = [tuple(c) for c in total.max_cones]
 newton = NewtonData(B, cone_index_sets=cones)
 
+ys = [f"y{k + 1}" for k in range(B.rows)]
 print("== the family and its moduli restriction ==")
 fam = build_family(B)
-print("abstract family (y variables then coefficients):", fam)
+print("abstract family in y and the coefficients l:",
+      show(fam, ys + [f"l{i + 1}" for i in range(B.cols)]))
 km = restrict_to_km(B, model.M, model.m)
-print("restricted over q (bundle monomial enters with +):", km)
+print("restricted over q (bundle monomial enters with +):",
+      show(km, ys + [f"q{a + 1}" for a in range(model.M.rows)]))
 
 print()
 print("== Jacobian quotient dimensions ==")

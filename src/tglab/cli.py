@@ -342,10 +342,8 @@ def cmd_lg(spec, args) -> dict:
             good += 1
         samples.append(row)
     out = {
-        "family_monomials": sorted(str(k) for k in fam.coeffs),
-        "km_family_monomials": sorted(
-            [list(e), str(v)] for e, v in km.coeffs.items()
-        ),
+        "family_monomials": sorted(str(k) for k in fam),
+        "km_family_monomials": sorted([list(e), str(v)] for e, v in km.items()),
         "normalized_volume": vol,
         "samples": samples,
         "passed": good == len(samples),

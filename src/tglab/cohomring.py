@@ -107,9 +107,6 @@ class CohomologyRing:
     def top_degree(self) -> int:
         return self.fan.dim
 
-    def zero(self):
-        return {}
-
     def one(self):
         unit = tuple(0 for _ in range(self.fan.n_rays))
         return {unit: Fraction(1)}

@@ -1,22 +1,25 @@
 """Laurent-polynomial families, their Kaehler-moduli restriction, Jacobian
 quotients, face critical systems and the good-parameter classifier.
 
+A family is a dict from exponent tuples to coefficients, zeros dropped.
 The Jacobian quotient dimension uses the weight filtration by dilates of
 the Newton polytope, swept in one pass that reduces each gradient row
 once into one fraction-free integer echelon; the parameter classifier
 combines that dimension test with a finite-field search for torus
-solutions of the face critical systems.  That search runs on each
-system's own subtorus, of dimension the rank of its exponent differences,
-and vectorizes the modular arithmetic with numpy, imported inside the
-search only; everything else is exact.  What does not depend on the
-parameter (polytope, faces, volume, the cutoff and the semigroup members)
-lives in a NewtonData, the one way to give B, the cutoff and the cone
-sets, which one caller builds and shares across its samples.  Each member
-comes with its weight rounded up, which is its least grading in the
-doubled cone, read off a scan of a dilate of the polytope in
-`semigroups.graded_slice_points`.  The member list grows with the sweep:
-the dilates grow geometrically and end on the cutoff, so a sweep that
-stabilizes early never scans the top dilate.
+solutions of the face critical systems.  A face system is its exponent
+list and one coefficient row per equation; the search scales each row to
+coprime integers, so no test prime is unusable, and runs on the system's
+own subtorus, of dimension the rank of its exponent differences, with the
+modular arithmetic vectorized by numpy, imported inside the search only;
+everything else is exact.  What does not depend on the parameter
+(polytope, volume, the cutoff, the semigroup members and a record per
+searched face with its torus projection) lives in a NewtonData, the
+one way to give B, the cutoff and the cone sets, which one caller builds
+and shares across its samples.  Each member comes with its weight rounded
+up, which is its least grading in the doubled cone, read off a scan of a
+dilate of the polytope in `semigroups.graded_slice_points`.  The member
+list grows with the sweep: the dilates grow geometrically and end on the
+cutoff, so a sweep that stabilizes early never scans the top dilate.
 """
 
 from __future__ import annotations
@@ -32,116 +35,39 @@ from tglab.polytopes import LatticePolytope, faces, normalized_volume
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with Fraction coefficients."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars, coeffs=None):
-        self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.coeffs[tuple(k)] = self.coeffs.get(tuple(k), Fraction(0)) + v
-            self.coeffs = {k: v for k, v in self.coeffs.items() if v}
-
-    @staticmethod
-    def monomial(nvars, exps, coeff=1):
-        return LaurentPoly(nvars, {tuple(exps): Fraction(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LaurentPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return LaurentPoly(self.nvars, out)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return LaurentPoly(self.nvars, out)
-
-    def scale(self, c):
-        return LaurentPoly(self.nvars, {k: v * Fraction(c) for k, v in self.coeffs.items()})
-
-    def log_derivative(self, k):
-        """y_k d/dy_k."""
-        return LaurentPoly(
-            self.nvars, {e: v * e[k] for e, v in self.coeffs.items() if e[k]}
-        )
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for e, v in sorted(self.coeffs.items()):
-            bits.append(f"{v}*y^{e}")
-        return " + ".join(bits)
+def _collect(terms) -> dict:
+    """Sum (exponent, coefficient) terms into a dict, zero sums dropped."""
+    out = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
-def build_family(B: IntegerMatrix) -> LaurentPoly:
+def build_family(B: IntegerMatrix) -> dict:
     """First component of the family: -sum_i lambda_i y^{b_i}, a Laurent
-    polynomial in (y_1..y_s, lambda_1..lambda_t)."""
-    s, t = B.rows, B.cols
-    out = LaurentPoly(s + t)
-    for i in range(t):
-        exps = list(B.col(i)) + [0] * t
-        exps[s + i] = 1
-        out = out - LaurentPoly.monomial(s + t, exps)
-    return out
+    polynomial in (y_1..y_s, lambda_1..lambda_t) as exponent -> coefficient."""
+    t = B.cols
+    return _collect((B.col(i) + tuple(int(i == j) for j in range(t)), -1) for i in range(t))
 
 
-def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> LaurentPoly:
+def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> dict:
     """The affine family over the Kaehler moduli torus:
-    -sum_{i<=m} q^{m_i} y^{b_i} + sum_{i>m} q^{m_i} y^{b_i} in (y, q)."""
-    s, t = B.rows, B.cols
-    r = M.rows
-    out = LaurentPoly(s + r)
-    for i in range(t):
-        exps = list(B.col(i)) + list(M.col(i))
-        sign = -1 if i < m else 1
-        out = out + LaurentPoly.monomial(s + r, exps, sign)
-    return out
+    -sum_{i<=m} q^{m_i} y^{b_i} + sum_{i>m} q^{m_i} y^{b_i} in (y, q), as
+    exponent -> coefficient."""
+    return _collect((B.col(i) + M.col(i), -1 if i < m else 1) for i in range(B.cols))
 
 
-def substitute_km_parameters(family: LaurentPoly, s: int, t: int, M: IntegerMatrix, m: int, q_values):
+def substitute_km_parameters(family: dict, s: int, t: int, M: IntegerMatrix, m: int, q_values):
     """Evaluate the abstract family at lambda_i = (+-1) q^{m_i}; returns a
-    Laurent polynomial in y only.  Used to check the two parameterizations
-    agree (signs included)."""
-    r = M.rows
-    out = LaurentPoly(s)
-    for e, v in family.coeffs.items():
-        ye, lame = e[:s], e[s:]
-        coef = v
-        for i in range(t):
-            if lame[i]:
-                sign = 1 if i < m else -1
-                monoval = Fraction(1)
-                for a in range(r):
-                    monoval *= Fraction(q_values[a]) ** M.entries[a][i]
-                coef *= (sign * monoval) ** lame[i]
-        out = out + LaurentPoly.monomial(s, ye, coef)
-    return out
+    Laurent polynomial in y only, as exponent -> coefficient.  Used to check
+    the two parameterizations agree (signs included)."""
+    lam = [
+        Fraction(1 if i < m else -1) * prod(Fraction(q) ** a for q, a in zip(q_values, M.col(i)))
+        for i in range(t)
+    ]
+    return _collect(
+        (e[:s], v * prod(x**a for x, a in zip(lam, e[s:]))) for e, v in family.items()
+    )
 
 
 def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
@@ -153,11 +79,12 @@ def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
 class NewtonData:
     """The lambda-independent data of the family of B, built once and
     shared by every parameter sample of one call: the Newton polytope and
-    the lcm e of its facet offsets, its faces and normalized volume, the
-    slice cutoff (4 e diam(B) unless given), and one list of semigroup
-    members that grows with the sweep (`members_up_to`), which needs the
-    unimodular cones of the total-space fan.  Each is computed on first
-    use, so a sample that stops at a bad face never scans a member."""
+    the lcm e of its facet offsets, its normalized volume, the faces the
+    F_p search reads with their torus projections, the slice cutoff
+    (4 e diam(B) unless given), and one list of semigroup members that
+    grows with the sweep (`members_up_to`), which needs the unimodular
+    cones of the total-space fan.  Each is computed on first use, so a
+    sample that stops at a bad face never scans a member."""
 
     def __init__(self, B: IntegerMatrix, cutoff: int | None = None, *, cone_index_sets):
         self.B = B
@@ -175,12 +102,25 @@ class NewtonData:
         return lcm(1, *(f.offset for f in self.polytope.facets if f.offset > 0))
 
     @cached_property
-    def faces(self) -> list:
-        return faces(self.polytope)
-
-    @cached_property
     def volume(self) -> int:
         return normalized_volume(self.polytope.points)
+
+    @cached_property
+    def searched_faces(self) -> list:
+        """(sorted indices, `torus_projection`) of each face the F_p search
+        reads, in face order.  A face through the origin never decides the
+        verdict.  An equation with one monomial has no torus zero, and
+        since every lambda_j is nonzero the monomials of an equation do not
+        depend on lambda: so a lone point is dropped, and so is a face with
+        a coordinate in which only one of its points is nonzero."""
+        out = []
+        for face in faces(self.polytope):
+            if 0 in face.indices:
+                continue
+            exponents, rows = face_critical_system(self.B, face.indices, [1] * self.B.cols)
+            if all(sum(1 for c in row if c) != 1 for row in rows):
+                out.append((sorted(face.indices), torus_projection(exponents)))
+        return out
 
     @cached_property
     def cutoff(self) -> int:
@@ -315,32 +255,53 @@ def _reduce_into(pivots: dict, row: dict) -> None:
 
 
 def face_critical_system(B: IntegerMatrix, face_indices, lam):
-    """Equations of the critical system of the face: the face part of f and
-    its log derivatives.  Indices refer to the generator list (0, b_1..b_t)
-    of the Newton polytope; the face must avoid the origin, index 0."""
+    """The critical system of the face: the face part of f and its log
+    derivatives, as (exponents, rows).  The exponents are the face's
+    columns b_j in index order; row 0 holds the lambda_j and row 1 + k the
+    e_jk lambda_j, the coefficients of y_k d/dy_k.  Indices refer to the
+    generator list (0, b_1..b_t) of the Newton polytope; the face must
+    avoid the origin, index 0."""
     if 0 in face_indices:
         raise ValueError("a face through the origin has no critical system here")
-    s = B.rows
-    lam = [Fraction(x) for x in lam]
-    f = LaurentPoly(s)
-    for idx in sorted(face_indices):
-        f = f + LaurentPoly.monomial(s, B.col(idx - 1), lam[idx - 1])
-    return [f] + [f.log_derivative(k) for k in range(s)]
+    indices = sorted(face_indices)
+    exponents = [B.col(j - 1) for j in indices]
+    lam = [Fraction(lam[j - 1]) for j in indices]
+    return exponents, [lam] + [[e[k] * x for e, x in zip(exponents, lam)] for k in range(B.rows)]
+
+
+def torus_projection(exponents) -> tuple:
+    """The rows U_1..U_d of the unimodular U in the Smith form of the
+    exponent differences e - e_0, d their rank: U maps their lattice L
+    into Z^d x 0, so y^e / y^e0 = w^{(U (e - e0))_{1..d}} under y = w^U."""
+    e0 = exponents[0]
+    snf = smith_normal_form(
+        IntegerMatrix.from_rows([[e[i] - e0[i] for e in exponents] for i in range(len(e0))])
+    )
+    return tuple(snf.U.entries[:sum(1 for x in snf.diagonal if x)])
+
+
+def _primitive(row) -> list:
+    """The rational row scaled to coprime integers (a zero row stays zero)."""
+    den = lcm(*(Fraction(c).denominator for c in row))
+    ints = [int(c * den) for c in row]
+    g = gcd(*ints) or 1
+    return [c // g for c in ints]
 
 
 PRIMES = (101, 103)  # of the finite-field face search
 
 
-def _fp_witness(eqs, s, p):
-    """A common zero of the Laurent equations on the torus (F_p^*)^s, or None.
+def _fp_witness(exponents, rows, p, projection):
+    """A common zero on the torus (F_p^*)^s of the equations sum_j
+    row[j] y^{exponents[j]}, one per row, or None.
 
-    None also when a coefficient has a denominator divisible by p.  The
-    search runs on the system's own torus: every monomial lies in e0 + L,
-    with L spanned by the exponent differences, and the Smith form of the
-    difference matrix gives a unimodular U with U L inside Z^d x 0,
-    d = rank L.  Substitute y = w^U, so that y^e = w^{U e}.  Divided by
-    y^e0 the equations involve w_1..w_d alone, so they have a zero on
-    (F_p^*)^s exactly when they have one with w_{d+1..s} = 1, where
+    Each row is first scaled to coprime integers, which keeps its zeros, so
+    every prime can be used.  The search runs on the system's own torus:
+    `projection` is U_1..U_d from `torus_projection`, with U unimodular and
+    U L inside Z^d x 0 for the lattice L of the exponent differences.
+    Substitute y = w^U, so that y^e = w^{U e}.  Divided by y^e0 the
+    equations involve w_1..w_d alone, so they have a zero on (F_p^*)^s
+    exactly when they have one with w_{d+1..s} = 1, where
     y^e = w^{(U e)_{1..d}}; the search is over those (p-1)^d points.  They
     are indexed by exponents of a primitive root g, w_j = g^{k_j}, so a
     monomial is ``table[k . (U e)_{1..d} mod (p-1)]``, and the search takes
@@ -349,39 +310,30 @@ def _fp_witness(eqs, s, p):
     """
     import numpy as np
 
-    terms = []  # per equation: (exponent, coefficient mod p)
-    for poly in eqs:
-        row = []
-        for e, c in poly.coeffs.items():
-            den = c.denominator % p
-            if den == 0:
-                return None  # prime unusable for this parameter
-            row.append((e, c.numerator * pow(den, -1, p) % p))
-        terms.append(row)
-    exps = [e for row in terms for e, _ in row] or [(0,) * s]
-    e0 = exps[0]
-    snf = smith_normal_form(
-        IntegerMatrix.from_rows([[e[i] - e0[i] for e in exps] for i in range(s)])
-    )
-    d = sum(1 for x in snf.diagonal if x)
-    U = snf.U.entries
-    n = p - 1
+    s, d, n = len(exponents[0]), len(projection), p - 1
+    reduced = [
+        np.array([sum(u * a for u, a in zip(U_j, e)) % n for U_j in projection], dtype=np.int64)
+        for e in exponents
+    ]
+    rows = [[c % p for c in _primitive(row)] for row in rows]
     g = next(g for g in range(1, p) if len({pow(g, i, p) for i in range(n)}) == n)
     table = np.array([pow(g, i, p) for i in range(n)], dtype=np.int64)
     ks = np.indices((n,) * d, dtype=np.int64).reshape(d, n**d).T
     ok = np.ones(n**d, dtype=bool)
-    for row in terms:
+    for row in rows:
         acc = np.zeros(n**d, dtype=np.int64)
-        for e, c in row:
-            f = [sum(U[j][i] * e[i] for i in range(s)) % n for j in range(d)]
-            acc = (acc + c * table[ks @ np.array(f, dtype=np.int64) % n]) % p
+        for f, c in zip(reduced, row):
+            if c:
+                acc = (acc + c * table[ks @ f % n]) % p
         ok &= acc == 0
         if not ok.any():
             return None
     k = [int(x) for x in ks[np.flatnonzero(ok)[0]]]
-    point = tuple(pow(g, sum(k[j] * U[j][i] for j in range(d)) % n, p) for i in range(s))
-    for row in terms:
-        if sum(c * prod(pow(y, a, p) for y, a in zip(point, e)) for e, c in row) % p:
+    point = tuple(pow(g, sum(k_j * U_j[i] for k_j, U_j in zip(k, projection)) % n, p)
+                  for i in range(s))
+    values = [prod(pow(y, a, p) for y, a in zip(point, e)) for e in exponents]
+    for row in rows:
+        if sum(c * v for c, v in zip(row, values)) % p:
             raise RuntimeError(f"lifted F_{p} point {point} is not a common zero")
     return point
 
@@ -390,35 +342,24 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
     """good / non_tame_suspected / bad_suspected with the evidence recorded.
 
     good means the Jacobian quotient dimension equals the normalized volume
-    and no proper face avoiding the origin has a torus witness over the
-    test primes.  Only those faces are searched: a face through the origin
-    never decides the verdict.  The face search is a sound-but-incomplete
-    heuristic: for each such face it looks for a common zero of the face's
-    critical system on (F_p^*)^s, reduced to the face's own torus of
-    dimension at most s - 1 (see `_fp_witness`), and every point it reports
-    has been checked against the equations mod p.  One NewtonData serves
-    every sample of the same B.
+    and no face in `newton.searched_faces` has a torus witness over the
+    test primes.  The face search is a sound-but-incomplete heuristic: for
+    each such face it looks for a common zero of the face's critical
+    system on (F_p^*)^s, reduced to the face's own torus of dimension at
+    most s - 1 (see `_fp_witness`), and every point it reports has been
+    checked against the equations mod p.  A rescaled lam gets the same
+    verdict.  One NewtonData serves every sample of the same B.
     """
     B = newton.B
     lam = _parameter(B, lam)
-    s = B.rows
     vol = newton.volume
     evidence = {"volume": vol}
-    for face in newton.faces:
-        if 0 in face.indices:
-            continue  # through the origin, the whole polytope included
-        eqs = face_critical_system(B, face.indices, lam)
-        if all(e.is_zero() for e in eqs):
-            continue
-        # A single-monomial equation with a nonzero coefficient has no torus
-        # zero over any field, so the face can be skipped exactly.
-        if any(len(e.coeffs) == 1 for e in eqs if not e.is_zero()):
-            continue
+    for indices, projection in newton.searched_faces:
+        exponents, rows = face_critical_system(B, indices, lam)
         for p in PRIMES:
-            wit = _fp_witness(eqs, s, p)
+            wit = _fp_witness(exponents, rows, p, projection)
             if wit is not None:
-                evidence["bad_face_witness"] = {"face": sorted(face.indices), "prime": p,
-                                                "point": wit}
+                evidence["bad_face_witness"] = {"face": indices, "prime": p, "point": wit}
                 return {"verdict": "bad_suspected", "evidence": evidence}
     jac = jacobian_quotient_dim(newton, lam, stabilization_window=stabilization_window)
     evidence["jacobian_dim"] = jac["dim"]

@@ -281,6 +281,54 @@ def test_lg_certifies_each_point_once_per_call(monkeypatch):
     assert certified and len(certified) == len(set(certified))
 
 
+@pytest.mark.parametrize("name", ["f3_minus_k", "p1_o2"])
+def test_lg_projects_each_face_once_per_call(monkeypatch, name):
+    """The face records live in the one NewtonData of a call: the three
+    samples share one Smith form per searched face, and each spec has one
+    face that the lambda-independent skip keeps."""
+    calls = []
+    snf = lgfamily.smith_normal_form
+
+    def counting_snf(A):
+        calls.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(lgfamily, "smith_normal_form", counting_snf)
+    with redirect_stdout(io.StringIO()):
+        cli.main(["lg", "--spec", str(SPECS / f"{name}.json"), "--samples", "3", "--seed", "0",
+                  "--json"])
+    assert len(calls) == 1
+
+
+# sha256 of `lg --json` at seeds where a sample is bad_suspected, which
+# perfbench/records.json (seed 0 only) does not reach.
+LG_WITNESS_DIGESTS = {
+    ("f3_minus_k", 12): "a3c47c4afdac0f365846032d42c2dc5385366e0f6bd640e5346cc3c54296664b",
+    ("f3_minus_k", 16): "6c8979588da94d216cbb682301badca8ccdac72de3522af827b4fdb22950b727",
+    ("f3_minus_k", 42): "7f77c494bc0083565001f4fd5131e9762a2821dfaec8e35b76e22e82b6ea6be9",
+    ("f3_minus_k", 58): "6749bfe9e2526c7902d77aab52101db47c2babae1fd72966ecf767746bd2050a",
+    ("p1_o2", 8): "cb94af2c07ba7eefd89d3a45d9ba422d22aa63fa92bba4a2e4675d94e86cc7b1",
+    ("p1_o2", 9): "af7b96797961db448656a071920f55a3ca96b5881199a07a9ff4cdd71a2d03d7",
+    ("p1_o2", 38): "87f120b01c23d5365d446ec103304f7cb8bbee2760229ed01a27f5a7318b028f",
+    ("p1_o2", 46): "7a62b7a826cf0d16eb950757f3b197261d15e591f6e9a5e741ab91ada527e8a6",
+    ("p1_o2", 53): "ee827af57842406a2b6a97b321f82e9cbffe4addf5c41ad794a93125a5d4c38e",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(LG_WITNESS_DIGESTS))
+def test_lg_report_with_a_bad_sample_matches_digest(monkeypatch, name, seed):
+    """Each pinned report has a bad_suspected sample, so the face search
+    decides part of it; exit 1 because not every sample is good."""
+    monkeypatch.chdir(ROOT)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = cli.main(["lg", "--spec", f"specs/{name}.json", "--seed", str(seed), "--json"])
+    samples = json.loads(out.getvalue())["results"]["samples"]
+    assert rc == 1 and "bad_suspected" in [s["verdict"] for s in samples]
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == LG_WITNESS_DIGESTS[name, seed]
+
+
 THREEFOLDS = {
     "p1cube_o111": {
         "fan": {

@@ -3,17 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 from operator import itemgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus, lgfamily
 from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import (
-    LaurentPoly,
     NewtonData,
     _fp_witness,
     build_family,
@@ -23,6 +23,7 @@ from tglab.lgfamily import (
     newton_polytope,
     restrict_to_km,
     substitute_km_parameters,
+    torus_projection,
 )
 from tglab.models import build_model
 from tglab.polytopes import faces, normalized_volume
@@ -38,7 +39,7 @@ def test_family_p1():
     B = corpus.projective_line().ray_matrix()
     fam = build_family(B)
     # -l1*y - l2*y^-1 in variables (y, l1, l2)
-    assert fam.coeffs == {
+    assert fam == {
         (1, 1, 0): Fraction(-1),
         (-1, 0, 1): Fraction(-1),
     }
@@ -48,7 +49,7 @@ def test_family_p1_o2():
     fan, d = corpus.p1_o2()
     B = total_space_fan(fan, d).ray_matrix()
     fam = build_family(B)
-    assert fam.coeffs == {
+    assert fam == {
         (1, 2, 1, 0, 0): Fraction(-1),
         (-1, 0, 0, 1, 0): Fraction(-1),
         (0, 1, 0, 0, 1): Fraction(-1),
@@ -58,7 +59,7 @@ def test_family_p1_o2():
 def test_family_constant_column():
     B = IntegerMatrix.from_rows([[0]])
     fam = build_family(B)
-    assert fam.coeffs == {(0, 1): Fraction(-1)}
+    assert fam == {(0, 1): Fraction(-1)}
 
 
 def test_restrict_to_km_signs():
@@ -66,9 +67,7 @@ def test_restrict_to_km_signs():
     model = build_model(fan, d)
     km = restrict_to_km(model.Aprime, model.M, model.m)
     # bundle monomial enters with plus sign
-    assert km.coeffs[(0, 1, 0)] == 1
-    assert km.coeffs[(1, 2, 0)] == -1
-    assert km.coeffs[(-1, 0, 1)] == -1
+    assert km == {(0, 1, 0): 1, (1, 2, 0): -1, (-1, 0, 1): -1}
 
 
 def test_km_parameterizations_agree():
@@ -84,12 +83,12 @@ def test_km_parameterizations_agree():
             if len(q_values) != model.M.rows:
                 continue
             direct = substitute_km_parameters(fam, s, t, model.M, model.m, q_values)
-            specialized = LaurentPoly(s)
-            for e, v in km.coeffs.items():
+            specialized = {}
+            for e, v in km.items():
                 coef = v
                 for a in range(model.M.rows):
                     coef *= Fraction(q_values[a]) ** e[s + a]
-                specialized = specialized + LaurentPoly.monomial(s, e[:s], coef)
+                specialized[e[:s]] = coef
             assert direct == specialized
 
 
@@ -100,10 +99,7 @@ def test_km_q_one_recovers_family_at_section():
     fam = build_family(B)
     km = restrict_to_km(B, model.M, model.m)
     direct = substitute_km_parameters(fam, 2, 3, model.M, model.m, [Fraction(1)])
-    specialized = LaurentPoly(2)
-    for e, v in km.coeffs.items():
-        specialized = specialized + LaurentPoly.monomial(2, e[:2], v)
-    assert direct == specialized
+    assert direct == {e[:2]: v for e, v in km.items()}
 
 
 def test_jacobian_dim_p1():
@@ -349,10 +345,8 @@ def test_parameter_length_checked(check):
 
 def test_face_critical_vertex_no_solution():
     B = corpus.projective_line().ray_matrix()
-    eqs = face_critical_system(B, [1], [1, 1])
     # lambda_1 y = 0 has no torus solution
-    assert not eqs[0].is_zero()
-    assert eqs[1] == eqs[0]
+    assert face_critical_system(B, [1], [1, 1]) == ([(1,)], [[1], [1]])
 
 
 def test_face_critical_edge_avoiding_the_origin():
@@ -362,10 +356,9 @@ def test_face_critical_edge_avoiding_the_origin():
     fan, d = corpus.p1_o2()
     B = total_space_fan(fan, d).ray_matrix()
     assert [1, 2, 3] in [sorted(f.indices) for f in faces(newton_polytope(B))]
-    f, dx, dy = face_critical_system(B, [1, 2, 3], [1, 2, 3])
-    assert f.coeffs == {(1, 2): 1, (-1, 0): 2, (0, 1): 3}
-    assert dx.coeffs == {(1, 2): 1, (-1, 0): -2}
-    assert dy.coeffs == {(1, 2): 2, (0, 1): 3}
+    exponents, rows = face_critical_system(B, [3, 1, 2], [1, 2, 3])
+    assert exponents == [(1, 2), (-1, 0), (0, 1)]
+    assert rows == [[1, 2, 3], [1, -2, 0], [2, 0, 3]]
     with pytest.raises(ValueError, match="through the origin"):
         face_critical_system(B, [0, 1, 2], [1, 2, 3])
 
@@ -393,7 +386,7 @@ def test_classify_bad_parameter_p1_o2():
     verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, -2])
     assert verdict["verdict"] == "bad_suspected"
     witness = verdict["evidence"]["bad_face_witness"]
-    assert 0 not in witness["face"]
+    assert witness == {"face": [1, 2, 3], "prime": 101, "point": (1, 1)}
 
 
 def test_bad_samples_scan_no_members(monkeypatch):
@@ -449,24 +442,35 @@ def test_dim_equals_volume_at_random_good_parameters():
             found += 1
 
 
-def residue(poly, y, p):
-    """The Laurent polynomial at the point y of (F_p^*)^s, mod p."""
+def coprime(row):
+    """The rational row divided by the gcd of its entries, gcd(numerators) /
+    lcm(denominators): coprime integers, with the same zeros."""
+    row = [Fraction(c) for c in row]
+    g = Fraction(gcd(*(c.numerator for c in row)), lcm(*(c.denominator for c in row)))
+    return [int(c / g) for c in row] if g else row
+
+
+def residue(exponents, row, y, p):
+    """sum_j row[j] y^{exponents[j]} at the point y of (F_p^*)^s, mod p."""
     total = 0
-    for e, c in poly.coeffs.items():
-        term = c.numerator * pow(c.denominator, -1, p)
+    for e, c in zip(exponents, row):
+        term = c
         for yk, ek in zip(y, e):
             term = term * pow(yk, ek, p)
         total += term
     return total % p
 
 
-def reference_witness(eqs, s, p):
-    """Lex-first common zero on the full grid (F_p^*)^s, or None; None also
-    when a denominator is divisible by p."""
-    if any(c.denominator % p == 0 for poly in eqs for c in poly.coeffs.values()):
-        return None
+def reference_witness(exponents, rows, p):
+    """Lex-first common zero on the full grid (F_p^*)^s of the rows scaled
+    to coprime integers, or None."""
+    rows = [coprime(row) for row in rows]
     return next(
-        (y for y in product(range(1, p), repeat=s) if all(residue(f, y, p) == 0 for f in eqs)),
+        (
+            y
+            for y in product(range(1, p), repeat=len(exponents[0]))
+            if all(residue(exponents, row, y, p) == 0 for row in rows)
+        ),
         None,
     )
 
@@ -477,7 +481,8 @@ def sublattice_systems(draw):
     has rank 1 or 2; scaling the basis by 2 or 3 makes L non-saturated.
     A draw is the critical system of one polynomial (f and its log
     derivatives, as for a face), unrelated equations, or equations whose
-    last coefficient is chosen so that they vanish at a drawn point mod p."""
+    last coefficient is chosen so that they vanish at a drawn point mod p.
+    It is (exponents, rows, p), one coefficient row per equation."""
     p = draw(st.sampled_from([7, 11, 13]))
     rank = draw(st.integers(1, 2))
     vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
@@ -486,28 +491,25 @@ def sublattice_systems(draw):
     scale = draw(st.integers(1, 3))
     e0 = draw(vec)
     steps = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
-    monos = list(dict.fromkeys(
+    exponents = list(dict.fromkeys(
         tuple(e0[k] + scale * sum(a * v[k] for a, v in zip(step, basis)) for k in range(3))
         for step in draw(st.lists(steps, min_size=1, max_size=4))
     ))
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-    def poly():
-        return LaurentPoly(3, {m: draw(coeff) for m in monos})
-
+    row = st.lists(coeff, min_size=len(exponents), max_size=len(exponents))
     kind = draw(st.sampled_from(["critical", "unrelated", "planted"]))
     if kind == "critical":
-        f = poly()
-        return [f] + [f.log_derivative(k) for k in range(3)], p
-    eqs = [poly() for _ in range(draw(st.integers(1, 3)))]
+        f = draw(row)
+        return exponents, [f] + [[e[k] * c for e, c in zip(exponents, f)] for k in range(3)], p
+    rows = draw(st.lists(row, min_size=1, max_size=3))
     if kind == "planted":
         y = draw(st.tuples(*[st.integers(1, p - 1)] * 3))
-        last = monos[-1]
-        for i, f in enumerate(eqs):
-            rest = LaurentPoly(3, {m: c for m, c in f.coeffs.items() if m != last})
-            c = -residue(rest, y, p) * pow(residue(LaurentPoly.monomial(3, last), y, p), -1, p)
-            eqs[i] = rest + LaurentPoly.monomial(3, last, c % p)
-    return eqs, p
+        # Reduce each row mod p, then pick its last coefficient to vanish at y.
+        rows = [[c.numerator * pow(c.denominator, -1, p) % p for c in r] for r in rows]
+        last = residue(exponents[-1:], [1], y, p)
+        for r in rows:
+            r[-1] = -residue(exponents[:-1], r[:-1], y, p) * pow(last, -1, p) % p
+    return exponents, rows, p
 
 
 @settings(max_examples=60, deadline=None)
@@ -515,14 +517,51 @@ def sublattice_systems(draw):
 def test_fp_witness_against_full_grid(case):
     """The search on the reduced torus finds a zero exactly when the full
     (F_p^*)^3 grid has one, and every point it returns is a common zero."""
-    eqs, p = case
-    found = _fp_witness(eqs, 3, p)
-    assert (found is None) == (reference_witness(eqs, 3, p) is None)
+    exponents, rows, p = case
+    found = _fp_witness(exponents, rows, p, torus_projection(exponents))
+    assert (found is None) == (reference_witness(exponents, rows, p) is None)
     if found is not None:
         assert len(found) == 3 and all(1 <= y < p for y in found)
-        assert all(residue(f, found, p) == 0 for f in eqs)
-    nonzero = [f for f in eqs if not f.is_zero()]
-    if nonzero:
-        e = next(iter(nonzero[0].coeffs))
-        unusable = LaurentPoly(3, {**nonzero[0].coeffs, e: Fraction(1, p)})
-        assert _fp_witness([unusable] + eqs, 3, p) is None
+        assert all(residue(exponents, row, found, p) == 0 for row in map(coprime, rows))
+
+
+def classify_outcome(newton, lam):
+    try:
+        return classify_parameter(newton, lam)
+    except StabilizationFailed as exc:
+        return {"partial": exc.partial}
+
+
+@st.composite
+def scaled_parameters(draw):
+    """A spec, a parameter and a scale c whose denominator is divisible by a
+    test prime.  On P1/O(2) the parameter may lie on the locus
+    lambda_3^2 = 4 lambda_1 lambda_2 where the edge [1, 2, 3] has a torus
+    critical point, drawn as (a x^2, a y^2, +-2 a x y)."""
+    name = draw(st.sampled_from(sorted(TOTAL_SPACES)))
+    small = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    if name == "p1_o2" and draw(st.booleans()):
+        a, x, y = draw(small), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        lam = [a * x * x, a * y * y, draw(st.sampled_from([2, -2])) * a * x * y]
+    else:
+        cols = TOTAL_SPACES[name].ray_matrix().cols
+        lam = draw(st.lists(small, min_size=cols, max_size=cols))
+    den = draw(st.sampled_from([101, 103, 10403])) * draw(st.integers(1, 4))
+    return name, lam, Fraction(draw(st.integers(-9, 9).filter(bool)), den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_parameters())
+@example(("p1_o2", [1, 1, -2], Fraction(1, 10403)))
+@example(("p1_o2", [1, 1, -2], Fraction(1, 101)))
+@example(("p1_o2", [1, 1, -2], Fraction(1, 103)))
+def test_verdict_does_not_depend_on_the_scale_of_lambda(case):
+    """Scaling lambda keeps every face system's zeros and the Jacobian rank,
+    so the verdict and its evidence stay; no test prime is lost to a
+    denominator of c lambda.  The examples are the bad parameter of
+    `test_classify_bad_parameter_p1_o2` at scales whose denominators the
+    test primes divide."""
+    name, lam, c = case
+    total = TOTAL_SPACES[name]
+    newton = NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total))
+    assert classify_outcome(newton, [c * x for x in lam]) == classify_outcome(newton, lam)
