@@ -4,7 +4,6 @@ semigroups, plus toric ideal generators."""
 from tglab import corpus
 from tglab.intlinalg import IntegerMatrix, homogenize
 from tglab.semigroups import (
-    AffineSemigroup,
     doubled_semigroup,
     gorenstein_shift_check,
     interior_shift_check_ungraded,
@@ -24,10 +23,8 @@ print("saturated up to degree 6:", ok)
 scan = scan_cone_points(S, 6)
 shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
 print("Gorenstein shift by", shift, "->", gorenstein_shift_check(S, shift, 6, scan))
-Ap = total.ray_matrix()
-Sp = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
 print("interior of the undoubled cone is the bundle shift:",
-      interior_shift_check_ungraded(Sp, S, Ap.col(2), 6, scan))
+      interior_shift_check_ungraded(total, S, total.ray_matrix().col(2), 6, scan))
 
 print()
 print("== the F3 anticanonical example ==")

@@ -29,9 +29,7 @@ def show(poly, names):
 fan, d = corpus.p1_o2()
 model = build_model(fan, d)
 B = model.Aprime
-total = model.total
-cones = [tuple(c) for c in total.max_cones]
-newton = NewtonData(B, cone_index_sets=cones)
+newton = NewtonData(model.total)
 
 ys = [f"y{k + 1}" for k in range(B.rows)]
 print("== the family and its moduli restriction ==")
@@ -63,7 +61,6 @@ print("== a two-parameter example ==")
 fan, d = corpus.p1p1_o11()
 total = total_space_fan(fan, d)
 B = total.ray_matrix()
-cones = [tuple(c) for c in total.max_cones]
-res = jacobian_quotient_dim(NewtonData(B, cone_index_sets=cones), [1, 2, 1, 1, 3])
+res = jacobian_quotient_dim(NewtonData(total), [1, 2, 1, 1, 3])
 vol = normalized_volume([(0, 0, 0)] + [B.col(i) for i in range(B.cols)])
 print("dimension:", res["dim"], "volume:", vol)

@@ -27,7 +27,6 @@ from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
 from tglab.rationalcone import RationalCone
 from tglab.semigroups import (
-    AffineSemigroup,
     doubled_semigroup,
     gorenstein_shift_check,
     interior_shift_check_ungraded,
@@ -176,7 +175,9 @@ def cmd_validate(spec, args) -> dict:
     out["adjoint_class_nef"] = adjoint_nef
     ok = diag.is_fan and diag.smooth and diag.complete and all(nef_rows)
     if ok:
-        total = total_space_fan(fan, d)
+        # A nef row with a negative entry differs from a nonnegative one by
+        # div(chi^m), which shears the rays (a_i, d_i) by a unimodular map.
+        total = total_space_fan(fan, d, allow_negative=True)
         out["total_fan"] = {
             "rays": [list(r) for r in total.rays],
             "max_cones": [[i + 1 for i in c] for c in total.max_cones],
@@ -244,12 +245,11 @@ def cmd_semigroup(spec, args) -> dict:
             gen = S.gen(1 + fan.n_rays + j)
             shift = [a + b for a, b in zip(shift, gen)]
         out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound, scan)
-        Sprime = AffineSemigroup(Btot, cone_index_sets=tuple(tuple(cc) for cc in total.max_cones))
         shiftp = [0] * Btot.rows
         for j in range(c):
             col = Btot.col(fan.n_rays + j)
             shiftp = [a + b for a, b in zip(shiftp, col)]
-        out["interior_shift"] = interior_shift_check_ungraded(Sprime, S, shiftp, bound, scan)
+        out["interior_shift"] = interior_shift_check_ungraded(total, S, shiftp, bound, scan)
         out["passed"] = bool(out["gorenstein_shift"] and out["interior_shift"])
     else:
         out["passed"] = False
@@ -318,9 +318,8 @@ def cmd_lg(spec, args) -> dict:
     km = restrict_to_km(B, model.M, model.m)
     rng = random.Random(spec["seed"])
     window = spec["stabilization_window"]
-    cones = [tuple(c) for c in model.total.max_cones]
     # Everything that does not depend on lambda is computed once, here.
-    newton = NewtonData(B, spec["cutoff"], cone_index_sets=cones)
+    newton = NewtonData(model.total, spec["cutoff"])
     if window > newton.cutoff:
         raise InputError(
             f"stabilization_window must be at most the cutoff, {newton.cutoff}, got {window}"

@@ -14,12 +14,13 @@ modular arithmetic vectorized by numpy, imported inside the search only;
 everything else is exact.  What does not depend on the parameter
 (polytope, volume, the cutoff, the semigroup members and a record per
 searched face with its torus projection) lives in a NewtonData, the
-one way to give B, the cutoff and the cone sets, which one caller builds
-and shares across its samples.  Each member comes with its weight rounded
-up, which is its least grading in the doubled cone, read off a scan of a
-dilate of the polytope in `semigroups.graded_slice_points`.  The member
-list grows with the sweep: the dilates grow geometrically and end on the
-cutoff, so a sweep that stabilizes early never scans the top dilate.
+one way to give the total-space fan (whose rays are B) and the cutoff,
+which one caller builds and shares across its samples.  Each member comes
+with its weight rounded up, which is its least grading in the doubled
+cone, read off a scan of a dilate of the polytope in
+`semigroups.graded_slice_points`.  The member list grows with the sweep:
+the dilates grow geometrically and end on the cutoff, so a sweep that
+stabilizes early never scans the top dilate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from operator import itemgetter
 from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
 from tglab.polytopes import LatticePolytope, faces, normalized_volume
+from tglab.rationalcone import _primitive
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
+from tglab.toricfan import Fan
 
 
 def _collect(terms) -> dict:
@@ -77,18 +80,18 @@ def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
 
 
 class NewtonData:
-    """The lambda-independent data of the family of B, built once and
-    shared by every parameter sample of one call: the Newton polytope and
-    the lcm e of its facet offsets, its normalized volume, the faces the
-    F_p search reads with their torus projections, the slice cutoff
-    (4 e diam(B) unless given), and one list of semigroup members that
-    grows with the sweep (`members_up_to`), which needs the unimodular
-    cones of the total-space fan.  Each is computed on first use, so a
-    sample that stops at a bad face never scans a member."""
+    """The lambda-independent data of the family of B, the ray matrix of
+    ``fan``, built once and shared by every parameter sample of one call:
+    the Newton polytope and the lcm e of its facet offsets, its normalized
+    volume, the faces the F_p search reads with their torus projections,
+    the slice cutoff (4 e diam(B) unless given), and one list of semigroup
+    members that grows with the sweep (`members_up_to`), the cone points in
+    the fan's support.  Each is computed on first use, so a sample that
+    stops at a bad face never scans a member."""
 
-    def __init__(self, B: IntegerMatrix, cutoff: int | None = None, *, cone_index_sets):
-        self.B = B
-        self.cone_index_sets = tuple(map(tuple, cone_index_sets))
+    def __init__(self, fan: Fan, cutoff: int | None = None):
+        self.fan = fan
+        self.B = fan.ray_matrix()
         self._cutoff = cutoff
         self._members = []
         self._scanned = -1  # the members are complete up to this grading
@@ -133,10 +136,6 @@ class NewtonData:
     def _doubled(self) -> AffineSemigroup:
         return doubled_semigroup(self.B)
 
-    @cached_property
-    def _certified(self):
-        return AffineSemigroup(self.B, cone_index_sets=self.cone_index_sets).certified
-
     def members_up_to(self, bound: int) -> list:
         """The semigroup members as (least grading, point) pairs, sorted by
         grading then lex and complete at least up to grading
@@ -148,11 +147,12 @@ class NewtonData:
         list grows by a scan at the least ceil(cutoff / 2^i) >= bound, so a
         sweep that stops at bound b scans no dilate above 2b, one that runs
         on ends on a scan at the cutoff, and only the points of gradings not
-        seen before are certified and appended.  Only points a subcone
-        certifies are kept, and nothing here checks that the subcones tile
-        the cone; when they do not, the list misses points.  On F3 with -K
-        (`w_set_convexity` is False) it misses 286 points at cutoff 12
-        (ROADMAP item 2).
+        seen before are tested and appended.  The members are the cone
+        points in the support of the fan (`Fan.contains`; the fan is smooth,
+        so such a point is a nonnegative integer sum of one cone's rays).
+        The list is complete only when `w_set_convexity(fan)` holds, and
+        nothing here checks it; when it fails, the list misses points.  On
+        F3 with -K it misses 286 points at cutoff 12 (ROADMAP item 1).
         """
         if self._scanned < min(bound, self.cutoff):
             dilate = self.cutoff
@@ -161,7 +161,7 @@ class NewtonData:
             new = [
                 (j, p)
                 for j, p in graded_slice_points(self._doubled, dilate)
-                if j > self._scanned and self._certified(p)
+                if j > self._scanned and self.fan.contains(p)
             ]
             self._members += sorted(new, key=itemgetter(0))
             self._scanned = dilate
@@ -278,14 +278,6 @@ def torus_projection(exponents) -> tuple:
         IntegerMatrix.from_rows([[e[i] - e0[i] for e in exponents] for i in range(len(e0))])
     )
     return tuple(snf.U.entries[:sum(1 for x in snf.diagonal if x)])
-
-
-def _primitive(row) -> list:
-    """The rational row scaled to coprime integers (a zero row stays zero)."""
-    den = lcm(*(Fraction(c).denominator for c in row))
-    ints = [int(c * den) for c in row]
-    g = gcd(*ints) or 1
-    return [c // g for c in ints]
 
 
 PRIMES = (101, 103)  # of the finite-field face search

@@ -7,14 +7,14 @@ slice_k = slice_{k-1} + generators.  One scan of the dilate k conv(0, a'_i)
 gives every cone point up to grading k with its least grading, an integer
 read off the cone's facets; the semigroup certificates take their points
 from one scan at their bound, and the lg members from scans at dilates
-that grow with the Jacobian sweep.  The ungraded N A' is
-handled through unimodular subcone certificates plus a graded lift: a
-point is a member when it has nonnegative integer coordinates in a
-unimodular subcone, or when the lift holds it up to a grading bound.  Both
-yes answers are exact; a no for a cone point only says that the lift
-holds no such point up to the bound.  Nothing here checks that the
-subcones cover the cone.  Every semigroup lies in its cone, so a point
-outside the cone is never a member.
+that grow with the Jacobian sweep.  The ungraded N A' is handled through
+the support of the total-space fan plus a graded lift: a point is a
+member when a maximal cone of that smooth fan holds it (its coordinates
+in the cone's rays are then nonnegative integers), or when the lift holds
+it up to a grading bound.  Both yes answers are exact; a no for a cone
+point only says that the lift holds no such point up to the bound.
+Nothing here checks that the fan's support is the whole cone.  Every
+semigroup lies in its cone, so a point outside the cone is never a member.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ from operator import mul
 from typing import NamedTuple
 
 from tglab.errors import BoundTooSmall, NotSaturated, UnboundedSearch
-from tglab.intlinalg import IntegerMatrix, _unimodular_inverse, kernel_lattice
+from tglab.intlinalg import IntegerMatrix, kernel_lattice
 from tglab.rationalcone import HForm, cone_hform
+from tglab.toricfan import Fan
 
 
 class AffineSemigroup:
-    """Semigroup generated by the columns of ``generators``.
+    """Semigroup generated by the columns of ``generators``."""
 
-    ``cone_index_sets`` optionally lists generator index tuples that form
-    unimodular bases (one per maximal cone of a fan); nonnegative integer
-    coordinates in one of them certify membership.
-    """
-
-    def __init__(self, generators: IntegerMatrix, cone_index_sets: tuple = ()):
+    def __init__(self, generators: IntegerMatrix):
         self.generators = generators
-        self.cone_index_sets = cone_index_sets
 
     @property
     def dim(self) -> int:
@@ -65,19 +60,6 @@ class AffineSemigroup:
         return cone_hform([self.gen(i) for i in range(self.n_gens)], self.dim)
 
     @cached_property
-    def _inverses(self) -> tuple:
-        """Integer inverses of the unimodular bases in ``cone_index_sets``."""
-        bases = [
-            IntegerMatrix.from_rows([self.gen(i) for i in idx]).transpose()
-            for idx in self.cone_index_sets
-        ]
-        return tuple(_unimodular_inverse(b) for b in bases if abs(b.det()) == 1)
-
-    def certified(self, v) -> bool:
-        """v has nonnegative coordinates in one of the unimodular bases."""
-        return any(all(x >= 0 for x in inv.mul_vec(v)) for inv in self._inverses)
-
-    @cached_property
     def _slices(self) -> list:
         if not self.graded:
             raise UnboundedSearch("not graded: apex (1, 0, ..., 0) first, first row all ones")
@@ -98,8 +80,7 @@ class AffineSemigroup:
 
 
 def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) -> bool:
-    """Exact membership for graded semigroups; certificate plus graded lift
-    otherwise.
+    """Exact membership for graded semigroups; a graded lift otherwise.
 
     ``lift`` is the graded semigroup whose degree-k slice projects onto S
     (columns (1, s_i) plus the free column (1, 0)); ``lift_bound`` caps the
@@ -108,15 +89,13 @@ def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) ->
     v = tuple(int(x) for x in v)
     if len(v) != S.dim:
         raise ValueError("vector dimension mismatch")
-    if S.certified(v):
-        return True
     if not S.cone.contains(v):
         return False
     if S.graded:
         return v in S.slice(v[0])
     if lift is not None:
         return any((k,) + v in lift.slice(k) for k in range(lift_bound + 1))
-    raise UnboundedSearch("no grading and no cone decomposition available")
+    raise UnboundedSearch("no grading and no graded lift available")
 
 
 def doubled_semigroup(aprime: IntegerMatrix) -> AffineSemigroup:
@@ -218,28 +197,27 @@ def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan: C
 
 
 def interior_shift_check_ungraded(
-    S: AffineSemigroup, lift: AffineSemigroup, shift, degree_bound: int, scan: ConeScan
+    total: Fan, lift: AffineSemigroup, shift, degree_bound: int, scan: ConeScan
 ) -> bool:
-    """Interior of the cone of S equals shift + S, tested on all lattice
-    points of the degree_bound-dilated hull of 0 and the generators, which
-    ``scan``, `scan_cone_points` of ``lift`` at the same bound, holds.
+    """Interior of the cone of S = N A' equals shift + S, where A' is the
+    ray matrix of the smooth fan ``total``, tested on all lattice points of
+    the degree_bound-dilated hull of 0 and the generators, which ``scan``,
+    `scan_cone_points` of ``lift`` at the same bound, holds.
 
-    A point shift + v counts as a member of shift + S when v has a
-    unimodular subcone certificate or the lift holds it at a grading up to
+    A point shift + v counts as a member of shift + S when ``total``
+    contains v or the lift holds it at a grading up to
     degree_bound * (S.dim + 2).  A yes is exact; a no for a point of the
-    cone is exact only up to that lift bound, and so is the verdict.  No
-    cover of the cone by the subcones is checked here; where they do cover
-    it, every cone point is certified and the verdict is exact on the
-    scanned points.
+    cone is exact only up to that lift bound, and so is the verdict.
+    Where the fan's support is the whole cone, every cone point is a
+    member and the verdict is exact on the scanned points.
     """
+    S = AffineSemigroup(total.ray_matrix())
     shift = tuple(int(x) for x in shift)
     for _, pt in scan.points:
         inside = S.cone.contains_interior(pt)
-        member = semigroup_contains(
-            S,
-            tuple(a - b for a, b in zip(pt, shift)),
-            lift=lift,
-            lift_bound=degree_bound * (S.dim + 2),
+        v = tuple(a - b for a, b in zip(pt, shift))
+        member = total.contains(v) or semigroup_contains(
+            S, v, lift=lift, lift_bound=degree_bound * (S.dim + 2)
         )
         if inside != member:
             return False

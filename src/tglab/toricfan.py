@@ -102,6 +102,17 @@ class Fan:
         )
 
     @cached_property
+    def cone_hforms(self) -> tuple:
+        """The H-form of each maximal cone, in `max_cones` order, computed
+        on first use and kept with the fan."""
+        return tuple(cone_hform([self.rays[i] for i in c], self.dim) for c in self.max_cones)
+
+    def contains(self, v) -> bool:
+        """v (integer or rational) lies in the support: some maximal cone
+        holds it."""
+        return any(h.contains(v) for h in self.cone_hforms)
+
+    @cached_property
     def diagnostics(self) -> "FanDiagnostics":
         """`validate_fan` of this fan, computed on first use and kept with
         the fan (fans are immutable), so that the checks one command runs on
@@ -132,7 +143,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
 
     # Fan condition: pairwise intersections are common faces.
     is_fan = True
-    for c1, c2 in combinations(fan.max_cones, 2):
+    for (i1, c1), (i2, c2) in combinations(enumerate(fan.max_cones), 2):
         common = sorted(set(c1) & set(c2))
         if len(common) == fan.dim - 1:
             # Two full-dimensional cones sharing a facet meet exactly in it
@@ -142,9 +153,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
             (b,) = set(c2) - set(common)
             meet_in_common = _dot(normal, fan.rays[a]) * _dot(normal, fan.rays[b]) < 0
         else:
-            inter = intersect_hforms(
-                [cone_hform([fan.rays[i] for i in c], fan.dim) for c in (c1, c2)]
-            )
+            inter = intersect_hforms([fan.cone_hforms[i1], fan.cone_hforms[i2]])
             common_h = cone_hform([fan.rays[i] for i in common], fan.dim)
             probe = RationalCone.from_hform(inter)
             meet_in_common = all(common_h.contains(g) for g in probe.generators)
@@ -189,8 +198,8 @@ def total_space_fan(fan: Fan, d: IntegerMatrix, allow_negative: bool = False) ->
 
     New rays are (a_i, d_i) for the old rays and the last c coordinate
     vectors; each old maximal cone picks up all c new rays.  Negative
-    coefficients are rejected unless ``allow_negative`` is set; the
-    negative-control examples need the raw ray construction.
+    coefficients are rejected unless ``allow_negative`` is set, as
+    `validate`, `semigroup` and the negative-control examples do.
     """
     c = d.rows
     if c and d.cols != fan.n_rays:
@@ -323,18 +332,16 @@ def nef_cone_pl(fan: Fan) -> RationalCone:
     m, r = classes.rows, classes.cols
     section = _rational_right_inverse(classes)
     # t(c) = section * c; psi values are -t_i(c); inequality per (cone, ray):
-    # psi_sigma(a_i) - psi(a_i) >= 0, a linear functional of c.
+    # psi_sigma(a_i) - psi(a_i) >= 0, a linear functional of c.  The linear
+    # extension depends only on the cone and the unit class b.
+    unit_vals = [[-section[row][b] for row in range(m)] for b in range(r)]
     ineqs = []
     for cone in fan.max_cones:
+        us = [_linear_extension(fan, cone, vals) for vals in unit_vals]
         for i in range(fan.n_rays):
-            coeffs = []
-            for b in range(r):
-                unit_t = [section[row][b] for row in range(m)]
-                vals = [-x for x in unit_t]
-                u = _linear_extension(fan, cone, vals)
-                lin = sum(u[k] * fan.rays[i][k] for k in range(fan.dim))
-                coeffs.append(lin - vals[i])
-            ineqs.append(tuple(coeffs))
+            ineqs.append(tuple(
+                _dot(u, fan.rays[i]) - vals[i] for u, vals in zip(us, unit_vals)
+            ))
     prim = [_primitive(v) for v in ineqs]
     dedup = []
     for v in prim:
@@ -376,7 +383,7 @@ def conv_in_support_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:
     sits inside its support; every bundle row must be nef.
 
     Decided on vertices and barycenters of every vertex simplex, each point
-    tested for membership in some maximal cone.
+    tested with `Fan.contains`.
     """
     for j in range(d.rows):
         if not class_is_nef(fan, d.row(j)):
@@ -384,19 +391,12 @@ def conv_in_support_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:
     dim = total.dim
     zero = tuple(0 for _ in range(dim))
     pts = [zero] + list(total.rays)
-    cone_hforms = [
-        cone_hform([total.rays[i] for i in c], dim) for c in total.max_cones
-    ]
-
-    def in_support(x):
-        return any(h.contains(x) for h in cone_hforms)
-
     for size in range(1, dim + 2):
         for subset in combinations(range(len(pts)), size):
             bary = tuple(
                 Fraction(sum(pts[i][k] for i in subset), size) for k in range(dim)
             )
-            if not in_support(bary):
+            if not total.contains(bary):
                 return False
     return True
 

@@ -423,7 +423,6 @@ def star_n_generators(Aprime: IntegerMatrix, beta0_beta, m: int, kernel_basis: I
     return {
         "ctx": ctx,
         "boxes": _boxes(ctx, kernel_basis, tilde_box, m),
-        "star_boxes": _boxes(ctx, kernel_basis, star_box),
         "eulers": _hat_eulers(ctx, Aprime, beta0_beta),
     }
 

@@ -40,6 +40,24 @@ def test_validate_negative_bundle():
     assert "passed: False" in proc.stdout
 
 
+def test_validate_nef_row_with_a_negative_entry(tmp_path):
+    """Nefness depends only on the class: P2 with row (-1, 1, 0), the
+    trivial class, gets a verdict like any other row, and its total-space
+    fan is built and smooth."""
+    spec = tmp_path / "p2_trivial.json"
+    spec.write_text(json.dumps({
+        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[1, 2], [2, 3], [1, 3]]},
+        "bundles": [[-1, 1, 0]],
+    }))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["validate", "--spec", str(spec), "--json"])
+    results = json.loads(out.getvalue())["results"]
+    assert code == 0
+    assert results["bundle_nef"] == [True]
+    assert results["total_fan"]["smooth"] is True
+
+
 def test_validate_incomplete_fan_reports_diagnostics(tmp_path):
     """The nef tests need a complete fan: on an incomplete one validate
     reports the diagnostics, with null nef verdicts, and exits 1."""
@@ -266,19 +284,20 @@ def test_construct_builds_the_total_fan_once(monkeypatch, name):
 
 def test_lg_certifies_each_point_once_per_call(monkeypatch):
     """The three samples share one growing member list: a scan at a higher
-    dilate certifies only the points of gradings not seen before."""
-    certified = []
-    certify = semigroups.AffineSemigroup.certified
+    dilate asks the total-space fan's support only about the points of
+    gradings not seen before."""
+    asked = []
+    contains = toricfan.Fan.contains
 
-    def counting_certify(self, v):
-        certified.append(v)
-        return certify(self, v)
+    def counting_contains(self, v):
+        asked.append(v)
+        return contains(self, v)
 
-    monkeypatch.setattr(semigroups.AffineSemigroup, "certified", counting_certify)
+    monkeypatch.setattr(toricfan.Fan, "contains", counting_contains)
     with redirect_stdout(io.StringIO()):
         rc = cli.main(["lg", "--spec", str(SPECS / "f3_minus_k.json"), "--samples", "3"])
     assert rc == 1
-    assert certified and len(certified) == len(set(certified))
+    assert asked and len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("name", ["f3_minus_k", "p1_o2"])

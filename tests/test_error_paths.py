@@ -49,13 +49,8 @@ def test_least_gradings_need_the_apex():
 def test_jacobian_stabilization_failure_reports_partial():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    B = total.ray_matrix()
     with pytest.raises(StabilizationFailed) as err:
-        jacobian_quotient_dim(
-            NewtonData(B, 2, cone_index_sets=[tuple(c) for c in total.max_cones]),
-            [1, 1, 1],
-            stabilization_window=5,
-        )
+        jacobian_quotient_dim(NewtonData(total, 2), [1, 1, 1], stabilization_window=5)
     history = err.value.partial  # slice history travels with the error, and is named in it
     dims = ", ".join(map(str, history))
     assert len(history) == 2

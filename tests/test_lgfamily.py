@@ -27,12 +27,8 @@ from tglab.lgfamily import (
 )
 from tglab.models import build_model
 from tglab.polytopes import faces, normalized_volume
-from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
+from tglab.semigroups import doubled_semigroup, graded_slice_points
 from tglab.toricfan import total_space_fan
-
-
-def cones_of(total):
-    return [tuple(c) for c in total.max_cones]
 
 
 def test_family_p1():
@@ -104,32 +100,27 @@ def test_km_q_one_recovers_family_at_section():
 
 def test_jacobian_dim_p1():
     fan = corpus.projective_line()
-    B = fan.ray_matrix()
-    res = jacobian_quotient_dim(NewtonData(B, cone_index_sets=cones_of(fan)), [1, 1])
+    res = jacobian_quotient_dim(NewtonData(fan), [1, 1])
     assert res["dim"] == 2
 
 
 def test_jacobian_dim_p2():
     fan = corpus.projective_plane()
-    res = jacobian_quotient_dim(
-        NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 1, 1]
-    )
+    res = jacobian_quotient_dim(NewtonData(fan), [1, 1, 1])
     assert res["dim"] == 3
 
 
 def test_jacobian_dim_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    res = jacobian_quotient_dim(
-        NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total)), [1, Fraction(3, 2), 1]
-    )
+    res = jacobian_quotient_dim(NewtonData(total), [1, Fraction(3, 2), 1])
     assert res["dim"] == 2
 
 
 def test_jacobian_rejects_zero_coefficient():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        jacobian_quotient_dim(NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 0])
+        jacobian_quotient_dim(NewtonData(fan), [1, 0])
 
 
 def test_jacobian_dim_rescaling_invariance():
@@ -138,7 +129,7 @@ def test_jacobian_dim_rescaling_invariance():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
-    newton = NewtonData(B, cone_index_sets=cones_of(total))
+    newton = NewtonData(total)
     rng = random.Random(13)
     for _ in range(3):
         lam = [Fraction(rng.randint(1, 5)) for _ in range(3)]
@@ -187,11 +178,10 @@ def fraction_weight(poly, u):
 
 
 def full_member_list(newton):
-    """Every certified cone point up to the cutoff, from one scan at the
-    cutoff, by least grading then lex."""
-    certified = AffineSemigroup(newton.B, cone_index_sets=newton.cone_index_sets).certified
+    """Every cone point in the fan's support up to the cutoff, from one scan
+    at the cutoff, by least grading then lex."""
     points = graded_slice_points(doubled_semigroup(newton.B), newton.cutoff)
-    return sorted(((j, p) for j, p in points if certified(p)), key=itemgetter(0))
+    return sorted(((j, p) for j, p in points if newton.fan.contains(p)), key=itemgetter(0))
 
 
 def reference_sweep(newton, lam, stabilization_window):
@@ -255,7 +245,7 @@ TOTAL_SPACES = {
 def sweep_cases(draw):
     total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
     cutoff = draw(st.integers(1, 8))
-    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
+    newton = NewtonData(total, cutoff)
     coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
     lam = draw(st.lists(coeff, min_size=newton.B.cols, max_size=newton.B.cols))
     return newton, lam, draw(st.integers(1, 5))
@@ -276,7 +266,7 @@ def test_one_pass_sweep_matches_per_bound_rebuild(case):
 def growth_cases(draw):
     total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
     cutoff = draw(st.integers(1, 12))
-    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
+    newton = NewtonData(total, cutoff)
     return newton, draw(st.lists(st.integers(0, cutoff), min_size=1, max_size=6))
 
 
@@ -314,7 +304,7 @@ def test_sweep_scans_no_dilate_above_twice_its_bound(monkeypatch, name):
     whatever the cutoff."""
     total = TOTAL_SPACES[name]
     dilates = counting_scans(monkeypatch)
-    newton = NewtonData(total.ray_matrix(), 12, cone_index_sets=cones_of(total))
+    newton = NewtonData(total, 12)
     res = jacobian_quotient_dim(newton, [1] * newton.B.cols)
     assert dilates == sorted(set(dilates))
     assert dilates[-1] <= 2 * len(res["slices"]) < newton.cutoff
@@ -327,7 +317,7 @@ def test_sweep_to_the_cutoff_ends_on_a_scan_at_it(monkeypatch, cutoff):
     and the last is the cutoff."""
     total = TOTAL_SPACES["p1p1_o11"]
     dilates = counting_scans(monkeypatch)
-    newton = NewtonData(total.ray_matrix(), cutoff, cone_index_sets=cones_of(total))
+    newton = NewtonData(total, cutoff)
     with pytest.raises(StabilizationFailed):
         jacobian_quotient_dim(newton, [1, 2, 3, 4, 5], stabilization_window=cutoff)
     assert dilates[0] == 1 and dilates[-1] == cutoff
@@ -340,7 +330,7 @@ def test_parameter_length_checked(check):
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     with pytest.raises(ValueError, match="one coefficient per column"):
-        check(NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total)), [1, 1])
+        check(NewtonData(total), [1, 1])
 
 
 def test_face_critical_vertex_no_solution():
@@ -365,16 +355,15 @@ def test_face_critical_edge_avoiding_the_origin():
 
 def test_classify_good_p1():
     fan = corpus.projective_line()
-    B = fan.ray_matrix()
     for lam in ([1, 1], [2, Fraction(1, 3)], [5, 7]):
-        verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(fan)), lam)
+        verdict = classify_parameter(NewtonData(fan), lam)
         assert verdict["verdict"] == "good"
 
 
 def test_classify_rejects_boundary():
     fan = corpus.projective_line()
     with pytest.raises(ZeroCoefficient):
-        classify_parameter(NewtonData(fan.ray_matrix(), cone_index_sets=cones_of(fan)), [1, 0])
+        classify_parameter(NewtonData(fan), [1, 0])
 
 
 def test_classify_bad_parameter_p1_o2():
@@ -382,8 +371,7 @@ def test_classify_bad_parameter_p1_o2():
     lambda_3 = -2 lambda_1 makes the no-origin edge system solvable."""
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    B = total.ray_matrix()
-    verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, -2])
+    verdict = classify_parameter(NewtonData(total), [1, 1, -2])
     assert verdict["verdict"] == "bad_suspected"
     witness = verdict["evidence"]["bad_face_witness"]
     assert witness == {"face": [1, 2, 3], "prime": 101, "point": (1, 1)}
@@ -395,43 +383,36 @@ def test_bad_samples_scan_no_members(monkeypatch):
     gets the verdict of a fresh NewtonData."""
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    B = total.ray_matrix()
     dilates = counting_scans(monkeypatch)
-    newton = NewtonData(B, cone_index_sets=cones_of(total))
+    newton = NewtonData(total)
     for _ in range(2):
         assert classify_parameter(newton, [1, 1, -2])["verdict"] == "bad_suspected"
     assert dilates == []
     good = classify_parameter(newton, [1, 1, 1])
-    assert good == classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, 1])
+    assert good == classify_parameter(NewtonData(total), [1, 1, 1])
     assert dilates
 
 
 def test_classify_good_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    B = total.ray_matrix()
-    verdict = classify_parameter(NewtonData(B, cone_index_sets=cones_of(total)), [1, 1, 1])
+    verdict = classify_parameter(NewtonData(total), [1, 1, 1])
     assert verdict["verdict"] == "good"
     assert verdict["evidence"]["jacobian_dim"] == 2
 
 
 def test_dim_equals_volume_at_random_good_parameters():
     rng = random.Random(101)
-    cases = []
-    fan = corpus.projective_line()
-    cases.append((fan.ray_matrix(), cones_of(fan), 2))
-    fan = corpus.projective_plane()
-    cases.append((fan.ray_matrix(), cones_of(fan), 3))
-    fan, d = corpus.p1_o2()
-    total = total_space_fan(fan, d)
-    cases.append((total.ray_matrix(), cones_of(total), 2))
-    for B, cones, expected in cases:
+    cases = [(corpus.projective_line(), 2), (corpus.projective_plane(), 3)]
+    cases.append((total_space_fan(*corpus.p1_o2()), 2))
+    for fan, expected in cases:
+        B = fan.ray_matrix()
         found = 0
         while found < 5:
             lam = [
                 Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)
             ]
-            verdict = classify_parameter(NewtonData(B, cone_index_sets=cones), lam)
+            verdict = classify_parameter(NewtonData(fan), lam)
             if verdict["verdict"] != "good":
                 continue
             assert verdict["evidence"]["jacobian_dim"] == expected
@@ -563,5 +544,5 @@ def test_verdict_does_not_depend_on_the_scale_of_lambda(case):
     test primes divide."""
     name, lam, c = case
     total = TOTAL_SPACES[name]
-    newton = NewtonData(total.ray_matrix(), cone_index_sets=cones_of(total))
+    newton = NewtonData(total)
     assert classify_outcome(newton, [c * x for x in lam]) == classify_outcome(newton, lam)

@@ -116,26 +116,22 @@ def test_interior_aprime_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
     lift = doubled_semigroup(Ap)
-    assert interior_shift_check_ungraded(S, lift, Ap.col(2), 6, scan_cone_points(lift, 6))
+    assert interior_shift_check_ungraded(total, lift, Ap.col(2), 6, scan_cone_points(lift, 6))
 
 
 def test_interior_aprime_c0():
     fan = corpus.projective_line()
-    A = fan.ray_matrix()
-    S = AffineSemigroup(A, cone_index_sets=tuple(tuple(c) for c in fan.max_cones))
-    lift = doubled_semigroup(A)
-    assert interior_shift_check_ungraded(S, lift, (0,), 5, scan_cone_points(lift, 5))
+    lift = doubled_semigroup(fan.ray_matrix())
+    assert interior_shift_check_ungraded(fan, lift, (0,), 5, scan_cone_points(lift, 5))
 
 
 def test_interior_aprime_p1p1():
     fan, d = corpus.p1p1_o11()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
     lift = doubled_semigroup(Ap)
-    assert interior_shift_check_ungraded(S, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
+    assert interior_shift_check_ungraded(total, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
 
 
 def test_toric_ideal_p1_o2():
@@ -260,11 +256,12 @@ def test_slices_against_multiset_oracle(cols):
 
 def test_ungraded_lift_on_nonconvex_support():
     """P1/O(-1): the two unimodular cones of the total space do not cover
-    the plane, so points outside them are decided by the graded lift."""
+    the plane, so points outside its support are decided by the graded
+    lift."""
     fan, d = corpus.p1_ok(-1)
     total = total_space_fan(fan, d, allow_negative=True)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(Ap, cone_index_sets=tuple(tuple(c) for c in total.max_cones))
+    S = AffineSemigroup(Ap)
     lift = doubled_semigroup(Ap)
     cols = [Ap.col(i) for i in range(Ap.cols)]
 
@@ -273,12 +270,12 @@ def test_ungraded_lift_on_nonconvex_support():
         return (x >= 0 and x + y >= 0) or (x <= 0 and y >= 0)
 
     box = list(product(range(-3, 4), repeat=2))
+    assert all(total.contains(v) == in_subcone(v) for v in box)
     uncovered = [v for v in box if not in_subcone(v)]
     assert uncovered
     for bound in (2, 4):
         reachable = set().union(*(multiset_sums(cols, k) for k in range(bound + 1)))
         for v in box:
-            expected = in_subcone(v) or v in reachable
-            assert semigroup_contains(S, v, lift=lift, lift_bound=bound) == expected
+            assert semigroup_contains(S, v, lift=lift, lift_bound=bound) == (v in reachable)
     # The columns generate all of Z^2, so a large enough lift finds every point.
     assert all(semigroup_contains(S, v, lift=lift, lift_bound=9) for v in uncovered)

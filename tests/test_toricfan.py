@@ -1,12 +1,16 @@
 """Fans, total-space fans, convexity, nef cones and the hull checks."""
 
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+from tglab import cli, corpus, toricfan
 from tglab.errors import (
     BundleNotNef,
     IncompleteFan,
@@ -21,6 +25,7 @@ from tglab.toricfan import (
     anticanonical_consistency_check,
     class_is_nef,
     conv_in_support_check,
+    divisor_class_matrix,
     extended_kernel,
     nef_cone_anticones,
     nef_cone_pl,
@@ -192,6 +197,23 @@ def test_nef_cone_two_constructions_agree(name):
     assert nef_cone_anticones(fan).equals(nef_cone_pl(fan))
 
 
+@pytest.mark.parametrize("name", sorted(ALL_FANS))
+def test_nef_cone_pl_solves_once_per_cone_and_class(monkeypatch, name):
+    """The linear extension of a unit class depends on the cone and the
+    class, not on the ray compared against it."""
+    fan = ALL_FANS[name]
+    calls = []
+    solve = toricfan._linear_extension
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(toricfan, "_linear_extension", counting_solve)
+    nef_cone_pl(fan)
+    assert len(calls) == len(fan.max_cones) * divisor_class_matrix(fan).cols
+
+
 def test_nef_cone_rays_p1xp1():
     nef = nef_cone_anticones(corpus.p1_times_p1())
     assert sorted(nef.generators) == [(0, 1), (1, 0)]
@@ -257,3 +279,64 @@ def test_w_set_negative_twist():
 def test_nefness_assumption_detects_o_minus_one():
     fan, d = corpus.p1_ok(-1)
     assert not class_is_nef(fan, d.row(0))
+
+
+def _spec_total(path):
+    spec = cli.load_spec(str(path))
+    return total_space_fan(spec["fan"], cli.bundle_matrix(spec), allow_negative=True)
+
+
+def _threefold_totals():
+    """P1^3/O(1,1,1), P3/O(2) and P2/O(1)+O(1)."""
+    signs = [(s1, s2, s3) for s1 in (0, 1) for s2 in (0, 1) for s3 in (0, 1)]
+    p1_cubed = Fan.make(
+        [tuple(sign * int(i == k) for i in range(3)) for k in range(3) for sign in (1, -1)],
+        [tuple(2 * k + s[k] for k in range(3)) for s in signs],
+    )
+    p3 = Fan.make([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], combinations(range(4), 3))
+    p2 = corpus.projective_plane()
+    return {
+        "P1^3/O(1,1,1)": total_space_fan(p1_cubed, corpus.bundle(p1_cubed, (1, 0, 1, 0, 1, 0))),
+        "P3/O(2)": total_space_fan(p3, corpus.bundle(p3, (2, 0, 0, 0))),
+        "P2/O(1)+O(1)": total_space_fan(p2, corpus.bundle(p2, (1, 0, 0), (1, 0, 0))),
+    }
+
+
+SUPPORT_FANS = {
+    path.stem: _spec_total(path)
+    for path in sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
+} | _threefold_totals()
+
+
+def in_some_cone(fan, v) -> bool:
+    """Oracle: v has nonnegative coordinates in the rays of some maximal
+    cone, solved over Q by sympy."""
+    target = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in map(Fraction, v)])
+    for cone in fan.max_cones:
+        rays = sympy.Matrix([[fan.rays[i][k] for i in cone] for k in range(fan.dim)])
+        if all(x >= 0 for x in rays.LUsolve(target)):
+            return True
+    return False
+
+
+@st.composite
+def support_queries(draw):
+    """A total fan of a spec or a threefold and an integer point, a
+    rational point, or the barycenter of some of 0 and the rays."""
+    fan = SUPPORT_FANS[draw(st.sampled_from(sorted(SUPPORT_FANS)))]
+    kind = draw(st.sampled_from(["integer", "rational", "barycenter"]))
+    if kind == "integer":
+        return fan, tuple(draw(st.integers(-4, 4)) for _ in range(fan.dim))
+    if kind == "rational":
+        coord = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4))
+        return fan, tuple(draw(coord) for _ in range(fan.dim))
+    pts = [(0,) * fan.dim] + list(fan.rays)
+    chosen = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=fan.dim + 1))
+    return fan, tuple(Fraction(sum(c), len(chosen)) for c in zip(*chosen))
+
+
+@settings(max_examples=200, deadline=None)
+@given(support_queries())
+def test_fan_contains_matches_a_sympy_solve(case):
+    fan, v = case
+    assert fan.contains(v) == in_some_cone(fan, v)
