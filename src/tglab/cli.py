@@ -131,12 +131,38 @@ MAXIMUM = {
 }
 
 
+# The flags of each command, besides --spec and --json, which every command
+# reads.  A flag given to another command exits 2; spec options are shared.
+FLAGS = {
+    "semigroup": {"--degree": dict(type=int, help="degree bound of the scan")},
+    "gkz": {
+        "--gkz-variant": dict(choices=["plain", "homog", "hat", "star", "qdm"],
+                              help="operator system (default plain)"),
+        "--beta": dict(help="parameters, comma-separated integers"),
+    },
+    "lg": {
+        "--seed": dict(type=int, help="seed of the parameter samples"),
+        "--samples": dict(type=int, help="number of samples (default 3)"),
+        "--cutoff": dict(type=int, help="slice cutoff for the Jacobian dimension sweep"),
+    },
+    "ifun": {"--dmax": dict(type=int, help="largest degree of the I-series")},
+}
+
+
+def _check_flags(args):
+    """Refuse a flag that the command does not read."""
+    for cmd, flags in FLAGS.items():
+        for flag in flags:
+            if cmd != args.command and getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ParseError(f"{args.command} does not read {flag}; only {cmd} does")
+
+
 def _apply_flags(spec, args):
     """Let the command-line flags override the spec options, then refuse any
     setting outside its range."""
     flags = {"degree_bound": args.degree, "dmax": args.dmax, "seed": args.seed}
     spec.update({k: v for k, v in flags.items() if v is not None})
-    spec.update(samples=args.samples, cutoff=args.cutoff)
+    spec.update(samples=3 if args.samples is None else args.samples, cutoff=args.cutoff)
     for key, low in MINIMUM.items():
         if spec[key] is not None and spec[key] < low:
             raise ParseError(f"{key} must be at least {low}, got {spec[key]}")
@@ -272,7 +298,7 @@ def _gkz_beta(text, length):
 def cmd_gkz(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
-    variant = args.variant
+    variant = args.gkz_variant or "plain"
     # A' has one row per coordinate of the total space; the homogenized,
     # hat and star systems carry one more parameter, beta_0, and qdm none.
     n = fan.dim + d.rows
@@ -421,23 +447,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tglab",
         description=__doc__,
-        epilog=f"Settings outside their range exit 2: {ranges}.",
+        epilog=f"A flag given to a command it does not belong to exits 2, and so does a "
+        f"setting outside its range: {ranges}.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--spec", required=True, help="path to the JSON problem spec")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    parser.add_argument("--gkz-variant", dest="variant", default="plain",
-                        choices=["plain", "homog", "hat", "star", "qdm"])
-    parser.add_argument("--beta", default=None, help="comma-separated integers")
-    parser.add_argument("--degree", type=int, default=None)
-    parser.add_argument("--dmax", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--samples", type=int, default=3)
-    parser.add_argument("--cutoff", type=int, default=None,
-                        help="slice cutoff for the Jacobian dimension sweep")
+    for cmd, flags in FLAGS.items():
+        group = parser.add_argument_group(f"{cmd} flags")
+        for flag, kwargs in flags.items():
+            group.add_argument(flag, **kwargs)
     args = parser.parse_args(argv)
 
     try:
+        _check_flags(args)
         spec = load_spec(args.spec)
         _apply_flags(spec, args)
         result = COMMANDS[args.command](spec, args)

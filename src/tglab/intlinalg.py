@@ -54,14 +54,6 @@ class IntegerMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
-    def __getitem__(self, idx):
-        i, j = idx
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
@@ -133,9 +125,6 @@ class IntegerMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def rank(self) -> int:
-        return len(row_reduce(self.entries, self.cols)[0])
-
     def to_lists(self):
         return [list(r) for r in self.entries]
 
@@ -205,9 +194,6 @@ class RelationLattice(NamedTuple):
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    def column(self, a: int) -> tuple:
-        return self.basis.col(a)
 
 
 class SectionSystem(NamedTuple):

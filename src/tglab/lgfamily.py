@@ -60,19 +60,6 @@ def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> dict:
     return _collect((B.col(i) + M.col(i), -1 if i < m else 1) for i in range(B.cols))
 
 
-def substitute_km_parameters(family: dict, s: int, t: int, M: IntegerMatrix, m: int, q_values):
-    """Evaluate the abstract family at lambda_i = (+-1) q^{m_i}; returns a
-    Laurent polynomial in y only, as exponent -> coefficient.  Used to check
-    the two parameterizations agree (signs included)."""
-    lam = [
-        Fraction(1 if i < m else -1) * prod(Fraction(q) ** a for q, a in zip(q_values, M.col(i)))
-        for i in range(t)
-    ]
-    return _collect(
-        (e[:s], v * prod(x**a for x, a in zip(lam, e[s:]))) for e, v in family.items()
-    )
-
-
 def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
     """Hull of the origin and the exponent columns."""
     pts = [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]

@@ -48,10 +48,6 @@ class MirrorModel:
         return self.fan.n_rays
 
     @property
-    def c(self) -> int:
-        return self.d.rows
-
-    @property
     def r(self) -> int:
         return self.L.cols
 

@@ -1,4 +1,4 @@
-"""Lattice polytopes: hulls, faces, normalized volume, lattice points.
+"""Lattice polytopes: hulls, faces, normalized volume.
 
 Hull computation lifts the points p to rays (1, p) and reuses the cone
 machinery; a facet of the polytope is a facet of the lifted cone.  All
@@ -12,7 +12,6 @@ one.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
 from tglab.errors import DegeneratePolytope
@@ -77,14 +76,6 @@ class LatticePolytope:
     @property
     def dim(self) -> int:
         return len(_direction_basis(self.points))
-
-    def contains(self, x) -> bool:
-        return all(e.value(x) == 0 for e in self.equalities) and all(
-            f.value(x) >= 0 for f in self.facets
-        )
-
-    def vertices(self):
-        return [self.points[i] for i in self.vertex_indices]
 
 
 def _direction_basis(points):
@@ -182,15 +173,3 @@ def simplex_normalized_volume(points) -> int:
     mat = IntegerMatrix.from_rows([[p[i] - base[i] for i in range(dim)] for p in pts[1:]])
     return abs(mat.det())
 
-
-def lattice_points(poly: LatticePolytope):
-    """All integer points of the polytope, ordered lexicographically."""
-    verts = poly.vertices()
-    dim = poly.ambient_dim
-    lo = [min(v[i] for v in verts) for i in range(dim)]
-    hi = [max(v[i] for v in verts) for i in range(dim)]
-    out = []
-    for cand in product(*[range(lo[i], hi[i] + 1) for i in range(dim)]):
-        if poly.contains(cand):
-            out.append(cand)
-    return out

@@ -141,9 +141,6 @@ class WeylOp:
             out[k] = out.get(k, Fraction(0)) - v
         return WeylOp(self.ctx, out)
 
-    def __neg__(self):
-        return WeylOp(self.ctx, {k: -v for k, v in self.terms.items()})
-
     def scale(self, c):
         return WeylOp(self.ctx, {k: v * Fraction(c) for k, v in self.terms.items()})
 
@@ -176,9 +173,6 @@ class WeylOp:
 
     def __eq__(self, other):
         return isinstance(other, WeylOp) and self.ctx == other.ctx and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items()))))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -425,11 +419,6 @@ def star_n_generators(Aprime: IntegerMatrix, beta0_beta, m: int, kernel_basis: I
         "boxes": _boxes(ctx, kernel_basis, tilde_box, m),
         "eulers": _hat_eulers(ctx, Aprime, beta0_beta),
     }
-
-
-def star_box(ctx, l) -> WeylOp:
-    """lambda-scaled hat box: all variables carry lambda^l (z partial) powers."""
-    return tilde_box(ctx, l, ctx.nvars)
 
 
 def tilde_box(ctx, l, m: int) -> WeylOp:

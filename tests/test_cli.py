@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -193,6 +192,46 @@ def test_setting_ceiling(tmp_path, capsys, command, key, flag, above):
         assert err == ""
 
 
+# The flags each command reads, besides --spec and --json, with a value
+# each flag accepts.
+READS = {
+    "validate": {},
+    "construct": {},
+    "semigroup": {"--degree": "2"},
+    "gkz": {"--gkz-variant": "hat", "--beta": "1"},
+    "lg": {"--seed": "1", "--samples": "1", "--cutoff": "3"},
+    "ifun": {"--dmax": "2"},
+}
+STRAY_FLAGS = [
+    (command, flag, owner, value)
+    for command in READS
+    for owner, flags in READS.items() if owner != command
+    for flag, value in flags.items()
+]
+
+
+@pytest.mark.parametrize("command, flag, owner, value", STRAY_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _, _ in STRAY_FLAGS])
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag, owner, value):
+    """A flag given to a command that does not read it is a usage error:
+    exit 2, one tglab: line naming both, and nothing on stdout."""
+    rc = cli.main([command, "--spec", str(SPECS / "p1_o2.json"), flag, value])
+    out = capsys.readouterr()
+    assert rc == 2
+    assert out.err == f"tglab: {command} does not read {flag}; only {owner} does\n"
+    assert out.out == ""
+
+
+def test_help_names_the_command_of_each_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    text = capsys.readouterr().out
+    for owner, flags in READS.items():
+        for flag in flags:
+            section = text[text.index(f"{owner} flags:"):]
+            assert flag in section.split("\n\n")[0]
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
 def test_closed_stdout_exits_without_traceback(fmt):
     """A reader that is gone before the report is written (``| head``)."""
@@ -348,34 +387,22 @@ def test_lg_report_with_a_bad_sample_matches_digest(monkeypatch, name, seed):
     assert digest == LG_WITNESS_DIGESTS[name, seed]
 
 
-THREEFOLDS = {
-    "p1cube_o111": {
-        "fan": {
-            "rays": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-            "max_cones": [[a, b, c] for a in (1, 2) for b in (3, 4) for c in (5, 6)],
-        },
-        "bundles": [[1, 0, 1, 0, 1, 0]],
-    },
-    "p3_o2": {
-        "fan": {
-            "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-            "max_cones": [list(c) for c in combinations(range(1, 5), 3)],
-        },
-        "bundles": [[2, 0, 0, 0]],
-    },
-    "p2_o1o1": {
-        "fan": {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[1, 2], [2, 3], [1, 3]]},
-        "bundles": [[1, 0, 0], [1, 0, 0]],
-    },
-}
+# Threefold total spaces, kept outside the specs/*.json glob that the
+# records and the fuzz tests read.
+THREEFOLDS = SPECS / "threefolds"
 
 
-def threefold_spec(tmp_path, name):
-    """A threefold total space written outside `specs/`, which the records
-    and the fuzz tests glob."""
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(THREEFOLDS[name]), encoding="utf-8")
-    return path
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["construct"], ["semigroup", "--degree", "3"],
+    ["lg", "--cutoff", "6", "--samples", "1"], ["ifun", "--dmax", "6"],
+    ["gkz", "--gkz-variant", "qdm"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name", ["p1cube_o111", "p3_o2", "p2_o1o1"])
+def test_threefold_commands_pass(capsys, name, argv):
+    rc = cli.main([argv[0], "--spec", str(THREEFOLDS / f"{name}.json"), *argv[1:]])
+    out = capsys.readouterr()
+    assert rc == 0, out.out
+    assert out.err == ""
 
 
 def lg_json(path, *flags):
@@ -385,10 +412,10 @@ def lg_json(path, *flags):
     return rc, out.getvalue()
 
 
-def test_lg_stabilization_failure_names_the_slice_dimensions(tmp_path):
+def test_lg_stabilization_failure_names_the_slice_dimensions():
     """P1^3/O(1,1,1) does not stabilize within its default cutoff 4, and the
     report gives the slice history; at cutoff 6 all three samples are good."""
-    path = threefold_spec(tmp_path, "p1cube_o111")
+    path = THREEFOLDS / "p1cube_o111.json"
     rc, out = lg_json(path)
     assert rc == 1
     assert json.loads(out)["error"] == {
@@ -401,11 +428,13 @@ def test_lg_stabilization_failure_names_the_slice_dimensions(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["p1_o2", "p2_o1", "p1p1_o11", "f3_minus_k", "p3_o2", "p2_o1o1"])
-def test_lg_report_does_not_depend_on_the_cutoff_past_stabilization(monkeypatch, tmp_path, name):
+def test_lg_report_does_not_depend_on_the_cutoff_past_stabilization(monkeypatch, name):
     """Once every sample's sweep has stabilized, a higher cutoff changes
     nothing: the report at the stabilization slice, one above it and 12 is
     the same.  The growing member list scans only as far as the sweep."""
-    path = SPECS / f"{name}.json" if name not in THREEFOLDS else threefold_spec(tmp_path, name)
+    path = SPECS / f"{name}.json"
+    if not path.exists():
+        path = THREEFOLDS / f"{name}.json"
     lengths = []
     sweep = lgfamily.jacobian_quotient_dim
 

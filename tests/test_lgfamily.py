@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tglab import corpus, lgfamily
 from tglab.errors import StabilizationFailed, ZeroCoefficient
-from tglab.intlinalg import IntegerMatrix
+from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.lgfamily import (
     NewtonData,
     _fp_witness,
@@ -22,7 +22,6 @@ from tglab.lgfamily import (
     jacobian_quotient_dim,
     newton_polytope,
     restrict_to_km,
-    substitute_km_parameters,
     torus_projection,
 )
 from tglab.models import build_model
@@ -64,6 +63,19 @@ def test_restrict_to_km_signs():
     km = restrict_to_km(model.Aprime, model.M, model.m)
     # bundle monomial enters with plus sign
     assert km == {(0, 1, 0): 1, (1, 2, 0): -1, (-1, 0, 1): -1}
+
+
+def substitute_km_parameters(family: dict, s: int, t: int, M: IntegerMatrix, m: int, q_values):
+    """Evaluate the abstract family at lambda_i = (+-1) q^{m_i}; returns a
+    Laurent polynomial in y only, as exponent -> coefficient.  Used to check
+    the two parameterizations agree (signs included)."""
+    lam = [
+        Fraction(1 if i < m else -1) * prod(Fraction(q) ** a for q, a in zip(q_values, M.col(i)))
+        for i in range(t)
+    ]
+    return lgfamily._collect(
+        (e[:s], v * prod(x**a for x, a in zip(lam, e[s:]))) for e, v in family.items()
+    )
 
 
 def test_km_parameterizations_agree():
@@ -468,7 +480,7 @@ def sublattice_systems(draw):
     rank = draw(st.integers(1, 2))
     vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
     basis = draw(st.lists(vec, min_size=rank, max_size=rank))
-    assume(IntegerMatrix.from_rows(basis).rank() == rank)
+    assume(len(row_reduce(basis, 3)[0]) == rank)
     scale = draw(st.integers(1, 3))
     e0 = draw(vec)
     steps = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)

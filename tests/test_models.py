@@ -64,11 +64,14 @@ def test_beta_regime_flag():
     assert beta_outside_verified_regime(["1/2", 0])
 
 
+def star_box(ctx, l):
+    """lambda-scaled hat box: all variables carry lambda^l (z partial) powers."""
+    return tilde_box(ctx, l, ctx.nvars)
+
+
 def test_tilde_box_zero_bundle_entry_has_no_shift_factor():
     # relation with vanishing bundle coordinate: both sides stay unshifted
     ctx = OpContext.make(3, laurent=True)
-    from tglab.weylops import star_box
-
     l = (1, -1, 0)
     assert tilde_box(ctx, l, 2) == star_box(ctx, l)
 

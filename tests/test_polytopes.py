@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from tglab.polytopes import (
     LatticePolytope,
     _direction_basis,
     faces,
-    lattice_points,
     normalized_volume,
 )
 from tglab.rationalcone import _dot, cone_hform, extreme_rays, intersect_hforms, nullspace
@@ -98,6 +97,17 @@ def test_volume_counts_max_cones_for_complete_fans():
     ):
         pts = [tuple(0 for _ in range(fan.dim))] + list(fan.rays)
         assert normalized_volume(pts) == len(fan.max_cones)
+
+
+def lattice_points(poly: LatticePolytope):
+    """All integer points of the polytope, in lex order: the points of the
+    generators' bounding box on which its facets and equalities hold."""
+    box = [range(min(c), max(c) + 1) for c in zip(*poly.points)]
+    return [
+        x for x in product(*box)
+        if all(e.value(x) == 0 for e in poly.equalities)
+        and all(f.value(x) >= 0 for f in poly.facets)
+    ]
 
 
 def test_lattice_points_square():

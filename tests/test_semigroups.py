@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tglab import corpus
 from tglab.errors import NotSaturated
 from tglab.intlinalg import IntegerMatrix, homogenize
-from tglab.polytopes import LatticePolytope, lattice_points
+from tglab.polytopes import LatticePolytope
 from tglab.semigroups import (
     AffineSemigroup,
     doubled_semigroup,
@@ -216,8 +216,16 @@ def multiset_sums(gens, k):
 
 
 def dilated_hull_points(S, k):
+    """The lattice points of k * conv(0, columns), in lex order, from the
+    hull's facets: independent of the semigroup's cone."""
     tails = [S.gen(i)[1:] for i in range(S.n_gens)]
-    return lattice_points(LatticePolytope.from_points([[k * x for x in t] for t in tails]))
+    hull = LatticePolytope.from_points([[k * x for x in t] for t in tails])
+    box = [range(min(c), max(c) + 1) for c in zip(*hull.points)]
+    return [
+        x for x in product(*box)
+        if all(e.value(x) == 0 for e in hull.equalities)
+        and all(f.value(x) >= 0 for f in hull.facets)
+    ]
 
 
 columns_2d = st.lists(
