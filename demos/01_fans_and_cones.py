@@ -67,4 +67,4 @@ print("F3 with the anticanonical bundle: bundle nef:", class_is_nef(fan, d.row(0
 print("  W-set convex:", w_set_convexity(total_space_fan(fan, d)))
 fan, d = corpus.p1_ok(-1)
 print("P1 with the degree -1 bundle: bundle nef:", class_is_nef(fan, d.row(0)))
-print("  W-set convex:", w_set_convexity(total_space_fan(fan, d, allow_negative=True)))
+print("  W-set convex:", w_set_convexity(total_space_fan(fan, d)))

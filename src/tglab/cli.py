@@ -34,6 +34,7 @@ from tglab.semigroups import (
 )
 from tglab.toricfan import (
     Fan,
+    adjoint_coefficients,
     anticanonical_consistency_check,
     class_is_nef,
     conv_in_support_check,
@@ -193,17 +194,12 @@ def cmd_validate(spec, args) -> dict:
     nef_rows = adjoint_nef = None
     if diag.complete:
         nef_rows = [class_is_nef(fan, row) for row in d.entries]
-        coeffs = [
-            1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)
-        ]
-        adjoint_nef = class_is_nef(fan, coeffs)
+        adjoint_nef = class_is_nef(fan, adjoint_coefficients(fan, d))
     out["bundle_nef"] = nef_rows
     out["adjoint_class_nef"] = adjoint_nef
     ok = diag.is_fan and diag.smooth and diag.complete and all(nef_rows)
     if ok:
-        # A nef row with a negative entry differs from a nonnegative one by
-        # div(chi^m), which shears the rays (a_i, d_i) by a unimodular map.
-        total = total_space_fan(fan, d, allow_negative=True)
+        total = total_space_fan(fan, d)
         out["total_fan"] = {
             "rays": [list(r) for r in total.rays],
             "max_cones": [[i + 1 for i in c] for c in total.max_cones],
@@ -247,7 +243,7 @@ def cmd_semigroup(spec, args) -> dict:
     fan = spec["fan"]
     d = bundle_matrix(spec)
     bound = spec["degree_bound"]
-    total = total_space_fan(fan, d, allow_negative=True)
+    total = total_space_fan(fan, d)
     Btot = total.ray_matrix()
     vol = normalized_volume(
         [tuple(0 for _ in range(Btot.rows))] + [Btot.col(i) for i in range(Btot.cols)]
@@ -265,16 +261,10 @@ def cmd_semigroup(spec, args) -> dict:
         "witness": list(witness) if witness else None,
     }
     if saturated:
-        c = d.rows
-        shift = list(S.gen(0))
-        for j in range(c):
-            gen = S.gen(1 + fan.n_rays + j)
-            shift = [a + b for a, b in zip(shift, gen)]
-        out["gorenstein_shift"] = gorenstein_shift_check(S, shift, bound, scan)
-        shiftp = [0] * Btot.rows
-        for j in range(c):
-            col = Btot.col(fan.n_rays + j)
-            shiftp = [a + b for a, b in zip(shiftp, col)]
+        # shiftp sums the bundle rays, the last c columns of A'; the graded
+        # shift adds the apex (1, 0) and the c generators (1, bundle ray).
+        shiftp = [sum(row[fan.n_rays:]) for row in Btot.entries]
+        out["gorenstein_shift"] = gorenstein_shift_check(S, [1 + d.rows] + shiftp, bound, scan)
         out["interior_shift"] = interior_shift_check_ungraded(total, S, shiftp, bound, scan)
         out["passed"] = bool(out["gorenstein_shift"] and out["interior_shift"])
     else:

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from tglab.errors import FanNotSmoothComplete
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.rationalcone import nullspace
-from tglab.toricfan import Fan
+from tglab.toricfan import Fan, adjoint_coefficients
 
 
 def _monomials(m, d):
@@ -297,9 +297,7 @@ def chern_data(ring: CohomologyRing, d: IntegerMatrix):
     ctop = ring.one()
     for cls in c1:
         ctop = ring.mul(ctop, cls)
-    euler = ring.combination(
-        [1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(ring.fan.n_rays)]
-    )
+    euler = ring.combination(adjoint_coefficients(ring.fan, d))
     return {"c1": c1, "c_top": ctop, "euler_class": euler}
 
 

@@ -38,7 +38,8 @@ class InputNotSmooth(TglabError):
 
 
 class NegativeCoefficient(TglabError):
-    """Bundle coefficient matrix must be entrywise nonnegative."""
+    """`build_model` refuses a bundle row with a negative entry that is not
+    nef, or whose fan is not complete."""
 
 
 class IncompleteFan(TglabError):

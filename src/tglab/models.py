@@ -9,12 +9,14 @@ quantum-D-module generators.
 
 from __future__ import annotations
 
-from tglab.errors import BasisConditionFailed, BasisNotNef, InputError, KahlerConeEmpty
+from tglab.errors import (
+    BasisConditionFailed, BasisNotNef, InputError, KahlerConeEmpty, NegativeCoefficient
+)
 from tglab.cohomring import CohomologyRing, build_ring
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
 from tglab.qdmcheck import ITable, i_function
 from tglab.rationalcone import HForm, RationalCone, cone_hform
-from tglab.toricfan import Fan, extended_kernel, nef_hform, total_space_fan
+from tglab.toricfan import Fan, class_is_nef, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
     TorusChange,
     qdm_box,
@@ -73,9 +75,15 @@ class MirrorModel:
 
 
 def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
-    """Construct the full derived data; raises InputError for a basis_p
-    that is not r rows of one entry per ray, and the basis errors when the
-    requested (or auto-selected) nef basis fails its conditions."""
+    """Construct the full derived data.  A bundle is a class, so a row of d
+    with a negative entry is accepted when the fan is complete and the row
+    is nef, and refused with NegativeCoefficient otherwise; the models of
+    two rows of one class differ by a unimodular map.  Raises InputError
+    for a basis_p that is not r rows of one entry per ray, and the basis
+    errors when the requested (or auto-selected) nef basis fails."""
+    for row in d.entries:
+        if min(row) < 0 and not (fan.diagnostics.complete and class_is_nef(fan, row)):
+            raise NegativeCoefficient("bundle coefficients must be nonnegative")
     total = total_space_fan(fan, d)
     A = fan.ray_matrix()
     Aprime = total.ray_matrix()

@@ -23,7 +23,6 @@ from tglab.errors import (
     InputError,
     InputNotSmooth,
     KahlerConeEmpty,
-    NegativeCoefficient,
     NonPrimitiveRay,
 )
 from tglab.intlinalg import IntegerMatrix, extend_relation, kernel_lattice, row_reduce
@@ -193,19 +192,18 @@ def _is_complete(fan: Fan) -> bool:
     return len(seen) == n
 
 
-def total_space_fan(fan: Fan, d: IntegerMatrix, allow_negative: bool = False) -> Fan:
+def total_space_fan(fan: Fan, d: IntegerMatrix) -> Fan:
     """Fan of the total space of the dual split bundle given by rows of d.
 
     New rays are (a_i, d_i) for the old rays and the last c coordinate
-    vectors; each old maximal cone picks up all c new rays.  Negative
-    coefficients are rejected unless ``allow_negative`` is set, as
-    `validate`, `semigroup` and the negative-control examples do.
+    vectors; each old maximal cone picks up all c new rays.  Any rows are
+    accepted: d_j + div(chi^m) shears the rays unimodularly, so the
+    smoothness check covers every representative (`build_model` decides
+    which rows a model may use).
     """
     c = d.rows
     if c and d.cols != fan.n_rays:
         raise DimensionMismatch("bundle matrix needs one column per ray")
-    if not allow_negative and any(x < 0 for row in d.entries for x in row):
-        raise NegativeCoefficient("bundle coefficients must be nonnegative")
     diag = fan.diagnostics
     if not (diag.is_fan and diag.smooth and diag.complete):
         raise InputNotSmooth("total-space construction needs a smooth complete fan")
@@ -369,13 +367,17 @@ def class_is_nef(fan: Fan, divisor_coeffs) -> bool:
     return convex
 
 
+def adjoint_coefficients(fan: Fan, d: IntegerMatrix) -> list:
+    """The ray-divisor coefficients 1 - sum_j d_ji of the adjoint class
+    -K_X - sum_j c1(L_j)."""
+    return [1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)]
+
+
 def anticanonical_consistency_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:
     """The anticanonical class of ``total``, the total-space fan of (fan, d),
-    is nef exactly when the base class -K - sum of bundle classes is nef."""
+    is nef exactly when the adjoint class of the base is nef."""
     total_nef, _ = _pl_convex_raw(total, [-1] * total.n_rays)
-    coeffs = [1 - sum(d.entries[j][i] for j in range(d.rows)) for i in range(fan.n_rays)]
-    base_nef = class_is_nef(fan, coeffs)
-    return total_nef == base_nef
+    return total_nef == class_is_nef(fan, adjoint_coefficients(fan, d))
 
 
 def conv_in_support_check(fan: Fan, d: IntegerMatrix, total: Fan) -> bool:

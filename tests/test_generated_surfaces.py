@@ -16,16 +16,16 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tglab import cli
 from tglab.toricfan import Fan, class_is_nef
 
 
-@st.composite
-def surfaces(draw):
-    """(rays in counterclockwise order, bundle rows with entries in -1..2)."""
+def draw_rays(draw):
+    """The rays of P2 or F_a, a <= 3, after up to three toric blow-ups, in
+    counterclockwise order."""
     if draw(st.booleans()):
         rays = [(1, 0), (0, 1), (-1, -1)]
     else:
@@ -35,8 +35,32 @@ def surfaces(draw):
         j = draw(st.integers(0, len(rays) - 1))
         u, v = rays[j], rays[(j + 1) % len(rays)]
         rays.insert(j + 1, (u[0] + v[0], u[1] + v[1]))
+    return rays
+
+
+@st.composite
+def surfaces(draw, nef=False):
+    """(rays in counterclockwise order, bundle rows with entries in -1..2),
+    every row nef when `nef` is set."""
+    rays = draw_rays(draw)
     row = st.lists(st.integers(-1, 2), min_size=len(rays), max_size=len(rays))
+    if nef:
+        row = row.filter(lambda r: nef_oracle(rays, r))
     return rays, draw(st.lists(row, min_size=1, max_size=2))
+
+
+@st.composite
+def nef_classes(draw):
+    """(rays, a nonnegative nef row, the same class minus div(chi^m) for an m
+    in -2..2 squared), keeping only draws where the second row has a
+    negative entry."""
+    rays = draw_rays(draw)
+    row = draw(st.lists(st.integers(0, 2), min_size=len(rays), max_size=len(rays))
+               .filter(lambda r: nef_oracle(rays, r)))
+    m = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    shifted = [a - m[0] * u[0] - m[1] * u[1] for a, u in zip(row, rays)]
+    assume(min(shifted) < 0)
+    return rays, row, shifted
 
 
 def self_intersection_numbers(rays):
@@ -88,21 +112,87 @@ def test_nef_verdicts_match_the_intersection_oracle(tmp_path, surface):
     assert json.loads(out)["results"]["bundle_nef"] == expected
 
 
+# The report fields that depend on the bundle's class and not on the row
+# that writes it; A' and the printed operators are not among them.
+CLASS_FIELDS = {
+    "validate": ("bundle_nef", "adjoint_class_nef", "passed"),
+    "construct": ("nef_cones_agree", "nef_pullback_identity", "anticanonical_consistency",
+                  "w_set_convex", "conv_in_support", "kernel_basis", "nef_cone_rays",
+                  "passed"),
+    "semigroup": ("normalized_volume", "saturated_up_to_bound", "gorenstein_shift",
+                  "interior_shift", "passed"),
+    "gkz": ("passed",),
+    "lg": ("normalized_volume", "passed"),
+    "ifun": ("rows", "homogeneity", "passed"),
+}
+INVARIANCE_CALLS = [
+    ["validate"], ["construct"], ["semigroup", "--degree", "2"], ["gkz", "--gkz-variant", "qdm"],
+    ["lg", "--cutoff", "6", "--samples", "2"], ["ifun", "--dmax", "4"],
+]
+
+
+def class_fields(command, out):
+    """The error type of a report that stops, else its class-level fields."""
+    report = json.loads(out)
+    if "error" in report:
+        return report["error"]["type"]
+    results = report["results"]
+    fields = {key: results.get(key) for key in CLASS_FIELDS[command]}
+    if command == "lg":
+        fields["samples"] = [(s["verdict"], s.get("jacobian_dim")) for s in results["samples"]]
+    return fields
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(draw=nef_classes())
+def test_every_command_depends_only_on_the_class(tmp_path, draw):
+    """A nef row and the same class written with a negative entry give the
+    same exit codes and the same class-level report fields."""
+    rays, row, shifted = draw
+    paths = tmp_path / "row.json", tmp_path / "shifted.json"
+    write_spec(paths[0], rays, [row])
+    write_spec(paths[1], rays, [shifted])
+    for argv in INVARIANCE_CALLS:
+        (rc, out, _), (rc_s, out_s, _) = (
+            run([argv[0], "--spec", str(path), *argv[1:], "--json"]) for path in paths
+        )
+        assert rc == rc_s, argv
+        assert class_fields(argv[0], out) == class_fields(argv[0], out_s), argv
+
+
 COMMANDS = [
     ["construct"], ["semigroup", "--degree", "2"], ["gkz"],
-    ["lg", "--cutoff", "4", "--samples", "1"], ["ifun", "--dmax", "3"],
+    ["lg", "--cutoff", "6", "--samples", "1"], ["ifun", "--dmax", "3"],
 ]
 
 
 @settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-@given(surface=surfaces())
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(surface=st.one_of(surfaces(), surfaces(nef=True)))
 def test_commands_keep_the_exit_contract(tmp_path, surface):
     """Each command ends in exit 0, 1 or 2; no exception escapes main, and
-    exit 2 comes with one tglab: line."""
+    exit 2 comes with one tglab: line.  When every row is nef, no command
+    stops at NegativeCoefficient, construct and ifun pass or stop only at
+    the basis hypotheses of the model, and no lg sample is non-tame."""
+    rays, rows = surface
+    nef = all(nef_oracle(rays, row) for row in rows)
     path = tmp_path / "surface.json"
-    write_spec(path, *surface)
+    write_spec(path, rays, rows)
     for argv in COMMANDS:
-        rc, _, err = run([argv[0], "--spec", str(path), *argv[1:]])
+        rc, out, err = run([argv[0], "--spec", str(path), *argv[1:], "--json"])
         assert rc in (0, 1, 2)
         assert (rc == 2) == err.startswith("tglab: ") and err.count("\n") == (rc == 2)
+        if not nef:
+            continue
+        report = json.loads(out)
+        error = report.get("error", {}).get("type")
+        assert error != "NegativeCoefficient", argv
+        if argv[0] in ("construct", "ifun"):
+            assert error in (None, "BasisConditionFailed", "BasisNotNef"), argv
+            assert error or (rc == 0 and report["results"]["passed"]), argv
+        if argv[0] == "lg" and not error:
+            verdicts = [s["verdict"] for s in report["results"]["samples"]]
+            assert set(verdicts) <= {"good", "bad_suspected"}, verdicts

@@ -267,7 +267,7 @@ def test_ungraded_lift_on_nonconvex_support():
     the plane, so points outside its support are decided by the graded
     lift."""
     fan, d = corpus.p1_ok(-1)
-    total = total_space_fan(fan, d, allow_negative=True)
+    total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
     S = AffineSemigroup(Ap)
     lift = doubled_semigroup(Ap)

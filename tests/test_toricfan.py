@@ -15,10 +15,12 @@ from tglab.errors import (
     BundleNotNef,
     IncompleteFan,
     InputError,
+    InputNotSmooth,
     NegativeCoefficient,
     NonPrimitiveRay,
 )
 from tglab.intlinalg import IntegerMatrix
+from tglab.models import build_model
 from tglab.rationalcone import RationalCone, cone_hform, intersect_hforms
 from tglab.toricfan import (
     Fan,
@@ -161,10 +163,23 @@ def test_total_space_fan_p1p1():
     assert len(total.max_cones) == 4
 
 
-def test_total_space_fan_rejects_negative():
+def test_build_model_refuses_a_row_that_is_neither_nonnegative_nor_nef():
+    """The sign rule lives in build_model; total_space_fan builds the fan of
+    any row, here P1 with O(-1)."""
     fan = corpus.projective_line()
+    d = IntegerMatrix.from_rows([(-1, 0)])
     with pytest.raises(NegativeCoefficient):
-        total_space_fan(fan, IntegerMatrix.from_rows([(-1, 0)]))
+        build_model(fan, d)
+    assert validate_fan(total_space_fan(fan, d)).smooth
+
+
+def test_a_nef_row_with_a_negative_entry_reaches_the_smoothness_check():
+    """On the complete non-smooth fan of P(1,1,2), the trivial class
+    written as (1, 0, -1) passes the sign rule and stops at InputNotSmooth."""
+    fan = Fan.make([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+    assert fan.diagnostics.complete and not fan.diagnostics.smooth
+    with pytest.raises(InputNotSmooth):
+        build_model(fan, IntegerMatrix.from_rows([(1, 0, -1)]))
 
 
 def test_total_space_smooth_invariant():
@@ -256,7 +271,7 @@ def test_conv_in_support_rank_zero():
 
 def test_conv_in_support_needs_nef():
     fan, d = corpus.p1_ok(-1)
-    total = total_space_fan(fan, d, allow_negative=True)
+    total = total_space_fan(fan, d)
     with pytest.raises(BundleNotNef):
         conv_in_support_check(fan, d, total)
 
@@ -273,7 +288,7 @@ def test_w_set_negative_f3():
 
 def test_w_set_negative_twist():
     fan, d = corpus.p1_ok(-1)
-    assert not w_set_convexity(total_space_fan(fan, d, allow_negative=True))
+    assert not w_set_convexity(total_space_fan(fan, d))
 
 
 def test_nefness_assumption_detects_o_minus_one():
@@ -283,7 +298,7 @@ def test_nefness_assumption_detects_o_minus_one():
 
 def _spec_total(path):
     spec = cli.load_spec(str(path))
-    return total_space_fan(spec["fan"], cli.bundle_matrix(spec), allow_negative=True)
+    return total_space_fan(spec["fan"], cli.bundle_matrix(spec))
 
 
 def _threefold_totals():
