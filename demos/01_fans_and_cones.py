@@ -7,7 +7,7 @@ cone of convex PL functions.
 """
 
 from tglab import corpus
-from tglab.rationalcone import RationalCone
+from tglab.rationalcone import extreme_rays
 from tglab.toricfan import (
     anticanonical_consistency_check,
     class_is_nef,
@@ -41,7 +41,7 @@ print("== nef cones, two independent constructions ==")
 for name, f in [("P1xP1", corpus.p1_times_p1()), ("F3", corpus.hirzebruch(3))]:
     anti = nef_cone_anticones(f)
     pl = nef_cone_pl(f)
-    print(f"{name}: anticone rays {anti.generators}, agree with PL: {anti.equals(pl)}")
+    print(f"{name}: anticone rays {anti}, agree with PL: {anti == pl}")
 
 print()
 print("== pullback identity and the hull checks ==")
@@ -52,9 +52,9 @@ for name, (f, dd) in [
 ]:
     # One total fan per bundle; every check reads it.
     tf = total_space_fan(f, dd)
-    nef_total = RationalCone.from_hform(nef_hform(tf, extended_kernel(f, dd)))
+    nef_total = extreme_rays(nef_hform(tf, extended_kernel(f, dd)))
     print(
-        f"{name}: nef pullback {nef_total.equals(nef_cone_anticones(f))},",
+        f"{name}: nef pullback {nef_total == nef_cone_anticones(f)},",
         f"anticanonical consistency {anticanonical_consistency_check(f, dd, tf)},",
         f"hull in support {conv_in_support_check(f, dd, tf)},",
         f"W-set convex {w_set_convexity(tf)}",

@@ -16,7 +16,7 @@ from tglab.toricfan import total_space_fan
 print("== degree-2 bundle on the line ==")
 fan, d = corpus.p1_o2()
 total = total_space_fan(fan, d)
-S = doubled_semigroup(total.ray_matrix())
+S = doubled_semigroup(total.newton_polytope)
 print("doubled generators:", [S.gen(i) for i in range(S.n_gens)])
 ok, witness = saturation_check(S, 6)
 print("saturated up to degree 6:", ok)
@@ -30,7 +30,7 @@ print()
 print("== the F3 anticanonical example ==")
 fan, d = corpus.f3_minus_k()
 total = total_space_fan(fan, d)
-S = doubled_semigroup(total.ray_matrix())
+S = doubled_semigroup(total.newton_polytope)
 ok, witness = saturation_check(S, 6)
 print("d = (1,1,1,1): saturated:", ok, "(normal; the slice tiles into")
 print("  five unimodular generator simplices, so no witness can exist)")
@@ -40,7 +40,7 @@ print("  Gorenstein shift still fails:",
 
 alt = IntegerMatrix.from_rows([(0, 2, 4, 0)])
 total_alt = total_space_fan(corpus.hirzebruch(3), alt)
-S_alt = doubled_semigroup(total_alt.ray_matrix())
+S_alt = doubled_semigroup(total_alt.newton_polytope)
 ok, witness = saturation_check(S_alt, 4)
 print("equivalent representative d = (0,2,4,0): saturated:", ok,
       "witness:", witness)

@@ -12,7 +12,6 @@ from tglab.lgfamily import (
     restrict_to_km,
 )
 from tglab.models import build_model
-from tglab.polytopes import normalized_volume
 from tglab.toricfan import total_space_fan
 
 
@@ -42,7 +41,7 @@ print("restricted over q (bundle monomial enters with +):",
 
 print()
 print("== Jacobian quotient dimensions ==")
-vol = normalized_volume([(0, 0)] + [B.col(i) for i in range(B.cols)])
+vol = model.total.newton_polytope.volume
 print("normalized volume of the Newton polytope:", vol)
 for lam in ([1, 1, 1], [2, Fraction(1, 3), 5]):
     res = jacobian_quotient_dim(newton, lam)
@@ -60,7 +59,5 @@ print()
 print("== a two-parameter example ==")
 fan, d = corpus.p1p1_o11()
 total = total_space_fan(fan, d)
-B = total.ray_matrix()
 res = jacobian_quotient_dim(NewtonData(total), [1, 2, 1, 1, 3])
-vol = normalized_volume([(0, 0, 0)] + [B.col(i) for i in range(B.cols)])
-print("dimension:", res["dim"], "volume:", vol)
+print("dimension:", res["dim"], "volume:", total.newton_polytope.volume)

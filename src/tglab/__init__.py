@@ -1,17 +1,23 @@
 """Exact-arithmetic toolkit for toric Landau-Ginzburg data.
 
 Everything in this package computes over the integers or the rationals;
-there is no floating point anywhere.  The subpackages split along the
+there is no floating point anywhere.  The modules split along the
 objects they handle:
 
 ``intlinalg``
     integer matrices, Smith normal form, kernel lattices, section systems
 ``rationalcone``
-    finitely generated cones over Q (membership, duality, equality)
+    cones over Q in H-form: the one facet enumeration ``cone_hform``,
+    extreme rays, intersections
+``polytopes``
+    lattice polytopes: one lifted hull each, vertices, faces, normalized
+    volume
 ``toricfan``
-    fans, total-space fans of split bundles, nef cones two ways
+    fans and their Newton polytopes, total-space fans of split bundles, nef
+    cones two ways
 ``semigroups``
-    lattice polytopes, affine semigroups, normality and Gorenstein shifts
+    affine semigroups, the doubled semigroup of a Newton polytope,
+    normality and Gorenstein shifts
 ``weylops``
     normal-ordered operators in lambda, d/dlambda, z and z^2 d/dz, and the
     builders for all the operator families (box, Euler, hat, star, qdm)
@@ -21,6 +27,11 @@ objects they handle:
     Laurent-polynomial families, Kaehler-moduli restriction, Jacobian rings
 ``qdmcheck``
     I-function tables, annihilation and kernel-landing checks
+``models``
+    all derived data of one (fan, bundle rows) pair
+``errors``
+    the exception types: input errors (exit 2) and mathematical failures
+    (exit 1)
 ``corpus``
     the standard small fans used by the tests and demos
 ``cli``

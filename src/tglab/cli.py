@@ -23,9 +23,8 @@ from tglab.errors import InputError, ParseError
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import NewtonData, build_family, classify_parameter, restrict_to_km
 from tglab.models import build_model
-from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
-from tglab.rationalcone import RationalCone
+from tglab.rationalcone import extreme_rays
 from tglab.semigroups import (
     doubled_semigroup,
     gorenstein_shift_check,
@@ -223,10 +222,11 @@ def cmd_construct(spec, args) -> dict:
         "section_C": model.C.to_lists(),
         "section_M": model.M.to_lists(),
         "section_D": model.C.mul(model.Aprime).transpose().to_lists(),
-        "nef_cone_rays": [list(g) for g in nef.generators],
-        "nef_cones_agree": nef.equals(pl),
+        # Pointed cones are equal exactly when their extreme rays are.
+        "nef_cone_rays": [list(g) for g in nef],
+        "nef_cones_agree": nef == pl,
         # The total fan's nef cone, in the extended relation lattice, is the base's.
-        "nef_pullback_identity": RationalCone.from_hform(model.nef).equals(nef),
+        "nef_pullback_identity": extreme_rays(model.nef) == nef,
         "anticanonical_consistency": anticanonical_consistency_check(fan, d, model.total),
         "w_set_convex": w_set_convexity(model.total),
         "conv_in_support": conv_in_support_check(fan, d, model.total),
@@ -245,10 +245,7 @@ def cmd_semigroup(spec, args) -> dict:
     bound = spec["degree_bound"]
     total = total_space_fan(fan, d)
     Btot = total.ray_matrix()
-    vol = normalized_volume(
-        [tuple(0 for _ in range(Btot.rows))] + [Btot.col(i) for i in range(Btot.cols)]
-    )
-    S = doubled_semigroup(Btot)
+    S = doubled_semigroup(total.newton_polytope)
     # One box scan gives the saturation witness, the interior points and
     # the points of the interior-shift test.
     scan = scan_cone_points(S, bound)
@@ -256,7 +253,7 @@ def cmd_semigroup(spec, args) -> dict:
     saturated = witness is None
     out = {
         "degree_bound": bound,
-        "normalized_volume": vol,
+        "normalized_volume": total.newton_polytope.volume,
         "saturated_up_to_bound": saturated,
         "witness": list(witness) if witness else None,
     }
@@ -340,7 +337,7 @@ def cmd_lg(spec, args) -> dict:
         raise InputError(
             f"stabilization_window must be at most the cutoff, {newton.cutoff}, got {window}"
         )
-    vol = newton.volume
+    vol = newton.polytope.volume
     samples = []
     good = 0
     for _ in range(spec["samples"]):

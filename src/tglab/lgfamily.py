@@ -12,8 +12,9 @@ coprime integers, so no test prime is unusable, and runs on the system's
 own subtorus, of dimension the rank of its exponent differences, with the
 modular arithmetic vectorized by numpy, imported inside the search only;
 everything else is exact.  What does not depend on the parameter
-(polytope, volume, the cutoff, the semigroup members and a record per
-searched face with its torus projection) lives in a NewtonData, the
+(the cutoff, the semigroup members and a record per searched face with
+its torus projection) lives in a NewtonData, beside the Newton polytope
+that the fan keeps with its faces and volume; NewtonData is the
 one way to give the total-space fan (whose rays are B) and the cutoff,
 which one caller builds and shares across its samples.  Each member comes
 with its weight rounded up, which is its least grading in the doubled
@@ -32,7 +33,7 @@ from operator import itemgetter
 
 from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
-from tglab.polytopes import LatticePolytope, faces, normalized_volume
+from tglab.polytopes import LatticePolytope
 from tglab.rationalcone import _primitive
 from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
 from tglab.toricfan import Fan
@@ -60,21 +61,16 @@ def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> dict:
     return _collect((B.col(i) + M.col(i), -1 if i < m else 1) for i in range(B.cols))
 
 
-def newton_polytope(B: IntegerMatrix) -> LatticePolytope:
-    """Hull of the origin and the exponent columns."""
-    pts = [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]
-    return LatticePolytope.from_points(pts)
-
-
 class NewtonData:
     """The lambda-independent data of the family of B, the ray matrix of
     ``fan``, built once and shared by every parameter sample of one call:
-    the Newton polytope and the lcm e of its facet offsets, its normalized
-    volume, the faces the F_p search reads with their torus projections,
-    the slice cutoff (4 e diam(B) unless given), and one list of semigroup
-    members that grows with the sweep (`members_up_to`), the cone points in
-    the fan's support.  Each is computed on first use, so a sample that
-    stops at a bad face never scans a member."""
+    the lcm e of the facet offsets of the fan's Newton polytope, whose
+    volume and faces the fan keeps, the faces the F_p search reads with
+    their torus projections, the slice cutoff (4 e diam(B) unless given),
+    and one list of semigroup members that grows with the sweep
+    (`members_up_to`), the cone points in the fan's support.  Each is
+    computed on first use, so a sample that stops at a bad face never scans
+    a member."""
 
     def __init__(self, fan: Fan, cutoff: int | None = None):
         self.fan = fan
@@ -83,17 +79,13 @@ class NewtonData:
         self._members = []
         self._scanned = -1  # the members are complete up to this grading
 
-    @cached_property
+    @property
     def polytope(self) -> LatticePolytope:
-        return newton_polytope(self.B)
+        return self.fan.newton_polytope
 
     @cached_property
     def e(self) -> int:
         return lcm(1, *(f.offset for f in self.polytope.facets if f.offset > 0))
-
-    @cached_property
-    def volume(self) -> int:
-        return normalized_volume(self.polytope.points)
 
     @cached_property
     def searched_faces(self) -> list:
@@ -104,7 +96,7 @@ class NewtonData:
         depend on lambda: so a lone point is dropped, and so is a face with
         a coordinate in which only one of its points is nonzero."""
         out = []
-        for face in faces(self.polytope):
+        for face in self.polytope.faces:
             if 0 in face.indices:
                 continue
             exponents, rows = face_critical_system(self.B, face.indices, [1] * self.B.cols)
@@ -121,7 +113,7 @@ class NewtonData:
 
     @cached_property
     def _doubled(self) -> AffineSemigroup:
-        return doubled_semigroup(self.B)
+        return doubled_semigroup(self.polytope)
 
     def members_up_to(self, bound: int) -> list:
         """The semigroup members as (least grading, point) pairs, sorted by
@@ -331,7 +323,7 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
     """
     B = newton.B
     lam = _parameter(B, lam)
-    vol = newton.volume
+    vol = newton.polytope.volume
     evidence = {"volume": vol}
     for indices, projection in newton.searched_faces:
         exponents, rows = face_critical_system(B, indices, lam)

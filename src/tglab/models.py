@@ -15,7 +15,7 @@ from tglab.errors import (
 from tglab.cohomring import CohomologyRing, build_ring
 from tglab.intlinalg import IntegerMatrix, homogenize, section_system, _unimodular_inverse
 from tglab.qdmcheck import ITable, i_function
-from tglab.rationalcone import HForm, RationalCone, cone_hform
+from tglab.rationalcone import HForm, cone_hform, extreme_rays
 from tglab.toricfan import Fan, class_is_nef, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
     TorusChange,
@@ -97,7 +97,7 @@ def build_model(fan: Fan, d: IntegerMatrix, basis_p=None) -> MirrorModel:
     r = kernel_ext.cols
     nef = nef_hform(total, kernel_ext)
     if basis_p is None:
-        rays = RationalCone.from_hform(nef).generators
+        rays = extreme_rays(nef)
         if len(rays) != r:
             raise BasisNotNef(
                 "nef cone is not simplicial in rank; provide basis_p explicitly"

@@ -1,26 +1,27 @@
 """Lattice polytopes: hulls, faces, normalized volume.
 
 Hull computation lifts the points p to rays (1, p) and reuses the cone
-machinery; a facet of the polytope is a facet of the lifted cone.  All
-else comes from the facet incidences, the sets of points on each facet: a
+machinery: the one `cone_hform` of the lifted points is the polytope's
+`cone`, and a facet of the polytope is a facet of that cone.  All else
+comes from the facet incidences, the sets of points on each facet: a
 point is a vertex when the facets through it meet only in copies of it,
 and the faces are the closure of the facet incidences under intersection
 with a facet (Kaibel-Pfetsch, Comput. Geom. 23, 2002).  The normalized
 volume fixes vol([0,1]^s) = s! so that unimodular simplices have volume
-one.
+one; it is summed over a pulling triangulation that recurses over those
+faces (De Loera-Rambau-Santos, Triangulations, 2010, Sec. 4.3), so no face
+is hulled again.  Each of these is computed on first use and kept with
+the polytope.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
-from tglab.rationalcone import cone_hform, nullspace
-
-
-def _lift(points):
-    return [(1,) + tuple(p) for p in points]
+from tglab.rationalcone import HForm, cone_hform, nullspace
 
 
 class AffineConstraint(NamedTuple):
@@ -43,124 +44,106 @@ class FaceDescriptor(NamedTuple):
 class LatticePolytope:
     """Convex hull of integer generator points (not necessarily vertices)."""
 
-    def __init__(self, ambient_dim: int, points: tuple, vertex_indices: tuple, equalities: tuple,
-                 facets: tuple):
-        self.ambient_dim = ambient_dim
-        self.points = points                  # generator points, order preserved
-        self.vertex_indices = vertex_indices  # indices into points
-        self.equalities = equalities          # AffineConstraint, = 0 on the polytope
-        self.facets = facets                  # AffineConstraint, >= 0 on the polytope
+    def __init__(self, points: tuple, cone: HForm):
+        self.points = points  # generator points, order preserved
+        self.cone = cone      # H-form of the cone over the lifted points (1, p)
+        self.equalities = tuple(AffineConstraint(c[0], c[1:]) for c in cone.equalities)
+        self.facets = tuple(AffineConstraint(c[0], c[1:]) for c in cone.inequalities)
 
     @staticmethod
     def from_points(points) -> "LatticePolytope":
         pts = tuple(tuple(int(x) for x in p) for p in points)
         if not pts:
             raise ValueError("empty point set")
-        dim = len(pts[0])
-        h = cone_hform(_lift(pts), dim + 1)
-        eqs = tuple(AffineConstraint(int(c[0]), tuple(c[1:])) for c in h.equalities)
-        facets = tuple(AffineConstraint(int(c[0]), tuple(c[1:])) for c in h.inequalities)
-        # A vertex is a point whose facets meet only in copies of it.
-        incidences = _incidences(pts, facets)
-        vertex_idx = []
-        for i, p in enumerate(pts):
-            if any(pts[j] == p for j in vertex_idx):
-                continue
-            face = frozenset(range(len(pts))).intersection(
-                *(on for on in incidences if i in on)
-            )
-            if all(pts[j] == p for j in face):
-                vertex_idx.append(i)
-        return LatticePolytope(dim, pts, tuple(vertex_idx), eqs, facets)
+        return LatticePolytope(pts, cone_hform([(1,) + p for p in pts], len(pts[0]) + 1))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(_direction_basis(self.points))
+
+    @cached_property
+    def incidences(self) -> list:
+        """For each facet, the frozenset of indices of the points on it."""
+        return [
+            frozenset(i for i, p in enumerate(self.points) if f.value(p) == 0)
+            for f in self.facets
+        ]
+
+    @cached_property
+    def vertex_indices(self) -> tuple:
+        """Indices of the vertices into points, the first of repeated points:
+        a vertex is a point whose facets meet only in copies of it."""
+        pts = self.points
+        out = []
+        for i, p in enumerate(pts):
+            if any(pts[j] == p for j in out):
+                continue
+            face = frozenset(range(len(pts))).intersection(
+                *(on for on in self.incidences if i in on)
+            )
+            if all(pts[j] == p for j in face):
+                out.append(i)
+        return tuple(out)
+
+    @cached_property
+    def faces(self) -> list:
+        """All faces of all dimensions, as FaceDescriptor records, sorted by
+        (dim, indices).
+
+        The proper faces are the facet incidences closed under intersection
+        with a facet.  The face lattice is graded by dimension, so a face is
+        one dimension above the largest face inside it, and a vertex is a
+        face with none inside it.  The whole polytope is included.
+        """
+        # A lone point's lifted cone is a ray, whose apex facet holds no point.
+        found = {on for on in self.incidences if on}
+        todo = list(found)
+        while todo:
+            face = todo.pop()
+            for on in self.incidences:
+                smaller = face & on
+                if smaller and smaller not in found:
+                    found.add(smaller)
+                    todo.append(smaller)
+        dims = {}
+        for idx in sorted(found, key=len):
+            dims[idx] = 1 + max((dims[g] for g in dims if g < idx), default=-1)
+        out = [FaceDescriptor(frozenset(range(len(self.points))), self.dim)]
+        out += [FaceDescriptor(idx, dim) for idx, dim in dims.items()]
+        out.sort(key=lambda f: (f.dim, sorted(f.indices)))
+        return out
+
+    @cached_property
+    def volume(self) -> int:
+        """Lattice-normalized volume of the hull (unit cube -> s!).
+
+        A pulling triangulation over `faces`, smallest faces first: a vertex
+        is its own simplex, and a k-face is the join of its lowest-index
+        vertex with the simplices of the (k-1)-faces inside it that miss
+        that vertex.  Requires a full-dimensional hull; raises
+        DegeneratePolytope otherwise.
+        """
+        if self.dim != len(self.points[0]):
+            raise DegeneratePolytope("hull is not full-dimensional")
+        vertices = set(self.vertex_indices)
+        simplices = {}  # face indices -> its simplices, as tuples of point indices
+        for f in self.faces:
+            apex = min(vertices & f.indices)
+            simplices[f.indices] = [(apex,)] if f.dim == 0 else [
+                (apex,) + simplex
+                for g in self.faces
+                if g.dim == f.dim - 1 and g.indices < f.indices and apex not in g.indices
+                for simplex in simplices[g.indices]
+            ]
+        top = simplices[frozenset(range(len(self.points)))]
+        return sum(simplex_normalized_volume([self.points[i] for i in s]) for s in top)
 
 
 def _direction_basis(points):
     """Basis of the linear space parallel to the affine span of points."""
     base = points[0]
     diffs = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
-    dim = len(base)
-    perp = nullspace(diffs, dim) if diffs else nullspace([], dim)
-    return nullspace(perp, dim)
-
-
-def _incidences(points, facets):
-    """For each facet, the frozenset of indices of the points on it."""
-    return [
-        frozenset(i for i, p in enumerate(points) if f.value(p) == 0) for f in facets
-    ]
-
-
-def faces(poly: LatticePolytope):
-    """All faces of all dimensions, as FaceDescriptor records, sorted by
-    (dim, indices).
-
-    The proper faces are the facet incidences closed under intersection
-    with a facet.  The whole polytope is included.
-    """
-    incidences = _incidences(poly.points, poly.facets)
-    # A lone point's lifted cone is a ray, whose apex facet holds no point.
-    found = {on for on in incidences if on}
-    todo = list(found)
-    while todo:
-        face = todo.pop()
-        for on in incidences:
-            smaller = face & on
-            if smaller and smaller not in found:
-                found.add(smaller)
-                todo.append(smaller)
-    out = [FaceDescriptor(frozenset(range(len(poly.points))), poly.dim)]
-    for idx in found:
-        out.append(FaceDescriptor(idx, len(_direction_basis([poly.points[i] for i in idx]))))
-    out.sort(key=lambda f: (f.dim, sorted(f.indices)))
-    return out
-
-
-def _triangulate(points):
-    """Pulling triangulation from the lowest-index vertex; returns simplices
-    as tuples of points."""
-    pts = [tuple(p) for p in points]
-    basis = _direction_basis(pts)
-    k = len(basis)
-    distinct = []
-    for p in pts:
-        if p not in distinct:
-            distinct.append(p)
-    if len(distinct) == k + 1:
-        return [tuple(distinct)]
-    poly = LatticePolytope.from_points(pts)
-    apex_idx = min(poly.vertex_indices)
-    apex = pts[apex_idx]
-    simplices = []
-    for facet in poly.facets:
-        if facet.value(apex) == 0:
-            continue
-        face_pts = [p for p in pts if facet.value(p) == 0]
-        for sub in _triangulate(face_pts):
-            simplices.append((apex,) + sub)
-    return simplices
-
-
-def normalized_volume(points) -> int:
-    """Lattice-normalized volume of the hull (unit cube -> s!).
-
-    Requires a full-dimensional hull; raises DegeneratePolytope otherwise.
-    """
-    pts = [tuple(int(x) for x in p) for p in points]
-    dim = len(pts[0])
-    if len(_direction_basis(pts)) != dim:
-        raise DegeneratePolytope("hull is not full-dimensional")
-    total = 0
-    for simplex in _triangulate(pts):
-        base = simplex[0]
-        mat = IntegerMatrix.from_rows(
-            [[p[i] - base[i] for i in range(dim)] for p in simplex[1:]]
-        )
-        total += abs(mat.det())
-    return total
+    return nullspace(nullspace(diffs, len(base)), len(base))
 
 
 def simplex_normalized_volume(points) -> int:

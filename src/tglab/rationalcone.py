@@ -6,7 +6,8 @@ A cone is handled either through generators (V-form) or through a pair
 that can span a facet, which is exact and fast for the dimensions (<= 5)
 and sizes (<= ~20 vectors) this package meets.  The extreme rays of a
 pointed cone are the facets of its dual cone, so `extreme_rays` is
-`cone_hform` applied to the constraints.
+`cone_hform` applied to the constraints.  They come primitive and sorted,
+so two pointed cones are equal exactly when their `extreme_rays` are.
 """
 
 from __future__ import annotations
@@ -118,24 +119,3 @@ def intersect_hforms(forms):
             seen_i.append(n)
     return HForm(dim, tuple(seen_e), tuple(seen_i))
 
-
-class RationalCone:
-    """A finitely generated rational cone kept in both forms."""
-
-    def __init__(self, dim: int, generators: tuple, hform: HForm):
-        self.dim = dim
-        self.generators = generators
-        self.hform = hform
-
-    @staticmethod
-    def from_hform(h: HForm) -> "RationalCone":
-        rays = tuple(extreme_rays(h))
-        return RationalCone(h.dim, rays, h)
-
-    def contains(self, x) -> bool:
-        return self.hform.contains(x)
-
-    def equals(self, other: "RationalCone") -> bool:
-        return all(other.contains(g) for g in self.generators) and all(
-            self.contains(g) for g in other.generators
-        )

@@ -1,7 +1,8 @@
 """Affine semigroups: membership, saturation, Gorenstein shift, toric ideals.
 
 The graded semigroups here all look like N A'' (first generator the apex
-(1, 0, ..., 0), first coordinate counting the generators used), so their
+(1, 0, ..., 0), first coordinate counting the generators used), built on
+the lifted points of a Newton polytope, whose cone they share, so their
 grading-k elements form a finite slice, built once per semigroup by
 slice_k = slice_{k-1} + generators.  One scan of the dilate k conv(0, a'_i)
 gives every cone point up to grading k with its least grading, an integer
@@ -26,15 +27,20 @@ from typing import NamedTuple
 
 from tglab.errors import BoundTooSmall, NotSaturated, UnboundedSearch
 from tglab.intlinalg import IntegerMatrix, kernel_lattice
+from tglab.polytopes import LatticePolytope
 from tglab.rationalcone import HForm, cone_hform
 from tglab.toricfan import Fan
 
 
 class AffineSemigroup:
-    """Semigroup generated by the columns of ``generators``."""
+    """Semigroup generated by the columns of ``generators``; ``cone`` is
+    their H-form, computed here unless given."""
 
-    def __init__(self, generators: IntegerMatrix):
+    def __init__(self, generators: IntegerMatrix, cone: HForm | None = None):
         self.generators = generators
+        if cone is None:
+            cone = cone_hform([generators.col(i) for i in range(generators.cols)], generators.rows)
+        self.cone = cone
 
     @property
     def dim(self) -> int:
@@ -54,10 +60,6 @@ class AffineSemigroup:
         coordinate of an element counts generators with multiplicity."""
         apex = (1,) + (0,) * (self.dim - 1)
         return self.gen(0) == apex and all(x == 1 for x in self.generators.entries[0])
-
-    @cached_property
-    def cone(self) -> HForm:
-        return cone_hform([self.gen(i) for i in range(self.n_gens)], self.dim)
 
     @cached_property
     def _slices(self) -> list:
@@ -98,10 +100,13 @@ def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) ->
     raise UnboundedSearch("no grading and no graded lift available")
 
 
-def doubled_semigroup(aprime: IntegerMatrix) -> AffineSemigroup:
-    """The graded semigroup on the columns (1,0) and (1, a'_i)."""
-    rows = [[1] * (aprime.cols + 1)] + [[0] + list(row) for row in aprime.entries]
-    return AffineSemigroup(IntegerMatrix.from_rows(rows))
+def doubled_semigroup(newton: LatticePolytope) -> AffineSemigroup:
+    """The graded semigroup N A'' on the lifted points (1, p) of ``newton``,
+    the Newton polytope conv(0, a'_i) with the origin first (as
+    `Fan.newton_polytope` gives it), so on the columns (1, 0) and (1, a'_i).
+    Its cone is the polytope's `cone`, the H-form of those same columns."""
+    rows = [[1] * len(newton.points)] + [list(c) for c in zip(*newton.points)]
+    return AffineSemigroup(IntegerMatrix.from_rows(rows), newton.cone)
 
 
 def graded_slice_points(S: AffineSemigroup, k: int):

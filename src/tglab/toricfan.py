@@ -4,8 +4,10 @@ A fan is stored as primitive ray generators plus maximal cones given by
 ray index sets.  Only simplicial full-dimensional maximal cones are
 accepted; `Fan.make` refuses any other shape with an InputError.  The
 nef cone is computed both as an intersection of anticones and as the
-cone of convex piecewise-linear functions; the two must agree and the
-test suite checks that they do.
+cone of convex piecewise-linear functions, each given by its extreme
+rays; the two lists must be equal and the test suite checks that they are.
+A fan keeps its Newton polytope conv(0, rays), the one hull its volume,
+faces and doubled semigroup read.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from tglab.errors import (
     NonPrimitiveRay,
 )
 from tglab.intlinalg import IntegerMatrix, extend_relation, kernel_lattice, row_reduce
-from tglab.polytopes import normalized_volume, simplex_normalized_volume
+from tglab.polytopes import LatticePolytope, simplex_normalized_volume
 from tglab.rationalcone import (
     HForm,
-    RationalCone,
     _dot,
     _primitive,
     cone_hform,
+    extreme_rays,
     intersect_hforms,
     nullspace,
 )
@@ -112,6 +114,14 @@ class Fan:
         return any(h.contains(v) for h in self.cone_hforms)
 
     @cached_property
+    def newton_polytope(self) -> LatticePolytope:
+        """The hull Q = conv(0, rays), computed on first use and kept with the
+        fan: its points are the origin and then the rays, its `cone` is the
+        cone of the doubled semigroup, and its faces and volume are kept with
+        it."""
+        return LatticePolytope.from_points([(0,) * self.dim] + list(self.rays))
+
+    @cached_property
     def diagnostics(self) -> "FanDiagnostics":
         """`validate_fan` of this fan, computed on first use and kept with
         the fan (fans are immutable), so that the checks one command runs on
@@ -154,8 +164,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
         else:
             inter = intersect_hforms([fan.cone_hforms[i1], fan.cone_hforms[i2]])
             common_h = cone_hform([fan.rays[i] for i in common], fan.dim)
-            probe = RationalCone.from_hform(inter)
-            meet_in_common = all(common_h.contains(g) for g in probe.generators)
+            meet_in_common = all(common_h.contains(g) for g in extreme_rays(inter))
         if not meet_in_common:
             is_fan = False
             break
@@ -297,8 +306,9 @@ def extended_kernel(fan: Fan, d: IntegerMatrix) -> IntegerMatrix:
     )
 
 
-def nef_cone_anticones(fan: Fan) -> RationalCone:
-    """Nef cone as the intersection of anticones, in kernel-dual coordinates.
+def nef_cone_anticones(fan: Fan) -> list:
+    """Extreme rays of the nef cone as the intersection of anticones, in
+    kernel-dual coordinates.
 
     Raises KahlerConeEmpty when the intersection has empty interior.
     """
@@ -306,22 +316,23 @@ def nef_cone_anticones(fan: Fan) -> RationalCone:
     if not diag.complete:
         raise IncompleteFan("nef cone needs a complete fan")
     inter = nef_hform(fan, divisor_class_matrix(fan))
-    nef = RationalCone.from_hform(inter)
-    if inter.equalities or not nef.generators:
+    rays = extreme_rays(inter)
+    if inter.equalities or not rays:
         raise KahlerConeEmpty("nef cone has empty interior")
-    interior_probe = tuple(sum(col) for col in zip(*nef.generators))
+    interior_probe = tuple(sum(col) for col in zip(*rays))
     if not inter.contains_interior(interior_probe):
         raise KahlerConeEmpty("nef cone has empty interior")
-    return nef
+    return rays
 
 
-def nef_cone_pl(fan: Fan) -> RationalCone:
-    """Nef cone as the image of the cone of convex PL functions.
+def nef_cone_pl(fan: Fan) -> list:
+    """Extreme rays of the nef cone as the image of the cone of convex PL
+    functions.
 
     A class c (kernel-dual coordinates) is nef iff one (hence any) divisor
     representative t with classes^T t = c gives a convex PL function with
     values -t_i.  The inequalities are assembled from one rational section
-    of the representative map, so the result is an exact H-form cone.
+    of the representative map, so the rays are those of an exact H-form.
     """
     diag = fan.diagnostics
     if not diag.complete:
@@ -345,7 +356,7 @@ def nef_cone_pl(fan: Fan) -> RationalCone:
     for v in prim:
         if any(x != 0 for x in v) and v not in dedup:
             dedup.append(v)
-    return RationalCone.from_hform(HForm(r, (), tuple(dedup)))
+    return extreme_rays(HForm(r, (), tuple(dedup)))
 
 
 def _rational_right_inverse(classes: IntegerMatrix):
@@ -412,8 +423,7 @@ def w_set_convexity(total: Fan) -> bool:
     normalized volumes agree.
     """
     zero = tuple(0 for _ in range(total.dim))
-    hull_vol = normalized_volume([zero] + list(total.rays))
     pieces = 0
     for cone in total.max_cones:
         pieces += simplex_normalized_volume([zero] + [total.rays[i] for i in cone])
-    return pieces == hull_vol
+    return pieces == total.newton_polytope.volume

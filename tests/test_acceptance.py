@@ -25,9 +25,8 @@ from tglab import corpus
 from tglab.intlinalg import IntegerMatrix, kernel_lattice, section_system
 from tglab.lgfamily import NewtonData, classify_parameter
 from tglab.models import build_model
-from tglab.polytopes import normalized_volume
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
-from tglab.rationalcone import RationalCone
+from tglab.rationalcone import extreme_rays
 from tglab.semigroups import (
     doubled_semigroup,
     gorenstein_shift_check,
@@ -100,7 +99,7 @@ def test_c02_nef_cone_two_ways():
         "F3": corpus.hirzebruch(3),
     }
     ok = all(
-        nef_cone_anticones(fan).equals(nef_cone_pl(fan)) for fan in fans.values()
+        nef_cone_anticones(fan) == nef_cone_pl(fan) for fan in fans.values()
     )
     elapsed = time.monotonic() - start
     report(2, ok and elapsed < 1.0, f"6 fans in {elapsed:.3f}s")
@@ -110,8 +109,8 @@ def test_c03_pullback_and_anticanonical():
     ok = True
     for name, (fan, d) in BUNDLE_CORPUS.items():
         total = total_space_fan(fan, d)
-        nef_total = RationalCone.from_hform(nef_hform(total, extended_kernel(fan, d)))
-        ok = ok and nef_total.equals(nef_cone_anticones(fan))
+        nef_total = extreme_rays(nef_hform(total, extended_kernel(fan, d)))
+        ok = ok and nef_total == nef_cone_anticones(fan)
         ok = ok and anticanonical_consistency_check(fan, d, total)
     report(3, ok, "nef pullback identity and anticanonical consistency")
 
@@ -120,7 +119,7 @@ def test_c04_semigroup_certificates():
     for name, (fan, d) in BUNDLE_CORPUS.items():
         start = time.monotonic()
         total = total_space_fan(fan, d)
-        S = doubled_semigroup(total.ray_matrix())
+        S = doubled_semigroup(total.newton_polytope)
         saturated, witness = saturation_check(S, 6)
         assert saturated and witness is None, name
         scan = scan_cone_points(S, 6)
@@ -152,7 +151,7 @@ def test_c05a_f3_non_normality_witness_as_specified():
     """
     fan, d = corpus.f3_minus_k()
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.ray_matrix())
+    S = doubled_semigroup(total.newton_polytope)
     saturated, witness = saturation_check(S, 6)
     report(
         "5a",
@@ -165,7 +164,7 @@ def test_c05b_f3_alternate_representative_witness():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.ray_matrix())
+    S = doubled_semigroup(total.newton_polytope)
     saturated, witness = saturation_check(S, 4)
     report(
         "5b",
@@ -190,18 +189,10 @@ def test_c06_jacobian_dimension_equals_volume():
     cases.append(("P1 c=0", corpus.projective_line(), 2))
     cases.append(("P2 c=0", corpus.projective_plane(), 3))
     cases.append(("P1/O(2)", total_space_fan(*corpus.p1_o2()), 2))
-    total = total_space_fan(*corpus.p1p1_o11())
-    B = total.ray_matrix()
-    oracle = normalized_volume(
-        [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]
-    )
-    cases.append(("P1xP1/O(1,1)", total, oracle))
+    cases.append(("P1xP1/O(1,1)", total_space_fan(*corpus.p1p1_o11()), 4))
     for name, fan, expected in cases:
         B = fan.ray_matrix()
-        vol = normalized_volume(
-            [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]
-        )
-        assert vol == expected, name
+        assert fan.newton_polytope.volume == expected, name
         found = 0
         while found < 5:
             lam = [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tglab import cli, lgfamily, semigroups, toricfan
+from tglab import cli, lgfamily, models, polytopes, rationalcone, semigroups, toricfan
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -319,6 +319,46 @@ def test_construct_builds_the_total_fan_once(monkeypatch, name):
     with redirect_stdout(io.StringIO()):
         cli.main(["construct", "--spec", str(SPECS / f"{name}.json"), "--json"])
     assert len(made) == 2
+
+
+NEWTON_SPECS = sorted(SPECS.glob("*.json")) + sorted(SPECS.glob("threefolds/*.json"))
+THREEFOLD_FLAGS = {"lg": ["--cutoff", "12"], "semigroup": ["--degree", "10"], "construct": []}
+
+
+@pytest.mark.parametrize("command", sorted(THREEFOLD_FLAGS))
+@pytest.mark.parametrize("path", NEWTON_SPECS, ids=lambda p: p.stem)
+def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
+    """lg, semigroup and construct read the Newton polytope that the
+    total-space fan keeps: its volume, its faces and the cone of the doubled
+    semigroup come from one `cone_hform` of the lifted points (1, 0),
+    (1, a'_i), and the volume hulls no face again.  A call that stops
+    before it reads the polytope hulls nothing."""
+    spec = cli.load_spec(str(path))
+    total = toricfan.total_space_fan(spec["fan"], cli.bundle_matrix(spec))
+    lifted = [(1,) + (0,) * total.dim] + [(1,) + r for r in total.rays]
+    hulls, polytope_calls = [], []
+    hform = rationalcone.cone_hform
+    from_points = polytopes.LatticePolytope.from_points
+
+    def counting_hform(gens, dim):
+        hulls.append([tuple(g) for g in gens])
+        return hform(gens, dim)
+
+    def counting_from_points(points):
+        polytope_calls.append(points)
+        return from_points(points)
+
+    for module in (models, polytopes, rationalcone, semigroups, toricfan):
+        monkeypatch.setattr(module, "cone_hform", counting_hform)
+    monkeypatch.setattr(polytopes.LatticePolytope, "from_points",
+                        staticmethod(counting_from_points))
+    flags = THREEFOLD_FLAGS[command] if path.parent.name == "threefolds" else []
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main([command, "--spec", str(path), "--json", *flags])
+    assert hulls.count(lifted) == len(polytope_calls) <= 1
+    if "results" in json.loads(out.getvalue()):
+        assert len(polytope_calls) == 1
 
 
 def test_lg_certifies_each_point_once_per_call(monkeypatch):

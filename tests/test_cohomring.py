@@ -16,7 +16,6 @@ from tglab.cohomring import (
 )
 from tglab.errors import FanNotSmoothComplete
 from tglab.intlinalg import IntegerMatrix
-from tglab.polytopes import normalized_volume
 from tglab.toricfan import Fan
 
 
@@ -73,8 +72,7 @@ def test_dimension_matches_volume_for_fano_corpus():
         corpus.hirzebruch(1),
     ):
         ring = build_ring(fan)
-        pts = [tuple(0 for _ in range(fan.dim))] + list(fan.rays)
-        assert ring.dimension == normalized_volume(pts)
+        assert ring.dimension == fan.newton_polytope.volume
 
 
 def test_chern_data_p1_o2():

@@ -20,12 +20,11 @@ from tglab.lgfamily import (
     classify_parameter,
     face_critical_system,
     jacobian_quotient_dim,
-    newton_polytope,
     restrict_to_km,
     torus_projection,
 )
 from tglab.models import build_model
-from tglab.polytopes import faces, normalized_volume
+from tglab.polytopes import LatticePolytope
 from tglab.semigroups import doubled_semigroup, graded_slice_points
 from tglab.toricfan import total_space_fan
 
@@ -189,10 +188,15 @@ def fraction_weight(poly, u):
     )
 
 
+def hull(B):
+    """conv(0, columns of B), hulled afresh."""
+    return LatticePolytope.from_points([(0,) * B.rows] + [B.col(i) for i in range(B.cols)])
+
+
 def full_member_list(newton):
     """Every cone point in the fan's support up to the cutoff, from one scan
     at the cutoff, by least grading then lex."""
-    points = graded_slice_points(doubled_semigroup(newton.B), newton.cutoff)
+    points = graded_slice_points(doubled_semigroup(hull(newton.B)), newton.cutoff)
     return sorted(((j, p) for j, p in points if newton.fan.contains(p)), key=itemgetter(0))
 
 
@@ -212,7 +216,7 @@ def reference_sweep(newton, lam, stabilization_window):
                 g[col] = g.get(col, Fraction(0)) - B.entries[k][i] * lam[i]
         gens.append({e: c for e, c in g.items() if c})
     history = []
-    poly = newton_polytope(B)
+    poly = hull(B)
     members_all = [(fraction_weight(poly, p), p) for _, p in full_member_list(newton)]
     for bound in range(1, newton.cutoff + 1):
         monos = [p for w, p in members_all if w <= bound]
@@ -357,7 +361,7 @@ def test_face_critical_edge_avoiding_the_origin():
     of f and its two log derivatives."""
     fan, d = corpus.p1_o2()
     B = total_space_fan(fan, d).ray_matrix()
-    assert [1, 2, 3] in [sorted(f.indices) for f in faces(newton_polytope(B))]
+    assert [1, 2, 3] in [sorted(f.indices) for f in hull(B).faces]
     exponents, rows = face_critical_system(B, [3, 1, 2], [1, 2, 3])
     assert exponents == [(1, 2), (-1, 0), (0, 1)]
     assert rows == [[1, 2, 3], [1, -2, 0], [2, 0, 3]]
@@ -428,10 +432,7 @@ def test_dim_equals_volume_at_random_good_parameters():
             if verdict["verdict"] != "good":
                 continue
             assert verdict["evidence"]["jacobian_dim"] == expected
-            vol = normalized_volume(
-                [tuple(0 for _ in range(B.rows))] + [B.col(i) for i in range(B.cols)]
-            )
-            assert expected == vol
+            assert expected == fan.newton_polytope.volume
             found += 1
 
 

@@ -3,28 +3,31 @@
 import random
 import time
 from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
+from tglab.cli import bundle_matrix, load_spec
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
-from tglab.lgfamily import newton_polytope
-from tglab.polytopes import (
-    LatticePolytope,
-    _direction_basis,
-    faces,
-    normalized_volume,
-)
+from tglab.polytopes import LatticePolytope, _direction_basis
 from tglab.rationalcone import _dot, cone_hform, extreme_rays, intersect_hforms, nullspace
 from tglab.toricfan import Fan, total_space_fan
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def normalized_volume(points):
+    return LatticePolytope.from_points(points).volume
 
 
 def test_segment_faces():
     poly = LatticePolytope.from_points([(0,), (1,), (-1,)])
-    fs = faces(poly)
+    fs = poly.faces
     vertex_sets = sorted(tuple(sorted(f.indices)) for f in fs if f.dim == 0)
     assert vertex_sets == [(1,), (2,)]
 
@@ -32,7 +35,7 @@ def test_segment_faces():
 def test_p2_polytope_faces():
     pts = [(0, 0), (1, 0), (0, 1), (-1, -1)]
     poly = LatticePolytope.from_points(pts)
-    fs = faces(poly)
+    fs = poly.faces
     assert sum(1 for f in fs if f.dim == 0) == 3
     assert sum(1 for f in fs if f.dim == 1) == 3
     assert sum(1 for f in fs if f.dim == 2) == 1
@@ -47,7 +50,7 @@ def test_p1_o2_edge_point():
     assert sorted(poly.vertex_indices) == [0, 1, 2]
     edge = [
         f
-        for f in faces(poly)
+        for f in poly.faces
         if f.dim == 1 and f.indices >= {1, 2}
     ]
     assert edge and 3 in edge[0].indices
@@ -95,8 +98,7 @@ def test_volume_counts_max_cones_for_complete_fans():
         corpus.p1_times_p1(),
         corpus.hirzebruch(1),
     ):
-        pts = [tuple(0 for _ in range(fan.dim))] + list(fan.rays)
-        assert normalized_volume(pts) == len(fan.max_cones)
+        assert fan.newton_polytope.volume == len(fan.max_cones)
 
 
 def lattice_points(poly: LatticePolytope):
@@ -113,6 +115,48 @@ def lattice_points(poly: LatticePolytope):
 def test_lattice_points_square():
     poly = LatticePolytope.from_points([(0, 0), (2, 0), (0, 2), (2, 2)])
     assert len(lattice_points(poly)) == 9
+
+
+def ehrhart_volume(points):
+    """The s-th finite difference of the Ehrhart counts |kP cap Z^s|,
+    k = 0..s, each dilate counted by `lattice_points`: s! times the leading
+    coefficient of the Ehrhart polynomial, so the normalized volume, and 0
+    when the hull is not full-dimensional.  No triangulation is involved."""
+    s = len(points[0])
+    counts = [
+        len(lattice_points(LatticePolytope.from_points([[k * x for x in p] for p in points])))
+        for k in range(s + 1)
+    ]
+    return sum((-1) ** (s - k) * comb(s, k) * counts[k] for k in range(s + 1))
+
+
+@st.composite
+def small_point_sets(draw):
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_point_sets())
+def test_volume_against_ehrhart_differences(pts):
+    poly = LatticePolytope.from_points(pts)
+    if poly.dim < len(pts[0]):
+        assert ehrhart_volume(pts) == 0
+        with pytest.raises(DegeneratePolytope):
+            poly.volume
+    else:
+        assert poly.volume == ehrhart_volume(pts)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SPECS.glob("*.json")) + sorted(SPECS.glob("threefolds/*.json")),
+    ids=lambda p: p.stem,
+)
+def test_spec_newton_polytope_volume_against_ehrhart_differences(path):
+    spec = load_spec(str(path))
+    total = total_space_fan(spec["fan"], bundle_matrix(spec))
+    assert total.newton_polytope.volume == ehrhart_volume(total.newton_polytope.points)
 
 
 # Reference enumerations over subsets of facets or constraints, kept from
@@ -227,7 +271,7 @@ def pointed_cones(draw):
 def test_vertices_and_faces_against_subset_enumeration(pts):
     poly = LatticePolytope.from_points(pts)
     assert poly.vertex_indices == reference_vertex_indices(poly)
-    fs = faces(poly)
+    fs = poly.faces
     assert [(f.dim, sorted(f.indices)) for f in fs] == sorted(reference_faces(poly))
 
 
@@ -245,10 +289,10 @@ def test_p1_cubed_newton_polytope_faces_are_fast():
     total = total_space_fan(
         Fan.make(rays, octants), IntegerMatrix.from_rows([(1, 0, 1, 0, 1, 0)])
     )
-    poly = newton_polytope(total.ray_matrix())
+    poly = total.newton_polytope
     assert len(poly.facets) == 16
     start = time.perf_counter()
-    fs = faces(poly)
+    fs = poly.faces
     elapsed = time.perf_counter() - start
     assert len(fs) == 81
     assert elapsed < 0.5

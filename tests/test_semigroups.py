@@ -28,7 +28,7 @@ from tglab.toricfan import total_space_fan
 def p1o2_doubled():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    return total, doubled_semigroup(total.ray_matrix())
+    return total, doubled_semigroup(total.newton_polytope)
 
 
 def test_membership_trivial_zero():
@@ -38,7 +38,7 @@ def test_membership_trivial_zero():
 
 def test_membership_p1_doubled():
     # columns (1,0), (1,1), (1,-1): (2,1) = (1,0)+(1,1)
-    S = doubled_semigroup(IntegerMatrix.from_rows([[1, -1]]))
+    S = doubled_semigroup(LatticePolytope.from_points([(0,), (1,), (-1,)]))
     assert S.graded
     assert semigroup_contains(S, (2, 1))
     assert not semigroup_contains(S, (1, 2))
@@ -52,7 +52,7 @@ def test_saturation_p1_o2():
 
 def test_saturation_p2():
     fan = corpus.projective_plane()
-    S = doubled_semigroup(fan.ray_matrix())
+    S = doubled_semigroup(fan.newton_polytope)
     ok, witness = saturation_check(S, 6)
     assert ok and witness is None
 
@@ -64,7 +64,7 @@ def test_f3_alternate_representative_not_normal():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.ray_matrix())
+    S = doubled_semigroup(total.newton_polytope)
     ok, witness = saturation_check(S, 4)
     assert not ok
     assert witness is not None
@@ -74,7 +74,7 @@ def test_f3_alternate_representative_not_normal():
 
 def test_gorenstein_shift_p1_c0():
     fan = corpus.projective_line()
-    S = doubled_semigroup(fan.ray_matrix())
+    S = doubled_semigroup(fan.newton_polytope)
     shift = S.gen(0)  # grading c+1 = 1
     assert gorenstein_shift_check(S, shift, 5, scan_cone_points(S, 5))
     interior = scan_cone_points(S, 5).interior
@@ -94,7 +94,7 @@ def test_gorenstein_requires_saturation():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.ray_matrix())
+    S = doubled_semigroup(total.newton_polytope)
     with pytest.raises(NotSaturated):
         gorenstein_shift_check(S, S.gen(0), 4, scan_cone_points(S, 4))
 
@@ -116,13 +116,13 @@ def test_interior_aprime_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    lift = doubled_semigroup(Ap)
+    lift = doubled_semigroup(total.newton_polytope)
     assert interior_shift_check_ungraded(total, lift, Ap.col(2), 6, scan_cone_points(lift, 6))
 
 
 def test_interior_aprime_c0():
     fan = corpus.projective_line()
-    lift = doubled_semigroup(fan.ray_matrix())
+    lift = doubled_semigroup(fan.newton_polytope)
     assert interior_shift_check_ungraded(fan, lift, (0,), 5, scan_cone_points(lift, 5))
 
 
@@ -130,7 +130,7 @@ def test_interior_aprime_p1p1():
     fan, d = corpus.p1p1_o11()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    lift = doubled_semigroup(Ap)
+    lift = doubled_semigroup(total.newton_polytope)
     assert interior_shift_check_ungraded(total, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
 
 
@@ -196,7 +196,7 @@ def test_w_convexity_implies_saturation_on_corpus():
     for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
         total = total_space_fan(fan, d)
         assert w_set_convexity(total)
-        S = doubled_semigroup(total.ray_matrix())
+        S = doubled_semigroup(total.newton_polytope)
         ok, _ = saturation_check(S, 4)
         assert ok
 
@@ -236,7 +236,7 @@ columns_2d = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(columns_2d)
 def test_slices_against_multiset_oracle(cols):
-    S = doubled_semigroup(IntegerMatrix.from_rows([[c[i] for c in cols] for i in range(2)]))
+    S = doubled_semigroup(LatticePolytope.from_points([(0, 0)] + cols))
     gens = [S.gen(i) for i in range(S.n_gens)]
     hulls = [dilated_hull_points(S, k) for k in range(ORACLE_GRADING + 1)]
     expected_witness = None
@@ -270,7 +270,7 @@ def test_ungraded_lift_on_nonconvex_support():
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
     S = AffineSemigroup(Ap)
-    lift = doubled_semigroup(Ap)
+    lift = doubled_semigroup(total.newton_polytope)
     cols = [Ap.col(i) for i in range(Ap.cols)]
 
     def in_subcone(v):

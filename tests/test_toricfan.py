@@ -21,7 +21,7 @@ from tglab.errors import (
 )
 from tglab.intlinalg import IntegerMatrix
 from tglab.models import build_model
-from tglab.rationalcone import RationalCone, cone_hform, intersect_hforms
+from tglab.rationalcone import cone_hform, extreme_rays, intersect_hforms
 from tglab.toricfan import (
     Fan,
     anticanonical_consistency_check,
@@ -70,7 +70,7 @@ def meet_in_common_face(rays, c1, c2, dim):
     ray of the intersection lies in the cone on the common rays."""
     inter = intersect_hforms([cone_hform([rays[i] for i in c], dim) for c in (c1, c2)])
     common = cone_hform([rays[i] for i in sorted(set(c1) & set(c2))], dim)
-    return all(common.contains(g) for g in RationalCone.from_hform(inter).generators)
+    return all(common.contains(g) for g in extreme_rays(inter))
 
 
 @st.composite
@@ -209,7 +209,7 @@ def test_pl_needs_complete_fan():
 @pytest.mark.parametrize("name", sorted(ALL_FANS))
 def test_nef_cone_two_constructions_agree(name):
     fan = ALL_FANS[name]
-    assert nef_cone_anticones(fan).equals(nef_cone_pl(fan))
+    assert nef_cone_anticones(fan) == nef_cone_pl(fan)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FANS))
@@ -231,20 +231,20 @@ def test_nef_cone_pl_solves_once_per_cone_and_class(monkeypatch, name):
 
 def test_nef_cone_rays_p1xp1():
     nef = nef_cone_anticones(corpus.p1_times_p1())
-    assert sorted(nef.generators) == [(0, 1), (1, 0)]
+    assert nef == [(0, 1), (1, 0)]
 
 
 def test_nef_cone_rank_one_examples():
     for fan in (corpus.projective_line(), corpus.projective_plane()):
         nef = nef_cone_anticones(fan)
-        assert len(nef.generators) == 1
+        assert len(nef) == 1
 
 
 def test_pullback_identity_corpus():
     # The total fan's nef cone, in the extended relation lattice, is the base's.
     for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
         nef_total = nef_hform(total_space_fan(fan, d), extended_kernel(fan, d))
-        assert RationalCone.from_hform(nef_total).equals(nef_cone_anticones(fan))
+        assert extreme_rays(nef_total) == nef_cone_anticones(fan)
 
 
 def test_anticanonical_consistency_corpus():
