@@ -16,8 +16,8 @@ objects they handle:
     fans and their Newton polytopes, total-space fans of split bundles, nef
     cones two ways
 ``semigroups``
-    affine semigroups, the doubled semigroup of a Newton polytope,
-    normality and Gorenstein shifts
+    the doubled semigroup of a Newton polytope: slices, normality,
+    Gorenstein and interior shifts; toric ideals
 ``weylops``
     normal-ordered operators in lambda, d/dlambda, z and z^2 d/dz, and the
     builders for all the operator families (box, Euler, hat, star, qdm)

@@ -26,7 +26,7 @@ from tglab.models import build_model
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
 from tglab.rationalcone import extreme_rays
 from tglab.semigroups import (
-    doubled_semigroup,
+    DoubledSemigroup,
     gorenstein_shift_check,
     interior_shift_check_ungraded,
     scan_cone_points,
@@ -202,7 +202,8 @@ def cmd_validate(spec, args) -> dict:
         out["total_fan"] = {
             "rays": [list(r) for r in total.rays],
             "max_cones": [[i + 1 for i in c] for c in total.max_cones],
-            "smooth": total.diagnostics.smooth,
+            # total_space_fan refuses a cone whose determinant is not +-1.
+            "smooth": True,
         }
     out["passed"] = bool(ok and out["adjoint_class_nef"])
     return out
@@ -245,7 +246,7 @@ def cmd_semigroup(spec, args) -> dict:
     bound = spec["degree_bound"]
     total = total_space_fan(fan, d)
     Btot = total.ray_matrix()
-    S = doubled_semigroup(total.newton_polytope)
+    S = DoubledSemigroup(total.newton_polytope)
     # One box scan gives the saturation witness, the interior points and
     # the points of the interior-shift test.
     scan = scan_cone_points(S, bound)

@@ -58,10 +58,6 @@ class DegeneratePolytope(TglabError):
     """Polytope is not full-dimensional."""
 
 
-class UnboundedSearch(TglabError):
-    """Semigroup membership search has no usable bound."""
-
-
 class NotSaturated(TglabError):
     """Check requires saturation up to the degree bound first."""
 

@@ -35,7 +35,7 @@ from tglab.errors import StabilizationFailed, ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
 from tglab.polytopes import LatticePolytope
 from tglab.rationalcone import _primitive
-from tglab.semigroups import AffineSemigroup, doubled_semigroup, graded_slice_points
+from tglab.semigroups import graded_slice_points
 from tglab.toricfan import Fan
 
 
@@ -111,10 +111,6 @@ class NewtonData:
         diam = max(1, max((abs(x) for row in self.B.entries for x in row), default=1))
         return 4 * self.e * diam
 
-    @cached_property
-    def _doubled(self) -> AffineSemigroup:
-        return doubled_semigroup(self.polytope)
-
     def members_up_to(self, bound: int) -> list:
         """The semigroup members as (least grading, point) pairs, sorted by
         grading then lex and complete at least up to grading
@@ -139,7 +135,7 @@ class NewtonData:
                 dilate = half
             new = [
                 (j, p)
-                for j, p in graded_slice_points(self._doubled, dilate)
+                for j, p in graded_slice_points(self.polytope, dilate)
                 if j > self._scanned and self.fan.contains(p)
             ]
             self._members += sorted(new, key=itemgetter(0))

@@ -1,143 +1,95 @@
-"""Affine semigroups: membership, saturation, Gorenstein shift, toric ideals.
+"""The doubled semigroup: membership, saturation, Gorenstein shift; toric ideals.
 
-The graded semigroups here all look like N A'' (first generator the apex
-(1, 0, ..., 0), first coordinate counting the generators used), built on
-the lifted points of a Newton polytope, whose cone they share, so their
-grading-k elements form a finite slice, built once per semigroup by
-slice_k = slice_{k-1} + generators.  One scan of the dilate k conv(0, a'_i)
-gives every cone point up to grading k with its least grading, an integer
-read off the cone's facets; the semigroup certificates take their points
-from one scan at their bound, and the lg members from scans at dilates
-that grow with the Jacobian sweep.  The ungraded N A' is handled through
-the support of the total-space fan plus a graded lift: a point is a
+Every semigroup here is N A'', built on the lifted points (1, 0), (1, a'_i)
+of a Newton polytope Q = conv(0, a'_i), whose cone it shares.  Its first
+coordinate counts the generators used, so its grading-k elements form a
+finite slice, built once per semigroup by slice_k = slice_{k-1} +
+generators.  One scan of the dilate k Q gives every cone point up to
+grading k with its least grading, an integer read off the polytope's
+facets; the semigroup certificates take their points from one scan at
+their bound, and the lg members from scans at dilates that grow with the
+Jacobian sweep.  The undoubled N A' is handled through the support of the
+total-space fan plus the doubled semigroup as a graded lift: a point is a
 member when a maximal cone of that smooth fan holds it (its coordinates
-in the cone's rays are then nonnegative integers), or when the lift holds
-it up to a grading bound.  Both yes answers are exact; a no for a cone
-point only says that the lift holds no such point up to the bound.
-Nothing here checks that the fan's support is the whole cone.  Every
-semigroup lies in its cone, so a point outside the cone is never a member.
+in the cone's rays are then nonnegative integers), or when a slice holds
+it up to a grading bound.  Both yes answers are exact; a no for a point
+of cone(A') only says that no slice holds it up to the bound.  Nothing
+here checks that the fan's support is the whole cone.  The cone of A' is
+read off Q: as 0 lies in Q, its facets through 0 and its equalities cut
+out the tangent cone of Q at 0, which is cone(A').
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from tglab.errors import BoundTooSmall, NotSaturated, UnboundedSearch
+from tglab.errors import BoundTooSmall, NotSaturated
 from tglab.intlinalg import IntegerMatrix, kernel_lattice
 from tglab.polytopes import LatticePolytope
-from tglab.rationalcone import HForm, cone_hform
+from tglab.rationalcone import HForm
 from tglab.toricfan import Fan
 
 
-class AffineSemigroup:
-    """Semigroup generated by the columns of ``generators``; ``cone`` is
-    their H-form, computed here unless given."""
-
-    def __init__(self, generators: IntegerMatrix, cone: HForm | None = None):
-        self.generators = generators
-        if cone is None:
-            cone = cone_hform([generators.col(i) for i in range(generators.cols)], generators.rows)
-        self.cone = cone
-
-    @property
-    def dim(self) -> int:
-        return self.generators.rows
-
-    @property
-    def n_gens(self) -> int:
-        return self.generators.cols
-
-    def gen(self, i: int) -> tuple:
-        return self.generators.col(i)
-
-    @cached_property
-    def graded(self) -> bool:
-        """The form of `doubled_semigroup`: the first generator is the apex
-        (1, 0, ..., 0) and the first row is all ones, so the first
-        coordinate of an element counts generators with multiplicity."""
-        apex = (1,) + (0,) * (self.dim - 1)
-        return self.gen(0) == apex and all(x == 1 for x in self.generators.entries[0])
-
-    @cached_property
-    def _slices(self) -> list:
-        if not self.graded:
-            raise UnboundedSearch("not graded: apex (1, 0, ..., 0) first, first row all ones")
-        return [frozenset({(0,) * self.dim})]
-
-    def slice(self, k: int) -> frozenset:
-        """Elements of grading k of a graded semigroup: slice_0 = {0} and
-        slice_k = slice_{k-1} + generators, built on demand and kept."""
-        slices = self._slices
-        if k < 0:
-            return frozenset()
-        gens = [self.gen(i) for i in range(self.n_gens)]
-        while len(slices) <= k:
-            slices.append(
-                frozenset(tuple(a + b for a, b in zip(u, g)) for u in slices[-1] for g in gens)
-            )
-        return slices[k]
-
-
-def semigroup_contains(S: AffineSemigroup, v, lift=None, lift_bound: int = 0) -> bool:
-    """Exact membership for graded semigroups; a graded lift otherwise.
-
-    ``lift`` is the graded semigroup whose degree-k slice projects onto S
-    (columns (1, s_i) plus the free column (1, 0)); ``lift_bound`` caps the
-    degrees tried.  Raises UnboundedSearch when no exact route exists.
-    """
-    v = tuple(int(x) for x in v)
-    if len(v) != S.dim:
-        raise ValueError("vector dimension mismatch")
-    if not S.cone.contains(v):
-        return False
-    if S.graded:
-        return v in S.slice(v[0])
-    if lift is not None:
-        return any((k,) + v in lift.slice(k) for k in range(lift_bound + 1))
-    raise UnboundedSearch("no grading and no graded lift available")
-
-
-def doubled_semigroup(newton: LatticePolytope) -> AffineSemigroup:
+class DoubledSemigroup:
     """The graded semigroup N A'' on the lifted points (1, p) of ``newton``,
     the Newton polytope conv(0, a'_i) with the origin first (as
     `Fan.newton_polytope` gives it), so on the columns (1, 0) and (1, a'_i).
     Its cone is the polytope's `cone`, the H-form of those same columns."""
-    rows = [[1] * len(newton.points)] + [list(c) for c in zip(*newton.points)]
-    return AffineSemigroup(IntegerMatrix.from_rows(rows), newton.cone)
+
+    def __init__(self, newton: LatticePolytope):
+        self.newton = newton
+        self.cone = newton.cone
+        self.generators = tuple((1,) + p for p in newton.points)
+        self._slices = [frozenset({(0,) * len(self.generators[0])})]
+
+    def slice(self, k: int) -> frozenset:
+        """Elements of grading k: slice_0 = {0} and slice_k = slice_{k-1} +
+        generators, built on demand and kept."""
+        slices = self._slices
+        if k < 0:
+            return frozenset()
+        while len(slices) <= k:
+            slices.append(frozenset(
+                tuple(a + b for a, b in zip(u, g)) for u in slices[-1] for g in self.generators
+            ))
+        return slices[k]
+
+    def reaches(self, v, bound: int) -> bool:
+        """Some slice k <= bound holds (k, v): as the apex is a generator, v
+        is a sum of at most ``bound`` of the a'_i.  Such a v lies in bound Q,
+        so a v whose (bound, v) the cone misses builds no slice."""
+        return self.cone.contains((bound,) + v) and any(
+            (k,) + v in self.slice(k) for k in range(bound + 1)
+        )
 
 
-def graded_slice_points(S: AffineSemigroup, k: int):
-    """The lattice points of k * conv(generators), grading dropped, in lex
-    order, each as (least grading, point): the least j with (j, point) in
-    the cone of S, so the points at grading j <= k are those with least
+def graded_slice_points(newton: LatticePolytope, k: int):
+    """The lattice points of the dilate k * ``newton``, in lex order, each as
+    (least grading, point): the least j with the point in j * newton, so
+    the points at grading j <= k of the doubled cone are those with least
     grading <= j.
 
-    Scans the box k * [min, max] of the generators once and keeps the points
-    p with (k, p) in the cone.  The cone contains the apex (1, 0, ..., 0),
-    so every equality has e_0 = 0 and every inequality n_0 >= 0; the least
-    grading is the largest ceil(-n'.p / n_0) over n_0 > 0, or 0.  Raises
-    UnboundedSearch for a semigroup that is not graded.
+    Scans the box k * [min, max] of the points once and keeps those on the
+    equalities and the facets of the dilate.  The polytope holds the
+    origin, so every equality has offset 0 and every facet offset >= 0;
+    the least grading is the largest ceil(-normal.p / offset) over offset
+    > 0, or 0.
     """
-    if not S.graded:
-        raise UnboundedSearch("not graded: apex (1, 0, ..., 0) first, first row all ones")
-    flats = [e[1:] for e in S.cone.equalities]
-    ineqs = [(n[0], n[1:]) for n in S.cone.inequalities]
-    tails = [S.gen(i)[1:] for i in range(S.n_gens)]
-    ranges = [range(k * min(c), k * max(c) + 1) for c in zip(*tails)]
+    flats = [e.normal for e in newton.equalities]
+    ranges = [range(k * min(c), k * max(c) + 1) for c in zip(*newton.points)]
     out = []
     for p in product(*ranges):
         if any(sum(map(mul, e, p)) for e in flats):
             continue
         j = 0
-        for n0, n in ineqs:
-            v = sum(map(mul, n, p))
-            if n0 * k + v < 0:
+        for f in newton.facets:
+            v = sum(map(mul, f.normal, p))
+            if f.offset * k + v < 0:
                 break
-            if n0 and -(v // n0) > j:
-                j = -(v // n0)
+            if f.offset and -(v // f.offset) > j:
+                j = -(v // f.offset)
         else:
             out.append((j, p))
     return out
@@ -151,13 +103,14 @@ class ConeScan(NamedTuple):
     points: list
 
 
-def scan_cone_points(S: AffineSemigroup, degree_bound: int) -> ConeScan:
+def scan_cone_points(S: DoubledSemigroup, degree_bound: int) -> ConeScan:
     """One box scan, `graded_slice_points` at the bound, and one pass over
     the cone points at grading <= bound, by grading then lex.  The witness
-    is the first cone point outside the semigroup, or None; the pass stops
+    is the first cone point outside the semigroup, or None, so S is
+    saturated up to the bound exactly when it is None; the pass stops
     there, so the interior points are complete only when the witness is
     None.  The scanned points are always complete."""
-    points = graded_slice_points(S, degree_bound)
+    points = graded_slice_points(S.newton, degree_bound)
     interior = set()
     for k in range(degree_bound + 1):
         members = S.slice(k)
@@ -172,17 +125,7 @@ def scan_cone_points(S: AffineSemigroup, degree_bound: int) -> ConeScan:
     return ConeScan(None, interior, points)
 
 
-def saturation_check(S: AffineSemigroup, degree_bound: int):
-    """Compare semigroup membership against cone membership up to the bound.
-
-    Returns (saturated_up_to_bound, witness); the witness is the first cone
-    point that fails semigroup membership, scanned by grading then lex.
-    """
-    witness = scan_cone_points(S, degree_bound).witness
-    return witness is None, witness
-
-
-def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan: ConeScan) -> bool:
+def gorenstein_shift_check(S: DoubledSemigroup, shift, degree_bound: int, scan: ConeScan) -> bool:
     """Interior points at grading <= bound coincide with shift + semigroup.
 
     ``shift`` is the distinguished interior element (grading c+1 for the
@@ -202,29 +145,30 @@ def gorenstein_shift_check(S: AffineSemigroup, shift, degree_bound: int, scan: C
 
 
 def interior_shift_check_ungraded(
-    total: Fan, lift: AffineSemigroup, shift, degree_bound: int, scan: ConeScan
+    total: Fan, lift: DoubledSemigroup, shift, degree_bound: int, scan: ConeScan
 ) -> bool:
-    """Interior of the cone of S = N A' equals shift + S, where A' is the
-    ray matrix of the smooth fan ``total``, tested on all lattice points of
-    the degree_bound-dilated hull of 0 and the generators, which ``scan``,
-    `scan_cone_points` of ``lift`` at the same bound, holds.
+    """Interior of cone(A') equals shift + N A', where A' is the ray matrix
+    of the smooth fan ``total`` and ``lift`` its doubled semigroup, tested
+    on all lattice points of the degree_bound-dilated hull of 0 and A',
+    which ``scan``, `scan_cone_points` of ``lift`` at the same bound, holds.
 
-    A point shift + v counts as a member of shift + S when ``total``
-    contains v or the lift holds it at a grading up to
-    degree_bound * (S.dim + 2).  A yes is exact; a no for a point of the
-    cone is exact only up to that lift bound, and so is the verdict.
-    Where the fan's support is the whole cone, every cone point is a
-    member and the verdict is exact on the scanned points.
+    A point shift + v counts as a member of shift + N A' when ``total``
+    contains v or the lift `reaches` v within L = degree_bound * (dim + 2).
+    A yes is exact; a no for a point of the cone is exact only up to L, and
+    so is the verdict.  Where the fan's support is the whole cone, every
+    cone point is a member and the verdict is exact on the scanned points.
     """
-    S = AffineSemigroup(total.ray_matrix())
+    # cone(A'), the tangent cone of Q at 0: Q's equalities and facets through 0.
+    aprime = HForm(
+        total.dim,
+        tuple(e.normal for e in lift.newton.equalities),
+        tuple(f.normal for f in lift.newton.facets if f.offset == 0),
+    )
+    bound = degree_bound * (total.dim + 2)
     shift = tuple(int(x) for x in shift)
     for _, pt in scan.points:
-        inside = S.cone.contains_interior(pt)
         v = tuple(a - b for a, b in zip(pt, shift))
-        member = total.contains(v) or semigroup_contains(
-            S, v, lift=lift, lift_bound=degree_bound * (S.dim + 2)
-        )
-        if inside != member:
+        if aprime.contains_interior(pt) != (total.contains(v) or lift.reaches(v, bound)):
             return False
     return True
 

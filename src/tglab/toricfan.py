@@ -152,7 +152,7 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
 
     # Fan condition: pairwise intersections are common faces.
     is_fan = True
-    for (i1, c1), (i2, c2) in combinations(enumerate(fan.max_cones), 2):
+    for c1, c2 in combinations(fan.max_cones, 2):
         common = sorted(set(c1) & set(c2))
         if len(common) == fan.dim - 1:
             # Two full-dimensional cones sharing a facet meet exactly in it
@@ -162,9 +162,21 @@ def validate_fan(fan: Fan) -> FanDiagnostics:
             (b,) = set(c2) - set(common)
             meet_in_common = _dot(normal, fan.rays[a]) * _dot(normal, fan.rays[b]) < 0
         else:
-            inter = intersect_hforms([fan.cone_hforms[i1], fan.cone_hforms[i2]])
-            common_h = cone_hform([fan.rays[i] for i in common], fan.dim)
-            meet_in_common = all(common_h.contains(g) for g in extreme_rays(inter))
+            # Simplicial full-dimensional cone(U), cone(V) with common rays W
+            # meet in cone(W) iff the lineality space L of C = cone(U u -V)
+            # has dimension |W|.  L is spanned by the generators g with -g
+            # in C; W and -W are such, so span(W), of dimension |W|, lies in
+            # L.  If u in U has -u = sum(a U) - sum(b V) in C, then
+            # (1 + a_u) u + sum(a U - u) = sum(b V) is a point of the meet
+            # with a positive u-coordinate, so u is in W when the meet is
+            # cone(W); likewise for V.  Conversely, if L = span(W), a point
+            # sum(c U) = sum(d V) of the meet puts -u in C for each u with
+            # c_u > 0, so u is in span(W), hence in W (U is independent).
+            c = cone_hform(
+                [fan.rays[i] for i in c1] + [tuple(-x for x in fan.rays[i]) for i in c2],
+                fan.dim,
+            )
+            meet_in_common = len(nullspace(list(c.inequalities), fan.dim)) == len(common)
         if not meet_in_common:
             is_fan = False
             break

@@ -28,10 +28,9 @@ from tglab.models import build_model
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
 from tglab.rationalcone import extreme_rays
 from tglab.semigroups import (
-    doubled_semigroup,
+    DoubledSemigroup,
     gorenstein_shift_check,
     interior_shift_check_ungraded,
-    saturation_check,
     scan_cone_points,
 )
 from tglab.toricfan import (
@@ -119,14 +118,13 @@ def test_c04_semigroup_certificates():
     for name, (fan, d) in BUNDLE_CORPUS.items():
         start = time.monotonic()
         total = total_space_fan(fan, d)
-        S = doubled_semigroup(total.newton_polytope)
-        saturated, witness = saturation_check(S, 6)
-        assert saturated and witness is None, name
+        S = DoubledSemigroup(total.newton_polytope)
         scan = scan_cone_points(S, 6)
+        assert scan.witness is None, name
         c = d.rows
-        shift = list(S.gen(0))
+        shift = list(S.generators[0])
         for j in range(c):
-            shift = [a + b for a, b in zip(shift, S.gen(1 + fan.n_rays + j))]
+            shift = [a + b for a, b in zip(shift, S.generators[1 + fan.n_rays + j])]
         assert gorenstein_shift_check(S, shift, 6, scan), name
         Ap = total.ray_matrix()
         shiftp = [0] * Ap.rows
@@ -151,8 +149,9 @@ def test_c05a_f3_non_normality_witness_as_specified():
     """
     fan, d = corpus.f3_minus_k()
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.newton_polytope)
-    saturated, witness = saturation_check(S, 6)
+    S = DoubledSemigroup(total.newton_polytope)
+    witness = scan_cone_points(S, 6).witness
+    saturated = witness is None
     report(
         "5a",
         (not saturated) and witness is not None,
@@ -164,8 +163,9 @@ def test_c05b_f3_alternate_representative_witness():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.newton_polytope)
-    saturated, witness = saturation_check(S, 4)
+    S = DoubledSemigroup(total.newton_polytope)
+    witness = scan_cone_points(S, 4).witness
+    saturated = witness is None
     report(
         "5b",
         (not saturated) and witness is not None,

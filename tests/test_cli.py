@@ -325,6 +325,22 @@ NEWTON_SPECS = sorted(SPECS.glob("*.json")) + sorted(SPECS.glob("threefolds/*.js
 THREEFOLD_FLAGS = {"lg": ["--cutoff", "12"], "semigroup": ["--degree", "10"], "construct": []}
 
 
+def recorded_hforms(monkeypatch) -> list:
+    """The generator lists of every `cone_hform` call from here on, made
+    through any tglab module that imports it."""
+    hulls = []
+    hform = rationalcone.cone_hform
+
+    def counting_hform(gens, dim):
+        hulls.append([tuple(g) for g in gens])
+        return hform(gens, dim)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tglab.") and getattr(module, "cone_hform", None) is hform:
+            monkeypatch.setattr(module, "cone_hform", counting_hform)
+    return hulls
+
+
 @pytest.mark.parametrize("command", sorted(THREEFOLD_FLAGS))
 @pytest.mark.parametrize("path", NEWTON_SPECS, ids=lambda p: p.stem)
 def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
@@ -332,24 +348,19 @@ def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
     total-space fan keeps: its volume, its faces and the cone of the doubled
     semigroup come from one `cone_hform` of the lifted points (1, 0),
     (1, a'_i), and the volume hulls no face again.  A call that stops
-    before it reads the polytope hulls nothing."""
+    before it reads the polytope hulls nothing.  The cone of A' is read off
+    the polytope, so no call hulls the unlifted rays a'_i."""
     spec = cli.load_spec(str(path))
     total = toricfan.total_space_fan(spec["fan"], cli.bundle_matrix(spec))
     lifted = [(1,) + (0,) * total.dim] + [(1,) + r for r in total.rays]
-    hulls, polytope_calls = [], []
-    hform = rationalcone.cone_hform
+    polytope_calls = []
     from_points = polytopes.LatticePolytope.from_points
-
-    def counting_hform(gens, dim):
-        hulls.append([tuple(g) for g in gens])
-        return hform(gens, dim)
 
     def counting_from_points(points):
         polytope_calls.append(points)
         return from_points(points)
 
-    for module in (models, polytopes, rationalcone, semigroups, toricfan):
-        monkeypatch.setattr(module, "cone_hform", counting_hform)
+    hulls = recorded_hforms(monkeypatch)
     monkeypatch.setattr(polytopes.LatticePolytope, "from_points",
                         staticmethod(counting_from_points))
     flags = THREEFOLD_FLAGS[command] if path.parent.name == "threefolds" else []
@@ -357,8 +368,25 @@ def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
     with redirect_stdout(out):
         cli.main([command, "--spec", str(path), "--json", *flags])
     assert hulls.count(lifted) == len(polytope_calls) <= 1
+    assert list(total.rays) not in hulls
     if "results" in json.loads(out.getvalue()):
         assert len(polytope_calls) == 1
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["semigroup", "--spec", "f3_minus_k.json"], 7),
+    (["validate", "--spec", "threefolds/p1cube_o111.json"], 16),
+    (["lg", "--spec", "threefolds/p1cube_o111.json", "--cutoff", "12"], 35),
+], ids=["f3-semigroup", "p1cube-validate", "p1cube-lg"])
+def test_cone_hform_calls_per_call(monkeypatch, argv, most):
+    """One enumeration per cone the call needs: the fan condition off a
+    shared facet costs one per pair, validate does not check the total-space
+    fan again, and the cone of A' is read off the Newton polytope."""
+    hulls = recorded_hforms(monkeypatch)
+    argv = [argv[0], "--spec", str(SPECS / argv[2]), *argv[3:], "--json"]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) in (0, 1)
+    assert len(hulls) <= most
 
 
 def test_lg_certifies_each_point_once_per_call(monkeypatch):

@@ -8,18 +8,12 @@ from tglab.errors import (
     MissingDegree,
     NonEffectiveDegree,
     StabilizationFailed,
-    UnboundedSearch,
 )
 from tglab.intlinalg import IntegerMatrix
 from tglab.lgfamily import NewtonData, jacobian_quotient_dim
 from tglab.models import build_model
 from tglab.qdmcheck import annihilation_check
-from tglab.semigroups import (
-    AffineSemigroup,
-    graded_slice_points,
-    semigroup_contains,
-    toric_ideal_binomials,
-)
+from tglab.semigroups import toric_ideal_binomials
 from tglab.toricfan import total_space_fan
 from tglab.weylops import WeylOp
 
@@ -29,21 +23,6 @@ def test_toric_ideal_bound_too_small():
     B = IntegerMatrix.from_rows([[1, -1, 0], [2, 0, 1]])
     with pytest.raises(BoundTooSmall):
         toric_ideal_binomials(B, 1)
-
-
-def test_membership_unbounded_without_grading_or_cones():
-    S = AffineSemigroup(IntegerMatrix.from_rows([[1, -1]]))
-    with pytest.raises(UnboundedSearch):
-        semigroup_contains(S, (3,))
-
-
-def test_least_gradings_need_the_apex():
-    """An all-ones first row is not enough: the first generator must be
-    the apex (1, 0), or the dilates of the hull are not the gradings."""
-    S = AffineSemigroup(IntegerMatrix.from_rows([[1, 1], [1, 0]]))
-    assert not S.graded
-    with pytest.raises(UnboundedSearch):
-        graded_slice_points(S, 2)
 
 
 def test_jacobian_stabilization_failure_reports_partial():

@@ -15,12 +15,16 @@ The generated specs are not recorded in perfbench/records.json.
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tglab import cli
-from tglab.toricfan import Fan, class_is_nef
+from tglab.intlinalg import IntegerMatrix
+from tglab.rationalcone import cone_hform
+from tglab.semigroups import DoubledSemigroup, interior_shift_check_ungraded, scan_cone_points
+from tglab.toricfan import Fan, class_is_nef, total_space_fan
 
 
 def draw_rays(draw):
@@ -196,3 +200,32 @@ def test_commands_keep_the_exit_contract(tmp_path, surface):
         if argv[0] == "lg" and not error:
             verdicts = [s["verdict"] for s in report["results"]["samples"]]
             assert set(verdicts) <= {"good", "bad_suspected"}, verdicts
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface=surfaces(), degree=st.sampled_from([1, 2]))
+def test_interior_shift_off_the_support_matches_a_brute_force_semigroup(surface, degree):
+    """Rows that are not nef: the support of the total space misses points
+    of cone(A'), and the interior test decides them through the graded
+    lift.  The oracle is N A' by brute force: v is a member when A'x = v for
+    a nonnegative integer x with |x| <= L, the lift's bound, and the
+    interior is that of `cone_hform` of the columns of A'."""
+    rays, rows = surface
+    assume(not all(nef_oracle(rays, row) for row in rows))
+    fan = Fan.make(rays, [[j, (j + 1) % len(rays)] for j in range(len(rays))])
+    total = total_space_fan(fan, IntegerMatrix.from_rows(rows))
+    lift = DoubledSemigroup(total.newton_polytope)
+    scan = scan_cone_points(lift, degree)
+    shift = tuple(map(sum, zip(*total.rays[len(rays):])))
+    zero = (0,) * total.dim
+    members = {
+        tuple(map(sum, zip(zero, *x)))
+        for size in range(degree * (total.dim + 2) + 1)
+        for x in combinations_with_replacement(total.rays, size)
+    }
+    aprime = cone_hform(total.rays, total.dim)
+    expected = all(
+        aprime.contains_interior(pt) == (tuple(a - b for a, b in zip(pt, shift)) in members)
+        for _, pt in scan.points
+    )
+    assert interior_shift_check_ungraded(total, lift, shift, degree, scan) == expected

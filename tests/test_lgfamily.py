@@ -25,7 +25,7 @@ from tglab.lgfamily import (
 )
 from tglab.models import build_model
 from tglab.polytopes import LatticePolytope
-from tglab.semigroups import doubled_semigroup, graded_slice_points
+from tglab.semigroups import graded_slice_points
 from tglab.toricfan import total_space_fan
 
 
@@ -196,7 +196,7 @@ def hull(B):
 def full_member_list(newton):
     """Every cone point in the fan's support up to the cutoff, from one scan
     at the cutoff, by least grading then lex."""
-    points = graded_slice_points(doubled_semigroup(hull(newton.B)), newton.cutoff)
+    points = graded_slice_points(hull(newton.B), newton.cutoff)
     return sorted(((j, p) for j, p in points if newton.fan.contains(p)), key=itemgetter(0))
 
 
@@ -306,9 +306,9 @@ def counting_scans(monkeypatch):
     dilates = []
     scan = lgfamily.graded_slice_points
 
-    def counting_scan(S, k):
+    def counting_scan(newton, k):
         dilates.append(k)
-        return scan(S, k)
+        return scan(newton, k)
 
     monkeypatch.setattr(lgfamily, "graded_slice_points", counting_scan)
     return dilates

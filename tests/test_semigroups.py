@@ -12,14 +12,11 @@ from tglab.errors import NotSaturated
 from tglab.intlinalg import IntegerMatrix, homogenize
 from tglab.polytopes import LatticePolytope
 from tglab.semigroups import (
-    AffineSemigroup,
-    doubled_semigroup,
+    DoubledSemigroup,
     gorenstein_shift_check,
     graded_slice_points,
     interior_shift_check_ungraded,
-    saturation_check,
     scan_cone_points,
-    semigroup_contains,
     toric_ideal_binomials,
 )
 from tglab.toricfan import total_space_fan
@@ -28,33 +25,30 @@ from tglab.toricfan import total_space_fan
 def p1o2_doubled():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
-    return total, doubled_semigroup(total.newton_polytope)
+    return total, DoubledSemigroup(total.newton_polytope)
 
 
 def test_membership_trivial_zero():
     _, S = p1o2_doubled()
-    assert semigroup_contains(S, (0, 0, 0))
+    assert (0, 0, 0) in S.slice(0)
 
 
 def test_membership_p1_doubled():
     # columns (1,0), (1,1), (1,-1): (2,1) = (1,0)+(1,1)
-    S = doubled_semigroup(LatticePolytope.from_points([(0,), (1,), (-1,)]))
-    assert S.graded
-    assert semigroup_contains(S, (2, 1))
-    assert not semigroup_contains(S, (1, 2))
+    S = DoubledSemigroup(LatticePolytope.from_points([(0,), (1,), (-1,)]))
+    assert (2, 1) in S.slice(2)
+    assert (1, 2) not in S.slice(1)
 
 
 def test_saturation_p1_o2():
     _, S = p1o2_doubled()
-    ok, witness = saturation_check(S, 6)
-    assert ok and witness is None
+    assert scan_cone_points(S, 6).witness is None
 
 
 def test_saturation_p2():
     fan = corpus.projective_plane()
-    S = doubled_semigroup(fan.newton_polytope)
-    ok, witness = saturation_check(S, 6)
-    assert ok and witness is None
+    S = DoubledSemigroup(fan.newton_polytope)
+    assert scan_cone_points(S, 6).witness is None
 
 
 def test_f3_alternate_representative_not_normal():
@@ -64,18 +58,18 @@ def test_f3_alternate_representative_not_normal():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.newton_polytope)
-    ok, witness = saturation_check(S, 4)
-    assert not ok
+    S = DoubledSemigroup(total.newton_polytope)
+    witness = scan_cone_points(S, 4).witness
     assert witness is not None
     assert witness[0] == 2
-    assert not semigroup_contains(S, witness)
+    assert S.cone.contains(witness)
+    assert witness not in S.slice(witness[0])
 
 
 def test_gorenstein_shift_p1_c0():
     fan = corpus.projective_line()
-    S = doubled_semigroup(fan.newton_polytope)
-    shift = S.gen(0)  # grading c+1 = 1
+    S = DoubledSemigroup(fan.newton_polytope)
+    shift = S.generators[0]  # grading c+1 = 1
     assert gorenstein_shift_check(S, shift, 5, scan_cone_points(S, 5))
     interior = scan_cone_points(S, 5).interior
     # interior points (k, j) with |j| < k
@@ -85,7 +79,7 @@ def test_gorenstein_shift_p1_c0():
 
 def test_gorenstein_shift_p1_o2():
     total, S = p1o2_doubled()
-    shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
+    shift = tuple(a + b for a, b in zip(S.generators[0], S.generators[3]))
     assert shift[0] == 2
     assert gorenstein_shift_check(S, shift, 6, scan_cone_points(S, 6))
 
@@ -94,17 +88,17 @@ def test_gorenstein_requires_saturation():
     fan = corpus.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
-    S = doubled_semigroup(total.newton_polytope)
+    S = DoubledSemigroup(total.newton_polytope)
     with pytest.raises(NotSaturated):
-        gorenstein_shift_check(S, S.gen(0), 4, scan_cone_points(S, 4))
+        gorenstein_shift_check(S, S.generators[0], 4, scan_cone_points(S, 4))
 
 
 def test_gorenstein_shift_degree_and_injectivity():
     total, S = p1o2_doubled()
-    shift = tuple(a + b for a, b in zip(S.gen(0), S.gen(3)))
+    shift = tuple(a + b for a, b in zip(S.generators[0], S.generators[3]))
     seen = set()
     for k in range(4):
-        for _, pt in graded_slice_points(S, k):
+        for _, pt in graded_slice_points(S.newton, k):
             full = (k,) + tuple(pt)
             image = tuple(a + b for a, b in zip(full, shift))
             assert image[0] == full[0] + 2  # degree shift c+1
@@ -116,13 +110,13 @@ def test_interior_aprime_p1_o2():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    lift = doubled_semigroup(total.newton_polytope)
+    lift = DoubledSemigroup(total.newton_polytope)
     assert interior_shift_check_ungraded(total, lift, Ap.col(2), 6, scan_cone_points(lift, 6))
 
 
 def test_interior_aprime_c0():
     fan = corpus.projective_line()
-    lift = doubled_semigroup(fan.newton_polytope)
+    lift = DoubledSemigroup(fan.newton_polytope)
     assert interior_shift_check_ungraded(fan, lift, (0,), 5, scan_cone_points(lift, 5))
 
 
@@ -130,7 +124,7 @@ def test_interior_aprime_p1p1():
     fan, d = corpus.p1p1_o11()
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    lift = doubled_semigroup(total.newton_polytope)
+    lift = DoubledSemigroup(total.newton_polytope)
     assert interior_shift_check_ungraded(total, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
 
 
@@ -196,9 +190,8 @@ def test_w_convexity_implies_saturation_on_corpus():
     for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
         total = total_space_fan(fan, d)
         assert w_set_convexity(total)
-        S = doubled_semigroup(total.newton_polytope)
-        ok, _ = saturation_check(S, 4)
-        assert ok
+        S = DoubledSemigroup(total.newton_polytope)
+        assert scan_cone_points(S, 4).witness is None
 
 
 # Brute-force oracles for the slice layer: the grading-k elements of a
@@ -218,7 +211,7 @@ def multiset_sums(gens, k):
 def dilated_hull_points(S, k):
     """The lattice points of k * conv(0, columns), in lex order, from the
     hull's facets: independent of the semigroup's cone."""
-    tails = [S.gen(i)[1:] for i in range(S.n_gens)]
+    tails = [g[1:] for g in S.generators]
     hull = LatticePolytope.from_points([[k * x for x in t] for t in tails])
     box = [range(min(c), max(c) + 1) for c in zip(*hull.points)]
     return [
@@ -236,41 +229,38 @@ columns_2d = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(columns_2d)
 def test_slices_against_multiset_oracle(cols):
-    S = doubled_semigroup(LatticePolytope.from_points([(0, 0)] + cols))
-    gens = [S.gen(i) for i in range(S.n_gens)]
+    S = DoubledSemigroup(LatticePolytope.from_points([(0, 0)] + cols))
+    gens = list(S.generators)
     hulls = [dilated_hull_points(S, k) for k in range(ORACLE_GRADING + 1)]
     expected_witness = None
     for k in range(ORACLE_GRADING + 1):
         members = multiset_sums(gens, k)
         reference = hulls[k]
-        points = graded_slice_points(S, k)
+        points = graded_slice_points(S.newton, k)
         assert [p for _, p in points] == reference
         # each point's least grading is the first dilate that holds it
         assert all(j == next(i for i, hull in enumerate(hulls) if p in hull) for j, p in points)
         r = 2 * k + 1
         for tail in product(range(-r, r + 1), repeat=2):
             v = (k,) + tail
-            assert semigroup_contains(S, v) == (v in members)
+            assert (v in S.slice(k)) == (v in members)
         if expected_witness is None:
             expected_witness = next(
                 ((k,) + p for p in reference if (k,) + p not in members), None
             )
-    assert not semigroup_contains(S, (-1, 0, 0))
     assert S.slice(-1) == frozenset()
-    ok, witness = saturation_check(S, ORACLE_GRADING)
-    assert witness == expected_witness
-    assert ok == (expected_witness is None)
+    assert scan_cone_points(S, ORACLE_GRADING).witness == expected_witness
 
 
 def test_ungraded_lift_on_nonconvex_support():
     """P1/O(-1): the two unimodular cones of the total space do not cover
     the plane, so points outside its support are decided by the graded
-    lift."""
+    lift: it reaches v within a bound exactly when v sums at most that
+    many columns of A'."""
     fan, d = corpus.p1_ok(-1)
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
-    S = AffineSemigroup(Ap)
-    lift = doubled_semigroup(total.newton_polytope)
+    lift = DoubledSemigroup(total.newton_polytope)
     cols = [Ap.col(i) for i in range(Ap.cols)]
 
     def in_subcone(v):
@@ -284,6 +274,6 @@ def test_ungraded_lift_on_nonconvex_support():
     for bound in (2, 4):
         reachable = set().union(*(multiset_sums(cols, k) for k in range(bound + 1)))
         for v in box:
-            assert semigroup_contains(S, v, lift=lift, lift_bound=bound) == (v in reachable)
+            assert lift.reaches(v, bound) == (v in reachable)
     # The columns generate all of Z^2, so a large enough lift finds every point.
-    assert all(semigroup_contains(S, v, lift=lift, lift_bound=9) for v in uncovered)
+    assert all(lift.reaches(v, 9) for v in uncovered)

@@ -95,6 +95,37 @@ def test_fan_condition_on_a_shared_facet(case):
     assert validate_fan(Fan.make(rays, cones)).is_fan == expected
 
 
+primitive_rays = {
+    dim: st.tuples(*[st.integers(-2, 2)] * dim)
+    .filter(any)
+    .map(lambda r: tuple(x // gcd(*r) for x in r))
+    for dim in (2, 3, 4)
+}
+
+
+@st.composite
+def cones_sharing_fewer_rays(draw):
+    """Two simplicial full-dimensional cones in dimension 2..4 that share
+    fewer than dim - 1 rays."""
+    dim = draw(st.integers(2, 4))
+    shared = draw(st.integers(0, dim - 2))
+    n = 2 * dim - shared
+    rays = draw(st.lists(primitive_rays[dim], min_size=n, max_size=n, unique=True))
+    cones = [tuple(range(dim)), tuple(range(shared)) + tuple(range(dim, n))]
+    assume(all(IntegerMatrix.from_rows([rays[i] for i in c]).det() != 0 for c in cones))
+    return rays, cones, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_sharing_fewer_rays())
+def test_fan_condition_off_a_shared_facet(case):
+    """Two cones that share less than a facet: the lineality test in
+    `validate_fan` agrees with intersecting the cones."""
+    rays, cones, dim = case
+    expected = meet_in_common_face(rays, cones[0], cones[1], dim)
+    assert validate_fan(Fan.make(rays, cones)).is_fan == expected
+
+
 def test_make_rejects_non_primitive():
     with pytest.raises(NonPrimitiveRay, match=r"ray 1, \[2, 0\], is not primitive"):
         Fan.make([(2, 0), (0, 1)], [(0, 1)])
