@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from tglab import errors
@@ -63,14 +64,15 @@ def _is_int_rows(rows) -> bool:
     )
 
 
-# The fields of a spec and of its fan, and its options with their defaults;
-# load_spec refuses any other key, so a misspelt one cannot be silently ignored.
-SPEC_KEYS = ("fan", "bundles", "basis_p", "options")
+# The fields of a spec and of its fan; load_spec refuses any other key, so a
+# misspelt one cannot be silently ignored.
+SPEC_KEYS = ("fan", "bundles", "basis_p")
 FAN_KEYS = ("rays", "max_cones")
-OPTIONS = {"degree_bound": 6, "dmax": 8, "seed": 0, "stabilization_window": 3}
 
 
 def load_spec(path: str) -> dict:
+    """The mathematical input of the spec: the fan, the bundle matrix (one
+    row per bundle, one column per ray) and basis_p."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -99,87 +101,55 @@ def load_spec(path: str) -> dict:
     bundles = raw.get("bundles", [])
     if not _is_int_rows(bundles):
         raise ParseError("bundles must be a list of integer lists")
-    bundle_rows = [tuple(row) for row in bundles]
-    if any(len(row) != fan.n_rays for row in bundle_rows):
+    if any(len(row) != fan.n_rays for row in bundles):
         raise ParseError(f"bundle rows must have one entry per ray ({fan.n_rays})")
-    opts = raw.get("options", {})
-    if not isinstance(opts, dict) or not all(_is_int(v) for v in opts.values()):
-        raise ParseError("options must be an object with integer values")
-    unknown = [key for key in opts if key not in OPTIONS]
-    if unknown:
-        raise ParseError(f"unknown option {unknown[0]!r}; known: {', '.join(OPTIONS)}")
     basis_p = raw.get("basis_p")
     if basis_p is not None and not (
         _is_int_rows(basis_p) and len({len(row) for row in basis_p}) <= 1
     ):
         raise ParseError("basis_p must be null or a list of integer rows of one length")
-    spec = {
-        "fan": fan,
-        "bundles": bundle_rows,
-        "basis_p": basis_p,
-        **{key: opts.get(key, default) for key, default in OPTIONS.items()},
-    }
-    return spec
+    d = IntegerMatrix(len(bundles), fan.n_rays, tuple(tuple(row) for row in bundles))
+    return {"fan": fan, "bundles": d, "basis_p": basis_p}
 
 
-# The range of each setting.  A maximum is the largest round value at which
-# the slowest spec in specs/ finishes, with the other settings at their
-# defaults; above it a search can run for minutes.
-MINIMUM = {"degree_bound": 0, "dmax": 0, "stabilization_window": 1, "samples": 1, "cutoff": 1}
-MAXIMUM = {
-    "degree_bound": 30, "dmax": 150, "stabilization_window": 12, "samples": 300, "cutoff": 12
-}
-
-
-# The flags of each command, besides --spec and --json, which every command
-# reads.  A flag given to another command exits 2; spec options are shared.
+# The one table of settings: each flag besides --spec and --json, which every
+# command reads, with the command that reads it, its argparse kwargs, its
+# default and its range (None where it has none).  A maximum is the largest
+# round value at which the slowest spec in specs/ finishes, with the other
+# flags at their defaults; above it a search can run for minutes.
+Flag = namedtuple("Flag", "command kwargs default range")
 FLAGS = {
-    "semigroup": {"--degree": dict(type=int, help="degree bound of the scan")},
-    "gkz": {
-        "--gkz-variant": dict(choices=["plain", "homog", "hat", "star", "qdm"],
-                              help="operator system (default plain)"),
-        "--beta": dict(help="parameters, comma-separated integers"),
-    },
-    "lg": {
-        "--seed": dict(type=int, help="seed of the parameter samples"),
-        "--samples": dict(type=int, help="number of samples (default 3)"),
-        "--cutoff": dict(type=int, help="slice cutoff for the Jacobian dimension sweep"),
-    },
-    "ifun": {"--dmax": dict(type=int, help="largest degree of the I-series")},
+    "--degree": Flag("semigroup", dict(type=int, help="degree bound of the scan"), 6, (0, 30)),
+    "--gkz-variant": Flag("gkz", dict(choices=["plain", "homog", "hat", "star", "qdm"],
+                                      help="operator system"), "plain", None),
+    "--beta": Flag("gkz", dict(help="parameters, comma-separated integers (default zeros)"),
+                   None, None),
+    "--seed": Flag("lg", dict(type=int, help="seed of the parameter samples"), 0, None),
+    "--samples": Flag("lg", dict(type=int, help="number of samples"), 3, (1, 300)),
+    "--cutoff": Flag("lg", dict(type=int, help="slice cutoff of the Jacobian dimension sweep "
+                                "(default 4 e diam)"), None, (1, 12)),
+    "--dmax": Flag("ifun", dict(type=int, help="largest degree of the I-series"), 8, (0, 150)),
 }
 
 
 def _check_flags(args):
-    """Refuse a flag that the command does not read."""
-    for cmd, flags in FLAGS.items():
-        for flag in flags:
-            if cmd != args.command and getattr(args, flag[2:].replace("-", "_")) is not None:
-                raise ParseError(f"{args.command} does not read {flag}; only {cmd} does")
-
-
-def _apply_flags(spec, args):
-    """Let the command-line flags override the spec options, then refuse any
-    setting outside its range."""
-    flags = {"degree_bound": args.degree, "dmax": args.dmax, "seed": args.seed}
-    spec.update({k: v for k, v in flags.items() if v is not None})
-    spec.update(samples=3 if args.samples is None else args.samples, cutoff=args.cutoff)
-    for key, low in MINIMUM.items():
-        if spec[key] is not None and spec[key] < low:
-            raise ParseError(f"{key} must be at least {low}, got {spec[key]}")
-        if spec[key] is not None and spec[key] > MAXIMUM[key]:
-            raise ParseError(f"{key} must be at most {MAXIMUM[key]}, got {spec[key]}")
-
-
-def bundle_matrix(spec) -> IntegerMatrix:
-    fan = spec["fan"]
-    if not spec["bundles"]:
-        return IntegerMatrix(0, fan.n_rays, ())
-    return IntegerMatrix.from_rows(spec["bundles"])
+    """Refuse a flag that the command does not read and a value outside its
+    range, then give every flag that was not given its default."""
+    for flag, f in FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, f.default)
+        elif f.command != args.command:
+            raise ParseError(f"{args.command} does not read {flag}; only {f.command} does")
+        elif f.range and value < f.range[0]:
+            raise ParseError(f"{flag} must be at least {f.range[0]}, got {value}")
+        elif f.range and value > f.range[1]:
+            raise ParseError(f"{flag} must be at most {f.range[1]}, got {value}")
 
 
 def cmd_validate(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
+    fan, d = spec["fan"], spec["bundles"]
     diag = fan.diagnostics
     out = {
         "fan": {
@@ -210,8 +180,7 @@ def cmd_validate(spec, args) -> dict:
 
 
 def cmd_construct(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
+    fan, d = spec["fan"], spec["bundles"]
     model = build_model(fan, d, basis_p=spec["basis_p"])
     nef = nef_cone_anticones(fan)
     pl = nef_cone_pl(fan)
@@ -241,9 +210,8 @@ def cmd_construct(spec, args) -> dict:
 
 
 def cmd_semigroup(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
-    bound = spec["degree_bound"]
+    fan, d = spec["fan"], spec["bundles"]
+    bound = args.degree
     total = total_space_fan(fan, d)
     Btot = total.ray_matrix()
     S = DoubledSemigroup(total.newton_polytope)
@@ -284,9 +252,8 @@ def _gkz_beta(text, length):
 
 
 def cmd_gkz(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
-    variant = args.gkz_variant or "plain"
+    fan, d = spec["fan"], spec["bundles"]
+    variant = args.gkz_variant
     # A' has one row per coordinate of the total space; the homogenized,
     # hat and star systems carry one more parameter, beta_0, and qdm none.
     n = fan.dim + d.rows
@@ -312,8 +279,6 @@ def cmd_gkz(spec, args) -> dict:
     elif variant == "qdm":
         g = model.qdm_generators()
         ops = g["boxes"] + [g["euler"]]
-    else:
-        raise ParseError(f"unknown gkz variant {variant!r}")
     out["beta"] = beta
     out["parameter_outside_verified_regime"] = beta_outside_verified_regime(beta)
     out["operators"] = [op.to_records() for op in ops]
@@ -324,26 +289,20 @@ def cmd_gkz(spec, args) -> dict:
 
 
 def cmd_lg(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
+    fan, d = spec["fan"], spec["bundles"]
     model = build_model(fan, d, basis_p=spec["basis_p"])
     B = model.Aprime
     fam = build_family(B)
     km = restrict_to_km(B, model.M, model.m)
-    rng = random.Random(spec["seed"])
-    window = spec["stabilization_window"]
+    rng = random.Random(args.seed)
     # Everything that does not depend on lambda is computed once, here.
-    newton = NewtonData(model.total, spec["cutoff"])
-    if window > newton.cutoff:
-        raise InputError(
-            f"stabilization_window must be at most the cutoff, {newton.cutoff}, got {window}"
-        )
+    newton = NewtonData(model.total, args.cutoff)
     vol = newton.polytope.volume
     samples = []
     good = 0
-    for _ in range(spec["samples"]):
+    for _ in range(args.samples):
         lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(B.cols)]
-        verdict = classify_parameter(newton, lam, stabilization_window=window)
+        verdict = classify_parameter(newton, lam)
         row = {
             "lambda": [str(x) for x in lam],
             "verdict": verdict["verdict"],
@@ -365,10 +324,9 @@ def cmd_lg(spec, args) -> dict:
 
 
 def cmd_ifun(spec, args) -> dict:
-    fan = spec["fan"]
-    d = bundle_matrix(spec)
+    fan, d = spec["fan"], spec["bundles"]
     model = build_model(fan, d, basis_p=spec["basis_p"])
-    dmax = spec["dmax"]
+    dmax = args.dmax
     table = model.i_table(dmax + 1)
     g = model.qdm_generators()
     rows = []
@@ -431,26 +389,29 @@ def _write(lines):
 
 
 def main(argv=None) -> int:
-    ranges = ", ".join(f"{k} {MINIMUM[k]}..{MAXIMUM[k]}" for k in MINIMUM)
+    ranges = ", ".join(f"{flag} {f.range[0]}..{f.range[1]}" for flag, f in FLAGS.items() if f.range)
     parser = argparse.ArgumentParser(
         prog="tglab",
         description=__doc__,
         epilog=f"A flag given to a command it does not belong to exits 2, and so does a "
-        f"setting outside its range: {ranges}.",
+        f"value outside its range: {ranges}.",
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--spec", required=True, help="path to the JSON problem spec")
     parser.add_argument("--json", action="store_true", help="emit the JSON report")
-    for cmd, flags in FLAGS.items():
-        group = parser.add_argument_group(f"{cmd} flags")
-        for flag, kwargs in flags.items():
-            group.add_argument(flag, **kwargs)
+    groups = {}
+    for flag, f in FLAGS.items():
+        if f.command not in groups:
+            groups[f.command] = parser.add_argument_group(f"{f.command} flags")
+        kwargs = dict(f.kwargs)
+        if f.default is not None:
+            kwargs["help"] += f" (default {f.default})"
+        groups[f.command].add_argument(flag, **kwargs)
     args = parser.parse_args(argv)
 
     try:
         _check_flags(args)
         spec = load_spec(args.spec)
-        _apply_flags(spec, args)
         result = COMMANDS[args.command](spec, args)
     except InputError as exc:
         print(f"tglab: {exc}", file=sys.stderr)

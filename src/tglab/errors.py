@@ -11,7 +11,7 @@ class InputError(TglabError):
     Input errors are JSON types and keys, shapes (ragged rays, cones of the
     wrong size, a basis_p that is not r rows of one entry per ray), ray
     numbers out of range, repeated or non-primitive rays, repeated cones
-    and settings out of range.  Every other TglabError is a verdict on
+    and flag values out of range.  Every other TglabError is a verdict on
     well-formed input: it exits 1 with its report (a negative bundle
     coefficient is the non-nef counterexample, not bad input).
     """
@@ -91,7 +91,7 @@ class ZeroCoefficient(TglabError):
 
 
 class StabilizationFailed(TglabError):
-    """Degree slices did not stabilize within the window."""
+    """Degree slices did not stabilize within the cutoff."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

@@ -4,7 +4,8 @@ quotients, face critical systems and the good-parameter classifier.
 A family is a dict from exponent tuples to coefficients, zeros dropped.
 The Jacobian quotient dimension uses the weight filtration by dilates of
 the Newton polytope, swept in one pass that reduces each gradient row
-once into one fraction-free integer echelon; the parameter classifier
+once into one fraction-free integer echelon, until WINDOW = 3 slices in a
+row have one dimension or the cutoff is reached; the parameter classifier
 combines that dimension test with a finite-field search for torus
 solutions of the face critical systems.  A face system is its exponent
 list and one coefficient row per equation; the search scales each row to
@@ -153,12 +154,18 @@ def _parameter(B: IntegerMatrix, lam) -> list:
     return lam
 
 
-def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3):
+# The sweep stops when this many consecutive slices have one dimension.  It
+# stands in for the end point of the Newton spectrum (Kouchnirenko, Invent.
+# Math. 32, 1976), which would tell where the dimension is final.
+WINDOW = 3
+
+
+def jacobian_quotient_dim(newton: NewtonData, lam):
     """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam.
 
-    Degree slices of the weight filtration are swept until the dimension is
-    constant across the window; raises StabilizationFailed (with the slice
-    history attached) otherwise.  Slice k is the members of weight <= k
+    Degree slices of the weight filtration are swept until the last WINDOW
+    slices have one dimension; raises StabilizationFailed (with the slice
+    history attached) when the cutoff comes first.  Slice k is the members of weight <= k
     modulo the rows y^u y_k df/dy_k for the members u of weight <= k - 1.
     A row's targets u + b_i have weight <= w(u) + 1 (u in w(u) Q, b_i in Q,
     Q convex), so it is the same at every k past w(u), and each slice only
@@ -200,7 +207,7 @@ def jacobian_quotient_dim(newton: NewtonData, lam, stabilization_window: int = 3
                         row[col] = c
                 _reduce_into(pivots, row)
         history.append(size - len(pivots))
-        if len(history) >= stabilization_window and len(set(history[-stabilization_window:])) == 1:
+        if len(history) >= WINDOW and len(set(history[-WINDOW:])) == 1:
             return {"dim": history[-1], "slices": history}
     dims = ", ".join(map(str, history))
     raise StabilizationFailed(
@@ -305,7 +312,7 @@ def _fp_witness(exponents, rows, p, projection):
     return point
 
 
-def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
+def classify_parameter(newton: NewtonData, lam):
     """good / non_tame_suspected / bad_suspected with the evidence recorded.
 
     good means the Jacobian quotient dimension equals the normalized volume
@@ -328,7 +335,7 @@ def classify_parameter(newton: NewtonData, lam, stabilization_window: int = 3):
             if wit is not None:
                 evidence["bad_face_witness"] = {"face": indices, "prime": p, "point": wit}
                 return {"verdict": "bad_suspected", "evidence": evidence}
-    jac = jacobian_quotient_dim(newton, lam, stabilization_window=stabilization_window)
+    jac = jacobian_quotient_dim(newton, lam)
     evidence["jacobian_dim"] = jac["dim"]
     if jac["dim"] != vol:
         evidence["dimension_mismatch"] = True

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -78,20 +79,13 @@ def test_validate_incomplete_fan_reports_diagnostics(tmp_path):
 P1_FAN = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}
 
 
-def p1_options(**opts):
-    return json.dumps({"fan": P1_FAN, "bundles": [[2, 0]], "options": opts})
+P1_SPEC = json.dumps({"fan": P1_FAN, "bundles": [[2, 0]]})
 
 
 @pytest.mark.parametrize(
     "text, message, argv",
     [
         pytest.param("{ not json", "parse error", ["construct"], id="not-json"),
-        pytest.param(json.dumps({"fan": P1_FAN, "options": {"degree_bound": "x"}}), "options",
-                     ["construct"], id="option-string"),
-        pytest.param(json.dumps({"fan": P1_FAN, "options": {"dmax": None}}), "options",
-                     ["construct"], id="option-null"),
-        pytest.param(json.dumps({"fan": P1_FAN, "options": []}), "options", ["construct"],
-                     id="options-list"),
         pytest.param(json.dumps({"fan": P1_FAN, "basis_p": "x"}), "basis_p", ["construct"],
                      id="basis-p-string"),
         pytest.param(json.dumps({"fan": P1_FAN, "basis_p": [[1], [1, 2]]}), "basis_p",
@@ -100,20 +94,18 @@ def p1_options(**opts):
                      "basis_p must have r = 1 rows of 2 entries", ["construct"], id="basis-p-rows"),
         pytest.param(json.dumps({"fan": {"rays": [[2], [-1]], "max_cones": [[1], [2]]}}),
                      "ray 1, [2], is not primitive", ["validate"], id="ray-non-primitive"),
-        pytest.param(p1_options(), "degree_bound", ["semigroup", "--degree", "-2"],
-                     id="degree-flag-negative"),
-        pytest.param(p1_options(degree_bound=-2), "degree_bound", ["semigroup"],
-                     id="degree-option-negative"),
-        pytest.param(p1_options(), "dmax", ["ifun", "--dmax", "-1"], id="dmax-flag-negative"),
-        pytest.param(p1_options(dmax=-1), "dmax", ["ifun"], id="dmax-option-negative"),
-        pytest.param(p1_options(stabilization_window=0), "stabilization_window", ["lg"],
-                     id="window-zero"),
-        pytest.param(p1_options(), "samples", ["lg", "--samples", "0"], id="samples-zero"),
-        pytest.param(p1_options(), "cutoff", ["lg", "--cutoff", "0"], id="cutoff-zero"),
-        pytest.param(p1_options(), "--beta", ["gkz", "--beta", "x"], id="beta-not-integer"),
-        pytest.param(p1_options(), "--beta", ["gkz", "--gkz-variant", "hat", "--beta", "1,2"],
+        pytest.param(P1_SPEC, "--degree must be at least 0, got -2",
+                     ["semigroup", "--degree", "-2"], id="degree-flag-negative"),
+        pytest.param(P1_SPEC, "--dmax must be at least 0, got -1", ["ifun", "--dmax", "-1"],
+                     id="dmax-flag-negative"),
+        pytest.param(P1_SPEC, "--samples must be at least 1, got 0", ["lg", "--samples", "0"],
+                     id="samples-zero"),
+        pytest.param(P1_SPEC, "--cutoff must be at least 1, got 0", ["lg", "--cutoff", "0"],
+                     id="cutoff-zero"),
+        pytest.param(P1_SPEC, "--beta", ["gkz", "--beta", "x"], id="beta-not-integer"),
+        pytest.param(P1_SPEC, "--beta", ["gkz", "--gkz-variant", "hat", "--beta", "1,2"],
                      id="beta-wrong-length"),
-        pytest.param(p1_options(), "--beta", ["gkz", "--gkz-variant", "qdm", "--beta", "1"],
+        pytest.param(P1_SPEC, "--beta", ["gkz", "--gkz-variant", "qdm", "--beta", "1"],
                      id="beta-given-to-qdm"),
         pytest.param(json.dumps({"fan": {"rays": [[1, 0], [0, 1], [-1]],
                                          "max_cones": [[1, 2], [2, 3], [3, 1]]}}),
@@ -138,8 +130,6 @@ def p1_options(**opts):
                      "max_cones", ["validate"], id="cone-index-float"),
         pytest.param(json.dumps({"fan": P1_FAN, "bundles": [[2.5, 0]]}), "bundles",
                      ["validate"], id="bundle-float"),
-        pytest.param(p1_options(bogus=3), "unknown option 'bogus'", ["construct"],
-                     id="option-unknown"),
         pytest.param(json.dumps({"fan": P1_FAN, "bundle": [[2, 0]]}),
                      "unknown spec field 'bundle'", ["construct"], id="field-unknown"),
         pytest.param(json.dumps({"fan": dict(P1_FAN, bundles=[[2, 0]])}),
@@ -160,33 +150,65 @@ def test_parse_error_exit_code(tmp_path, text, message, argv):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize(
-    "command, key, flag",
-    [
-        pytest.param("semigroup", "degree_bound", "--degree", id="degree"),
-        pytest.param("ifun", "dmax", "--dmax", id="dmax"),
-        pytest.param("lg", "stabilization_window", None, id="stabilization-window"),
-        pytest.param("lg", "samples", "--samples", id="samples"),
-        pytest.param("lg", "cutoff", "--cutoff", id="cutoff"),
-    ],
-)
-@pytest.mark.parametrize("above", [0, 1], ids=["at-ceiling", "above-ceiling"])
-def test_setting_ceiling(tmp_path, capsys, command, key, flag, above):
-    """A setting at its maximum runs (on P1/O(2)); one above exits 2 with
-    one tglab: line, whether it comes from a flag or from the options.  The
-    window runs with the cutoff at its maximum too, since a window above
-    the cutoff is refused."""
-    value = cli.MAXIMUM[key] + above
+# Options blocks of every shape: the defaults the specs once carried, values
+# in and out of range, malformed and unknown settings.  Each is refused for
+# the field itself.
+OPTION_BLOCKS = [
+    pytest.param({"degree_bound": 6, "dmax": 8, "seed": 0}, id="defaults"),
+    pytest.param({"dmax": 200}, id="dmax-above-ceiling"),
+    pytest.param({"degree_bound": "x"}, id="option-string"),
+    pytest.param({"dmax": None}, id="option-null"),
+    pytest.param([], id="options-list"),
+    pytest.param({"degree_bound": -2}, id="degree-option-negative"),
+    pytest.param({"dmax": -1}, id="dmax-option-negative"),
+    pytest.param({"stabilization_window": 0}, id="window-zero"),
+    pytest.param({"bogus": 3}, id="option-unknown"),
+]
+
+
+@pytest.mark.parametrize("options", OPTION_BLOCKS)
+def test_spec_with_options_exits_2(tmp_path, capsys, options):
+    """Settings are flags only: every command refuses a spec that carries
+    `options`, whatever they hold, with one line that names the field."""
     spec = tmp_path / "p1.json"
-    spec.write_text(p1_options(**({} if flag else {key: value})), encoding="utf-8")
-    argv = [command, "--spec", str(spec), "--json"] + ([flag, str(value)] if flag else [])
-    if key == "stabilization_window":
-        argv += ["--cutoff", str(cli.MAXIMUM["cutoff"])]
-    rc = cli.main(argv)
+    spec.write_text(json.dumps({"fan": P1_FAN, "bundles": [[2, 0]], "options": options}),
+                    encoding="utf-8")
+    for command in sorted(cli.COMMANDS):
+        rc = cli.main([command, "--spec", str(spec)])
+        out = capsys.readouterr()
+        assert rc == 2
+        assert out.err == "tglab: unknown spec field 'options'; known: fan, bundles, basis_p\n"
+        assert out.out == ""
+
+
+def test_a_setting_binds_only_the_command_that_reads_it(capsys):
+    """dmax 200, above its ceiling, is refused by ifun, the one command that
+    reads it, in a line that names the flag; validate on the same spec reads
+    no setting and gives its verdict."""
+    spec = str(SPECS / "p1_o2.json")
+    assert cli.main(["ifun", "--spec", spec, "--dmax", "200"]) == 2
+    assert capsys.readouterr().err == "tglab: --dmax must be at most 150, got 200\n"
+    assert cli.main(["validate", "--spec", spec]) == 0
+    assert capsys.readouterr().err == ""
+
+
+RANGED = [flag for flag, f in cli.FLAGS.items() if f.range]
+
+
+@pytest.mark.parametrize("flag", RANGED, ids=[flag[2:] for flag in RANGED])
+@pytest.mark.parametrize("above", [0, 1], ids=["at-ceiling", "above-ceiling"])
+def test_setting_ceiling(tmp_path, capsys, flag, above):
+    """A flag at its maximum runs (on P1/O(2)); one above exits 2 with one
+    tglab: line that names the flag."""
+    command, (_, ceiling) = cli.FLAGS[flag].command, cli.FLAGS[flag].range
+    value = ceiling + above
+    spec = tmp_path / "p1.json"
+    spec.write_text(P1_SPEC, encoding="utf-8")
+    rc = cli.main([command, "--spec", str(spec), "--json", flag, str(value)])
     err = capsys.readouterr().err
     if above:
         assert rc == 2
-        assert err == f"tglab: {key} must be at most {value - 1}, got {value}\n"
+        assert err == f"tglab: {flag} must be at most {ceiling}, got {value}\n"
     else:
         assert rc in (0, 1)
         assert err == ""
@@ -232,6 +254,19 @@ def test_help_names_the_command_of_each_flag(capsys):
             assert flag in section.split("\n\n")[0]
 
 
+def test_help_epilog_lists_the_ranged_flags(capsys):
+    """The epilog of --help gives the range of each ranged flag of the
+    settings table, in table order and under the flag's name."""
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    epilog = text[text.index("A flag given to a command"):]
+    listed = [(flag, (int(lo), int(hi))) for flag, lo, hi in
+              re.findall(r"(--[a-z-]+) (\d+)\.\.(\d+)", epilog)]
+    assert listed == [(flag, cli.FLAGS[flag].range) for flag in RANGED]
+    assert sorted(RANGED) == ["--cutoff", "--degree", "--dmax", "--samples"]
+
+
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
 def test_closed_stdout_exits_without_traceback(fmt):
     """A reader that is gone before the report is written (``| head``)."""
@@ -272,36 +307,6 @@ def test_lg_f3_face_search_in_time():
     assert rc == 1
     assert [s["verdict"] for s in samples] == ["non_tame_suspected"] * 3
     assert elapsed < 5.0
-
-
-def test_lg_window_12_in_time(tmp_path):
-    """With window and cutoff 12 no slice history stabilizes on P1xP1/O(1,1);
-    each gradient row is reduced once, so sweeping to the cutoff is cheap."""
-    spec = json.loads((SPECS / "p1p1_o11.json").read_text(encoding="utf-8"))
-    spec["options"]["stabilization_window"] = 12
-    path = tmp_path / "p1p1_o11_window12.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    out = io.StringIO()
-    start = time.monotonic()
-    with redirect_stdout(out):
-        rc = cli.main(["lg", "--spec", str(path), "--cutoff", "12", "--samples", "1", "--json"])
-    elapsed = time.monotonic() - start
-    assert rc == 1
-    assert json.loads(out.getvalue())["error"]["type"] == "StabilizationFailed"
-    assert elapsed < 6.0
-
-
-def test_lg_window_above_cutoff_exits_2(tmp_path):
-    """A window longer than the sweep can never stabilize: on P2 the
-    default cutoff is 4, so window 12 is an input error, not a verdict."""
-    spec = json.loads((SPECS / "p2.json").read_text(encoding="utf-8"))
-    spec["options"]["stabilization_window"] = 12
-    path = tmp_path / "p2_window12.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    proc = run_cli("lg", "--spec", str(path), "--json")
-    assert proc.returncode == 2
-    assert proc.stderr == "tglab: stabilization_window must be at most the cutoff, 4, got 12\n"
-    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("name", ["p1p1_o11", "f3_minus_k"])
@@ -351,7 +356,7 @@ def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
     before it reads the polytope hulls nothing.  The cone of A' is read off
     the polytope, so no call hulls the unlifted rays a'_i."""
     spec = cli.load_spec(str(path))
-    total = toricfan.total_space_fan(spec["fan"], cli.bundle_matrix(spec))
+    total = toricfan.total_space_fan(spec["fan"], spec["bundles"])
     lifted = [(1,) + (0,) * total.dim] + [(1,) + r for r in total.rays]
     polytope_calls = []
     from_points = polytopes.LatticePolytope.from_points

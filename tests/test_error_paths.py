@@ -29,7 +29,7 @@ def test_jacobian_stabilization_failure_reports_partial():
     fan, d = corpus.p1_o2()
     total = total_space_fan(fan, d)
     with pytest.raises(StabilizationFailed) as err:
-        jacobian_quotient_dim(NewtonData(total, 2), [1, 1, 1], stabilization_window=5)
+        jacobian_quotient_dim(NewtonData(total, 2), [1, 1, 1])
     history = err.value.partial  # slice history travels with the error, and is named in it
     dims = ", ".join(map(str, history))
     assert len(history) == 2

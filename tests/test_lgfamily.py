@@ -1,6 +1,7 @@
 """Laurent families, Kaehler-moduli restriction, Jacobian rings, classifiers."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -200,10 +201,11 @@ def full_member_list(newton):
     return sorted(((j, p) for j, p in points if newton.fan.contains(p)), key=itemgetter(0))
 
 
-def reference_sweep(newton, lam, stabilization_window):
+def reference_sweep(newton, lam):
     """The Jacobian sweep rebuilt from scratch at every bound: the monomial
     index, every multiplier row and a Fraction echelon, with the members of
-    `full_member_list` weighed by `fraction_weight`."""
+    `full_member_list` weighed by `fraction_weight`, until three slices in a
+    row have one dimension."""
     B = newton.B
     lam = [Fraction(x) for x in lam]
     s, t = B.rows, B.cols
@@ -234,14 +236,14 @@ def reference_sweep(newton, lam, stabilization_window):
                     rows.append(row)
         dim = len(monos) - _sparse_rank(rows)
         history.append(dim)
-        if len(history) >= stabilization_window and len(set(history[-stabilization_window:])) == 1:
+        if len(history) >= 3 and len(set(history[-3:])) == 1:
             return {"dim": dim, "slices": history}
     raise StabilizationFailed(f"no stabilization within {newton.cutoff} slices", partial=history)
 
 
-def sweep_outcome(sweep, newton, lam, window):
+def sweep_outcome(sweep, newton, lam):
     try:
-        return sweep(newton, lam, window)
+        return sweep(newton, lam)
     except StabilizationFailed as exc:
         return {"partial": exc.partial}
 
@@ -264,7 +266,7 @@ def sweep_cases(draw):
     newton = NewtonData(total, cutoff)
     coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
     lam = draw(st.lists(coeff, min_size=newton.B.cols, max_size=newton.B.cols))
-    return newton, lam, draw(st.integers(1, 5))
+    return newton, lam
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,9 +274,9 @@ def sweep_cases(draw):
 def test_one_pass_sweep_matches_per_bound_rebuild(case):
     """The one-pass integer sweep gives the dimension, the slice history
     and the StabilizationFailed history of the per-bound Fraction rebuild."""
-    newton, lam, window = case
-    assert sweep_outcome(jacobian_quotient_dim, newton, lam, window) == sweep_outcome(
-        reference_sweep, newton, lam, window
+    newton, lam = case
+    assert sweep_outcome(jacobian_quotient_dim, newton, lam) == sweep_outcome(
+        reference_sweep, newton, lam
     )
 
 
@@ -326,18 +328,50 @@ def test_sweep_scans_no_dilate_above_twice_its_bound(monkeypatch, name):
     assert dilates[-1] <= 2 * len(res["slices"]) < newton.cutoff
 
 
+# P1/O(2) at lambda = (1, 1, -2): f = -(y1 y2^2 + y1^-1 - 2 y2) has the curve
+# y1 y2 = 1 of critical points, so its Jacobian quotient is infinite and the
+# slice dimensions grow by one at every bound.  No lambda in {+-1, +-2}^5 on
+# P1xP1/O(1,1) has a sweep that fails to stabilize.
+DEGENERATE = ("p1_o2", [1, 1, -2])
+
+
 @pytest.mark.parametrize("cutoff", [2, 5, 7, 12])
 def test_sweep_to_the_cutoff_ends_on_a_scan_at_it(monkeypatch, cutoff):
-    """With the window at the cutoff no history on P1xP1/O(1,1) stabilizes,
-    so the sweep runs to the cutoff; each dilate at most doubles the last
-    and the last is the cutoff."""
-    total = TOTAL_SPACES["p1p1_o11"]
+    """A sweep that never stabilizes runs to the cutoff; each dilate at most
+    doubles the last and the last is the cutoff."""
+    name, lam = DEGENERATE
     dilates = counting_scans(monkeypatch)
-    newton = NewtonData(total, cutoff)
-    with pytest.raises(StabilizationFailed):
-        jacobian_quotient_dim(newton, [1, 2, 3, 4, 5], stabilization_window=cutoff)
+    newton = NewtonData(TOTAL_SPACES[name], cutoff)
+    with pytest.raises(StabilizationFailed) as err:
+        jacobian_quotient_dim(newton, lam)
+    assert err.value.partial == list(range(2, cutoff + 2))
     assert dilates[0] == 1 and dilates[-1] == cutoff
     assert all(a < b <= 2 * a for a, b in zip(dilates, dilates[1:]))
+
+
+def test_sweep_that_never_stabilizes_reduces_each_row_once(monkeypatch):
+    """Cost guard for a sweep to the largest cutoff, 12, on the degenerate
+    P1/O(2) parameter: each gradient row y^u y_k df/dy_k, one per member u
+    of grading below the cutoff and coordinate k, is reduced into the
+    echelon once, and the sweep stays far below a second (it took 15 s on
+    P1xP1/O(1,1) when every bound re-ranked every row)."""
+    name, lam = DEGENERATE
+    newton = NewtonData(TOTAL_SPACES[name], 12)
+    reduced = []
+    reduce_into = lgfamily._reduce_into
+
+    def counting_reduce(pivots, row):
+        reduced.append(row)
+        return reduce_into(pivots, row)
+
+    monkeypatch.setattr(lgfamily, "_reduce_into", counting_reduce)
+    start = time.monotonic()
+    with pytest.raises(StabilizationFailed):
+        jacobian_quotient_dim(newton, lam)
+    elapsed = time.monotonic() - start
+    below = [m for m in newton.members_up_to(12) if m[0] < 12]
+    assert len(reduced) == newton.B.rows * len(below)
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("check", [jacobian_quotient_dim, classify_parameter])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglab import corpus
-from tglab.cli import bundle_matrix, load_spec
+from tglab.cli import load_spec
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
 from tglab.polytopes import LatticePolytope, _direction_basis
@@ -155,7 +155,7 @@ def test_volume_against_ehrhart_differences(pts):
 )
 def test_spec_newton_polytope_volume_against_ehrhart_differences(path):
     spec = load_spec(str(path))
-    total = total_space_fan(spec["fan"], bundle_matrix(spec))
+    total = total_space_fan(spec["fan"], spec["bundles"])
     assert total.newton_polytope.volume == ehrhart_volume(total.newton_polytope.points)
 
 

@@ -329,7 +329,7 @@ def test_nefness_assumption_detects_o_minus_one():
 
 def _spec_total(path):
     spec = cli.load_spec(str(path))
-    return total_space_fan(spec["fan"], cli.bundle_matrix(spec))
+    return total_space_fan(spec["fan"], spec["bundles"])
 
 
 def _threefold_totals():
