@@ -43,6 +43,9 @@ print()
 print("== Jacobian quotient dimensions ==")
 vol = model.total.newton_polytope.volume
 print("normalized volume of the Newton polytope:", vol)
+print(f"the sweep ends at slice n = {B.rows}, the dimension of the total space: at a "
+      "nondegenerate parameter the Hilbert series of the graded Jacobian ring has its "
+      "exponents in [0, n]")
 for lam in ([1, 1, 1], [2, Fraction(1, 3), 5]):
     res = jacobian_quotient_dim(newton, lam)
     print(f"dimension at {lam}: {res['dim']} (slices {res['slices']})")

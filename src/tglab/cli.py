@@ -126,8 +126,6 @@ FLAGS = {
                    None, None),
     "--seed": Flag("lg", dict(type=int, help="seed of the parameter samples"), 0, None),
     "--samples": Flag("lg", dict(type=int, help="number of samples"), 3, (1, 300)),
-    "--cutoff": Flag("lg", dict(type=int, help="slice cutoff of the Jacobian dimension sweep "
-                                "(default 4 e diam)"), None, (1, 12)),
     "--dmax": Flag("ifun", dict(type=int, help="largest degree of the I-series"), 8, (0, 150)),
 }
 
@@ -296,7 +294,7 @@ def cmd_lg(spec, args) -> dict:
     km = restrict_to_km(B, model.M, model.m)
     rng = random.Random(args.seed)
     # Everything that does not depend on lambda is computed once, here.
-    newton = NewtonData(model.total, args.cutoff)
+    newton = NewtonData(model.total)
     vol = newton.polytope.volume
     samples = []
     good = 0

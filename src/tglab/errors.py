@@ -90,14 +90,6 @@ class ZeroCoefficient(TglabError):
     """Parameter has a zero coordinate; it lies on the torus boundary."""
 
 
-class StabilizationFailed(TglabError):
-    """Degree slices did not stabilize within the cutoff."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class NonEffectiveDegree(TglabError):
     """Degree vector has a negative coordinate."""
 

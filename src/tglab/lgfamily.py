@@ -3,26 +3,23 @@ quotients, face critical systems and the good-parameter classifier.
 
 A family is a dict from exponent tuples to coefficients, zeros dropped.
 The Jacobian quotient dimension uses the weight filtration by dilates of
-the Newton polytope, swept in one pass that reduces each gradient row
-once into one fraction-free integer echelon, until WINDOW = 3 slices in a
-row have one dimension or the cutoff is reached; the parameter classifier
-combines that dimension test with a finite-field search for torus
-solutions of the face critical systems.  A face system is its exponent
-list and one coefficient row per equation; the search scales each row to
-coprime integers, so no test prime is unusable, and runs on the system's
-own subtorus, of dimension the rank of its exponent differences, with the
-modular arithmetic vectorized by numpy, imported inside the search only;
-everything else is exact.  What does not depend on the parameter
-(the cutoff, the semigroup members and a record per searched face with
-its torus projection) lives in a NewtonData, beside the Newton polytope
-that the fan keeps with its faces and volume; NewtonData is the
-one way to give the total-space fan (whose rays are B) and the cutoff,
-which one caller builds and shares across its samples.  Each member comes
-with its weight rounded up, which is its least grading in the doubled
-cone, read off a scan of a dilate of the polytope in
-`semigroups.graded_slice_points`.  The member list grows with the sweep:
-the dilates grow geometrically and end on the cutoff, so a sweep that
-stabilizes early never scans the top dilate.
+the Newton polytope, swept in one pass over slices 1..n, n the dimension
+of the total space, that reduces each gradient row once into one
+fraction-free integer echelon; the parameter classifier combines that
+dimension test with a finite-field search for torus solutions of the face
+critical systems.  A face system is its exponent list and one coefficient
+row per equation; the search scales each row to coprime integers, so no
+test prime is unusable, and runs on the system's own subtorus, of
+dimension the rank of its exponent differences, with the modular
+arithmetic vectorized by numpy, imported inside the search only;
+everything else is exact.  What does not depend on the parameter (the
+semigroup members and a record per searched face with its torus
+projection) lives in a NewtonData, beside the Newton polytope that the
+fan keeps with its faces and volume; NewtonData is the one way to give
+the total-space fan (whose rays are B), which one caller builds and
+shares across its samples.  Each member comes with its weight rounded up,
+which is its least grading in the doubled cone, read off one scan of the
+n-th dilate of the polytope in `semigroups.graded_slice_points`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import itemgetter
 
-from tglab.errors import StabilizationFailed, ZeroCoefficient
+from tglab.errors import ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, smith_normal_form
 from tglab.polytopes import LatticePolytope
 from tglab.rationalcone import _primitive
@@ -65,28 +62,18 @@ def restrict_to_km(B: IntegerMatrix, M: IntegerMatrix, m: int) -> dict:
 class NewtonData:
     """The lambda-independent data of the family of B, the ray matrix of
     ``fan``, built once and shared by every parameter sample of one call:
-    the lcm e of the facet offsets of the fan's Newton polytope, whose
-    volume and faces the fan keeps, the faces the F_p search reads with
-    their torus projections, the slice cutoff (4 e diam(B) unless given),
-    and one list of semigroup members that grows with the sweep
-    (`members_up_to`), the cone points in the fan's support.  Each is
-    computed on first use, so a sample that stops at a bad face never scans
-    a member."""
+    the faces the F_p search reads with their torus projections, and the
+    semigroup `members` up to grading n = B.rows; the fan keeps the Newton
+    polytope with its volume and faces.  Each is computed on first use, so
+    a sample that stops at a bad face never scans a member."""
 
-    def __init__(self, fan: Fan, cutoff: int | None = None):
+    def __init__(self, fan: Fan):
         self.fan = fan
         self.B = fan.ray_matrix()
-        self._cutoff = cutoff
-        self._members = []
-        self._scanned = -1  # the members are complete up to this grading
 
     @property
     def polytope(self) -> LatticePolytope:
         return self.fan.newton_polytope
-
-    @cached_property
-    def e(self) -> int:
-        return lcm(1, *(f.offset for f in self.polytope.facets if f.offset > 0))
 
     @cached_property
     def searched_faces(self) -> list:
@@ -106,42 +93,23 @@ class NewtonData:
         return out
 
     @cached_property
-    def cutoff(self) -> int:
-        if self._cutoff is not None:
-            return self._cutoff
-        diam = max(1, max((abs(x) for row in self.B.entries for x in row), default=1))
-        return 4 * self.e * diam
-
-    def members_up_to(self, bound: int) -> list:
-        """The semigroup members as (least grading, point) pairs, sorted by
-        grading then lex and complete at least up to grading
-        min(bound, cutoff); one list, shared by every sample.
+    def members(self) -> list:
+        """The semigroup members of least grading <= n = B.rows, as (least
+        grading, point) pairs sorted by grading then lex, from one scan.
 
         The least grading of u is ceil(w(u)), w(u) = min {l : u in l*Q} for
-        the Newton polytope Q, and the scan of the dilate k * Q in
-        `graded_slice_points` gives every point of least grading <= k.  The
-        list grows by a scan at the least ceil(cutoff / 2^i) >= bound, so a
-        sweep that stops at bound b scans no dilate above 2b, one that runs
-        on ends on a scan at the cutoff, and only the points of gradings not
-        seen before are tested and appended.  The members are the cone
-        points in the support of the fan (`Fan.contains`; the fan is smooth,
-        so such a point is a nonnegative integer sum of one cone's rays).
-        The list is complete only when `w_set_convexity(fan)` holds, and
-        nothing here checks it; when it fails, the list misses points.  On
-        F3 with -K it misses 286 points at cutoff 12 (ROADMAP item 1).
+        the Newton polytope Q, and the scan of the dilate n * Q in
+        `graded_slice_points` gives every point of least grading <= n.  The
+        members are the cone points in the support of the fan
+        (`Fan.contains`; the fan is smooth, so such a point is a
+        nonnegative integer sum of one cone's rays).  The list holds every
+        cone point exactly when the bundle rows are nef: then the support
+        function is convex, so the fan's support is the whole cone.  On a
+        row that is not nef it misses points: F3 with (1,1,1,1) keeps 44 of
+        its 48 cone points (ROADMAP item 1).
         """
-        if self._scanned < min(bound, self.cutoff):
-            dilate = self.cutoff
-            while bound <= (half := -(-dilate // 2)) < dilate:
-                dilate = half
-            new = [
-                (j, p)
-                for j, p in graded_slice_points(self.polytope, dilate)
-                if j > self._scanned and self.fan.contains(p)
-            ]
-            self._members += sorted(new, key=itemgetter(0))
-            self._scanned = dilate
-        return self._members
+        scan = graded_slice_points(self.polytope, self.B.rows)
+        return sorted(((j, p) for j, p in scan if self.fan.contains(p)), key=itemgetter(0))
 
 
 def _parameter(B: IntegerMatrix, lam) -> list:
@@ -154,25 +122,20 @@ def _parameter(B: IntegerMatrix, lam) -> list:
     return lam
 
 
-# The sweep stops when this many consecutive slices have one dimension.  It
-# stands in for the end point of the Newton spectrum (Kouchnirenko, Invent.
-# Math. 32, 1976), which would tell where the dimension is final.
-WINDOW = 3
-
-
 def jacobian_quotient_dim(newton: NewtonData, lam):
-    """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam.
+    """Dimension of C[NB] / (y_k df/dy_k) at the parameter lam, as slice n
+    of the weight filtration, n = B.rows, with the slices 1..n.
 
-    Degree slices of the weight filtration are swept until the last WINDOW
-    slices have one dimension; raises StabilizationFailed (with the slice
-    history attached) when the cutoff comes first.  Slice k is the members of weight <= k
-    modulo the rows y^u y_k df/dy_k for the members u of weight <= k - 1.
-    A row's targets u + b_i have weight <= w(u) + 1 (u in w(u) Q, b_i in Q,
-    Q convex), so it is the same at every k past w(u), and each slice only
-    reduces its new rows into one echelon.  The targets of slice k have
-    weight <= k, so slice k reads only `newton.members_up_to(k)`, whose
-    order gives the column ids.  The rows are integers: lam is
-    scaled by the lcm of its denominators, which leaves the rank alone.
+    Slice k is the members of weight <= k modulo the rows y^u y_k df/dy_k
+    for the members u of weight <= k - 1.  For nondegenerate lam the
+    Newton-graded Jacobian ring has a Hilbert series whose exponents all
+    lie in [0, n] (Kouchnirenko, Invent. Math. 32, 1976; Adolphson, Duke
+    Math. J. 73, 1994), so slice n is the whole dimension and the sweep
+    ends there.  A row's targets u + b_i have weight <= w(u) + 1 (u in
+    w(u) Q, b_i in Q, Q convex), so it is the same at every k past w(u),
+    and each slice only reduces its new rows into one echelon.  The order
+    of `newton.members` gives the column ids.  The rows are integers: lam
+    is scaled by the lcm of its denominators, which leaves the rank alone.
     """
     B = newton.B
     lam = _parameter(B, lam)
@@ -187,13 +150,12 @@ def jacobian_quotient_dim(newton: NewtonData, lam):
                 col = B.col(i)
                 g[col] = g.get(col, 0) - B.entries[k][i] * lam[i]
         gens.append([(e, c) for e, c in g.items() if c])
-    index = {}  # member point -> column, its place in the member list
+    members = newton.members
+    index = {p: i for i, (_, p) in enumerate(members)}  # member point -> column
     pivots = {}  # leading column -> primitive integer row (dict column -> coeff)
     fed = size = 0
     history = []
-    for bound in range(1, newton.cutoff + 1):
-        members = newton.members_up_to(bound)
-        index.update((members[i][1], i) for i in range(len(index), len(members)))
+    for bound in range(1, B.rows + 1):
         while size < len(members) and members[size][0] <= bound:
             size += 1
         while fed < size and members[fed][0] < bound:
@@ -207,12 +169,7 @@ def jacobian_quotient_dim(newton: NewtonData, lam):
                         row[col] = c
                 _reduce_into(pivots, row)
         history.append(size - len(pivots))
-        if len(history) >= WINDOW and len(set(history[-WINDOW:])) == 1:
-            return {"dim": history[-1], "slices": history}
-    dims = ", ".join(map(str, history))
-    raise StabilizationFailed(
-        f"no stabilization within {newton.cutoff} slices: dimensions {dims}", partial=history
-    )
+    return {"dim": history[-1], "slices": history}
 
 
 def _reduce_into(pivots: dict, row: dict) -> None:

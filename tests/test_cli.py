@@ -100,8 +100,6 @@ P1_SPEC = json.dumps({"fan": P1_FAN, "bundles": [[2, 0]]})
                      id="dmax-flag-negative"),
         pytest.param(P1_SPEC, "--samples must be at least 1, got 0", ["lg", "--samples", "0"],
                      id="samples-zero"),
-        pytest.param(P1_SPEC, "--cutoff must be at least 1, got 0", ["lg", "--cutoff", "0"],
-                     id="cutoff-zero"),
         pytest.param(P1_SPEC, "--beta", ["gkz", "--beta", "x"], id="beta-not-integer"),
         pytest.param(P1_SPEC, "--beta", ["gkz", "--gkz-variant", "hat", "--beta", "1,2"],
                      id="beta-wrong-length"),
@@ -221,7 +219,7 @@ READS = {
     "construct": {},
     "semigroup": {"--degree": "2"},
     "gkz": {"--gkz-variant": "hat", "--beta": "1"},
-    "lg": {"--seed": "1", "--samples": "1", "--cutoff": "3"},
+    "lg": {"--seed": "1", "--samples": "1"},
     "ifun": {"--dmax": "2"},
 }
 STRAY_FLAGS = [
@@ -264,7 +262,7 @@ def test_help_epilog_lists_the_ranged_flags(capsys):
     listed = [(flag, (int(lo), int(hi))) for flag, lo, hi in
               re.findall(r"(--[a-z-]+) (\d+)\.\.(\d+)", epilog)]
     assert listed == [(flag, cli.FLAGS[flag].range) for flag in RANGED]
-    assert sorted(RANGED) == ["--cutoff", "--degree", "--dmax", "--samples"]
+    assert sorted(RANGED) == ["--degree", "--dmax", "--samples"]
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["human", "json"])
@@ -327,7 +325,7 @@ def test_construct_builds_the_total_fan_once(monkeypatch, name):
 
 
 NEWTON_SPECS = sorted(SPECS.glob("*.json")) + sorted(SPECS.glob("threefolds/*.json"))
-THREEFOLD_FLAGS = {"lg": ["--cutoff", "12"], "semigroup": ["--degree", "10"], "construct": []}
+THREEFOLD_FLAGS = {"lg": [], "semigroup": ["--degree", "10"], "construct": []}
 
 
 def recorded_hforms(monkeypatch) -> list:
@@ -381,7 +379,7 @@ def test_one_hull_of_the_newton_points_per_call(monkeypatch, path, command):
 @pytest.mark.parametrize("argv, most", [
     (["semigroup", "--spec", "f3_minus_k.json"], 7),
     (["validate", "--spec", "threefolds/p1cube_o111.json"], 16),
-    (["lg", "--spec", "threefolds/p1cube_o111.json", "--cutoff", "12"], 35),
+    (["lg", "--spec", "threefolds/p1cube_o111.json"], 35),
 ], ids=["f3-semigroup", "p1cube-validate", "p1cube-lg"])
 def test_cone_hform_calls_per_call(monkeypatch, argv, most):
     """One enumeration per cone the call needs: the fan condition off a
@@ -467,7 +465,7 @@ THREEFOLDS = SPECS / "threefolds"
 
 @pytest.mark.parametrize("argv", [
     ["validate"], ["construct"], ["semigroup", "--degree", "3"],
-    ["lg", "--cutoff", "6", "--samples", "1"], ["ifun", "--dmax", "6"],
+    ["lg", "--samples", "1"], ["ifun", "--dmax", "6"],
     ["gkz", "--gkz-variant", "qdm"],
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("name", ["p1cube_o111", "p3_o2", "p2_o1o1"])
@@ -485,43 +483,45 @@ def lg_json(path, *flags):
     return rc, out.getvalue()
 
 
-def test_lg_stabilization_failure_names_the_slice_dimensions():
-    """P1^3/O(1,1,1) does not stabilize within its default cutoff 4, and the
-    report gives the slice history; at cutoff 6 all three samples are good."""
-    path = THREEFOLDS / "p1cube_o111.json"
-    rc, out = lg_json(path)
-    assert rc == 1
-    assert json.loads(out)["error"] == {
-        "type": "StabilizationFailed",
-        "message": "no stabilization within 4 slices: dimensions 4, 7, 8, 8",
-    }
-    rc, out = lg_json(path, "--cutoff", "6")
+def test_lg_p1cube_passes_at_the_defaults():
+    """P1^3/O(1,1,1): the sweep ends at slice 4, the dimension of the total
+    space, and all three samples are good with the volume as dimension."""
+    rc, out = lg_json(THREEFOLDS / "p1cube_o111.json")
     assert rc == 0
-    assert [s["verdict"] for s in json.loads(out)["results"]["samples"]] == ["good"] * 3
+    samples = json.loads(out)["results"]["samples"]
+    assert [(s["verdict"], s["jacobian_dim"]) for s in samples] == [("good", 8)] * 3
 
 
-@pytest.mark.parametrize("name", ["p1_o2", "p2_o1", "p1p1_o11", "f3_minus_k", "p3_o2", "p2_o1o1"])
-def test_lg_report_does_not_depend_on_the_cutoff_past_stabilization(monkeypatch, name):
-    """Once every sample's sweep has stabilized, a higher cutoff changes
-    nothing: the report at the stabilization slice, one above it and 12 is
-    the same.  The growing member list scans only as far as the sweep."""
+@pytest.mark.parametrize("name", ["p1_o2", "p2_o1", "p1p1_o11", "f3_minus_k", "p1cube_o111",
+                                  "p3_o2", "p2_o1o1"])
+def test_lg_sweeps_end_at_slice_n(monkeypatch, name):
+    """An lg call scans one dilate of the Newton polytope, n = B.rows, the
+    dimension of the total space, and every sample that is not bad ends
+    its sweep at slice n with the reported dimension."""
     path = SPECS / f"{name}.json"
     if not path.exists():
         path = THREEFOLDS / f"{name}.json"
-    lengths = []
-    sweep = lgfamily.jacobian_quotient_dim
+    spec = cli.load_spec(str(path))
+    n = toricfan.total_space_fan(spec["fan"], spec["bundles"]).dim
+    dilates, sweeps = [], []
+    scan, sweep = lgfamily.graded_slice_points, lgfamily.jacobian_quotient_dim
 
-    def recording_sweep(*args, **kwargs):
-        res = sweep(*args, **kwargs)
-        lengths.append(len(res["slices"]))
-        return res
+    def counting_scan(polytope, k):
+        dilates.append(k)
+        return scan(polytope, k)
 
+    def recording_sweep(*args):
+        sweeps.append(sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(lgfamily, "graded_slice_points", counting_scan)
     monkeypatch.setattr(lgfamily, "jacobian_quotient_dim", recording_sweep)
-    top = lg_json(path, "--cutoff", "12")
-    stable = max(lengths)
-    assert stable < 12
-    for cutoff in (stable, stable + 1):
-        assert lg_json(path, "--cutoff", str(cutoff)) == top
+    rc, out = lg_json(path)
+    samples = json.loads(out)["results"]["samples"]
+    dims = [s["jacobian_dim"] for s in samples if "jacobian_dim" in s]
+    assert dilates == [n]
+    assert [len(res["slices"]) for res in sweeps] == [n] * len(dims)
+    assert [res["dim"] for res in sweeps] == dims
 
 
 @pytest.mark.parametrize("argv", [["semigroup", "--degree", "6"]], ids=["semigroup"])

@@ -131,7 +131,7 @@ CLASS_FIELDS = {
 }
 INVARIANCE_CALLS = [
     ["validate"], ["construct"], ["semigroup", "--degree", "2"], ["gkz", "--gkz-variant", "qdm"],
-    ["lg", "--cutoff", "6", "--samples", "2"], ["ifun", "--dmax", "4"],
+    ["lg", "--samples", "2"], ["ifun", "--dmax", "4"],
 ]
 
 
@@ -168,7 +168,7 @@ def test_every_command_depends_only_on_the_class(tmp_path, draw):
 
 COMMANDS = [
     ["construct"], ["semigroup", "--degree", "2"], ["gkz"],
-    ["lg", "--cutoff", "6", "--samples", "1"], ["ifun", "--dmax", "3"],
+    ["lg", "--samples", "1"], ["ifun", "--dmax", "3"],
 ]
 
 

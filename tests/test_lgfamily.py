@@ -6,13 +6,16 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from test_generated_surfaces import surfaces
 
 from tglab import corpus, lgfamily
-from tglab.errors import StabilizationFailed, ZeroCoefficient
+from tglab.cli import load_spec
+from tglab.errors import ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.lgfamily import (
     NewtonData,
@@ -27,7 +30,7 @@ from tglab.lgfamily import (
 from tglab.models import build_model
 from tglab.polytopes import LatticePolytope
 from tglab.semigroups import graded_slice_points
-from tglab.toricfan import total_space_fan
+from tglab.toricfan import Fan, class_is_nef, total_space_fan
 
 
 def test_family_p1():
@@ -158,13 +161,16 @@ def test_jacobian_dim_rescaling_invariance():
 
 
 def _sparse_rank(rows) -> int:
-    """Exact rank of sparse rational rows (dict col -> coeff)."""
+    """Exact rank of sparse rational rows (dict col -> coeff).  Each row
+    leads with its last column, which keeps the echelon sparse when the
+    columns run by weight (P1^3/O(1,1,1) at grading 7 takes a fifteenth of
+    the time it takes leading with the first)."""
     pivots = {}
     rank = 0
     for row in rows:
         row = dict(row)
         while row:
-            col = min(row)
+            col = max(row)
             if col in pivots:
                 f = row[col]
                 prow = pivots[col]
@@ -194,18 +200,17 @@ def hull(B):
     return LatticePolytope.from_points([(0,) * B.rows] + [B.col(i) for i in range(B.cols)])
 
 
-def full_member_list(newton):
-    """Every cone point in the fan's support up to the cutoff, from one scan
-    at the cutoff, by least grading then lex."""
-    points = graded_slice_points(hull(newton.B), newton.cutoff)
+def full_member_list(newton, last):
+    """Every cone point in the fan's support up to grading ``last``, from
+    one scan of that dilate of a fresh hull, by least grading then lex."""
+    points = graded_slice_points(hull(newton.B), last)
     return sorted(((j, p) for j, p in points if newton.fan.contains(p)), key=itemgetter(0))
 
 
-def reference_sweep(newton, lam):
-    """The Jacobian sweep rebuilt from scratch at every bound: the monomial
-    index, every multiplier row and a Fraction echelon, with the members of
-    `full_member_list` weighed by `fraction_weight`, until three slices in a
-    row have one dimension."""
+def reference_sweep(newton, lam, last):
+    """Slices 1..last of the Jacobian sweep, each rebuilt from scratch: the
+    monomial index, every multiplier row and a Fraction echelon, with the
+    members of `full_member_list` weighed by `fraction_weight`."""
     B = newton.B
     lam = [Fraction(x) for x in lam]
     s, t = B.rows, B.cols
@@ -219,8 +224,8 @@ def reference_sweep(newton, lam):
         gens.append({e: c for e, c in g.items() if c})
     history = []
     poly = hull(B)
-    members_all = [(fraction_weight(poly, p), p) for _, p in full_member_list(newton)]
-    for bound in range(1, newton.cutoff + 1):
+    members_all = [(fraction_weight(poly, p), p) for _, p in full_member_list(newton, last)]
+    for bound in range(1, last + 1):
         monos = [p for w, p in members_all if w <= bound]
         mono_index = {p: i for i, p in enumerate(monos)}
         multipliers = [p for w, p in members_all if w <= bound - 1]
@@ -234,18 +239,8 @@ def reference_sweep(newton, lam):
                         row[mono_index[tgt]] = row.get(mono_index[tgt], Fraction(0)) + c
                 if row:
                     rows.append(row)
-        dim = len(monos) - _sparse_rank(rows)
-        history.append(dim)
-        if len(history) >= 3 and len(set(history[-3:])) == 1:
-            return {"dim": dim, "slices": history}
-    raise StabilizationFailed(f"no stabilization within {newton.cutoff} slices", partial=history)
-
-
-def sweep_outcome(sweep, newton, lam):
-    try:
-        return sweep(newton, lam)
-    except StabilizationFailed as exc:
-        return {"partial": exc.partial}
+        history.append(len(monos) - _sparse_rank(rows))
+    return history
 
 
 TOTAL_SPACES = {
@@ -259,48 +254,102 @@ TOTAL_SPACES = {
 }
 
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def spec_total(name):
+    """The total-space fan of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return total_space_fan(spec["fan"], spec["bundles"])
+
+
+def surface_total(rays, rows):
+    """The total-space fan of a generated surface with its bundle rows."""
+    fan = Fan.make(rays, [[j, (j + 1) % len(rays)] for j in range(len(rays))])
+    return total_space_fan(fan, IntegerMatrix.from_rows(rows))
+
+
+THREEFOLDS = {name: spec_total(f"threefolds/{name}") for name in
+              ("p1cube_o111", "p2_o1o1", "p3_o2")}
+
+
+def parameters(newton):
+    return st.lists(st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+                    min_size=newton.B.cols, max_size=newton.B.cols)
+
+
 @st.composite
 def sweep_cases(draw):
-    total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
-    cutoff = draw(st.integers(1, 8))
-    newton = NewtonData(total, cutoff)
-    coeff = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
-    lam = draw(st.lists(coeff, min_size=newton.B.cols, max_size=newton.B.cols))
-    return newton, lam
+    newton = NewtonData(TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))])
+    return newton, draw(parameters(newton))
 
 
 @settings(max_examples=100, deadline=None)
 @given(sweep_cases())
 def test_one_pass_sweep_matches_per_bound_rebuild(case):
-    """The one-pass integer sweep gives the dimension, the slice history
-    and the StabilizationFailed history of the per-bound Fraction rebuild."""
+    """The one-pass integer sweep gives slices 1..n of the per-bound
+    Fraction rebuild, n = B.rows, and slice n as the dimension."""
     newton, lam = case
-    assert sweep_outcome(jacobian_quotient_dim, newton, lam) == sweep_outcome(
-        reference_sweep, newton, lam
-    )
+    slices = reference_sweep(newton, lam, newton.B.rows)
+    assert jacobian_quotient_dim(newton, lam) == {"dim": slices[-1], "slices": slices}
 
 
 @st.composite
-def growth_cases(draw):
-    total = TOTAL_SPACES[draw(st.sampled_from(sorted(TOTAL_SPACES)))]
-    cutoff = draw(st.integers(1, 12))
-    newton = NewtonData(total, cutoff)
-    return newton, draw(st.lists(st.integers(0, cutoff), min_size=1, max_size=6))
+def good_samples(draw, source):
+    """A NewtonData and a parameter that `classify_parameter` calls good:
+    on an lg total space, a threefold or a generated nef surface."""
+    if source == "surface":
+        total = surface_total(*draw(surfaces(nef=True)))
+    else:
+        spaces = TOTAL_SPACES if source == "lg" else THREEFOLDS
+        total = spaces[draw(st.sampled_from(sorted(spaces)))]
+    newton = NewtonData(total)
+    lam = draw(parameters(newton))
+    assume(classify_parameter(newton, lam)["verdict"] == "good")
+    return newton, lam
 
 
-@settings(max_examples=40, deadline=None)
-@given(growth_cases())
-def test_growing_members_are_a_prefix_of_the_full_list(case):
-    """Asked for any bounds in any order, the growing list is a prefix of
-    the one-scan list at the cutoff and holds all of its members of
-    grading <= bound, the origin at grading 0 first."""
-    newton, bounds = case
-    full = full_member_list(newton)
-    assert full[0] == (0, (0,) * newton.B.rows)
-    for bound in bounds + list(range(newton.cutoff + 1)):
-        grown = newton.members_up_to(bound)
-        assert grown == full[: len(grown)]
-        assert [m for m in grown if m[0] <= bound] == [m for m in full if m[0] <= bound]
+@pytest.mark.parametrize("source", ["lg", "threefold", "surface"])
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(data=st.data())
+def test_slice_n_is_final_at_good_parameters(source, data):
+    """Slice n = B.rows, where the sweep ends, is the whole dimension: at a
+    good parameter the rebuilt slices n..n+3 all equal the volume."""
+    newton, lam = data.draw(good_samples(source))
+    n = newton.B.rows
+    assert reference_sweep(newton, lam, n + 3)[n - 1:] == [newton.polytope.volume] * 4
+
+
+def full_scan(newton):
+    """Every cone point up to grading n = B.rows, by least grading then lex."""
+    return sorted(graded_slice_points(newton.polytope, newton.B.rows), key=itemgetter(0))
+
+
+@pytest.mark.parametrize("name", ["p1_o2", "p2", "p2_o1", "p1p1_o11", "threefolds/p1cube_o111",
+                                  "threefolds/p2_o1o1", "threefolds/p3_o2"])
+def test_members_are_every_cone_point_on_nef_rows(name):
+    """On nef rows the support of the total-space fan is the whole cone, so
+    the member list keeps every point of the scan."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    fan, d = spec["fan"], spec["bundles"]
+    assert all(class_is_nef(fan, row) for row in d.entries)
+    newton = NewtonData(total_space_fan(fan, d))
+    assert newton.members == full_scan(newton)
+
+
+@settings(max_examples=20, deadline=None)
+@given(surfaces(nef=True))
+def test_members_are_every_cone_point_on_generated_nef_rows(surface):
+    newton = NewtonData(surface_total(*surface))
+    assert newton.members == full_scan(newton)
+
+
+def test_members_miss_cone_points_off_nef_rows():
+    """F3 with (1,1,1,1) is not nef: the fan's support misses cone points,
+    and the list keeps 44 of the 48 up to grading 3 (ROADMAP item 1)."""
+    newton = NewtonData(TOTAL_SPACES["f3_minus_k"])
+    assert (len(newton.members), len(full_scan(newton))) == (44, 48)
 
 
 def counting_scans(monkeypatch):
@@ -316,47 +365,20 @@ def counting_scans(monkeypatch):
     return dilates
 
 
-@pytest.mark.parametrize("name", sorted(TOTAL_SPACES))
-def test_sweep_scans_no_dilate_above_twice_its_bound(monkeypatch, name):
-    """A sweep that stops at bound b scans rising dilates up to 2b at most,
-    whatever the cutoff."""
-    total = TOTAL_SPACES[name]
-    dilates = counting_scans(monkeypatch)
-    newton = NewtonData(total, 12)
-    res = jacobian_quotient_dim(newton, [1] * newton.B.cols)
-    assert dilates == sorted(set(dilates))
-    assert dilates[-1] <= 2 * len(res["slices"]) < newton.cutoff
-
-
 # P1/O(2) at lambda = (1, 1, -2): f = -(y1 y2^2 + y1^-1 - 2 y2) has the curve
 # y1 y2 = 1 of critical points, so its Jacobian quotient is infinite and the
-# slice dimensions grow by one at every bound.  No lambda in {+-1, +-2}^5 on
-# P1xP1/O(1,1) has a sweep that fails to stabilize.
+# slice dimensions grow by one at every bound.
 DEGENERATE = ("p1_o2", [1, 1, -2])
 
 
-@pytest.mark.parametrize("cutoff", [2, 5, 7, 12])
-def test_sweep_to_the_cutoff_ends_on_a_scan_at_it(monkeypatch, cutoff):
-    """A sweep that never stabilizes runs to the cutoff; each dilate at most
-    doubles the last and the last is the cutoff."""
+def test_degenerate_sweep_reduces_each_row_once(monkeypatch):
+    """Cost guard on the degenerate P1/O(2) parameter, whose slices grow
+    past the volume: each gradient row y^u y_k df/dy_k, one per member u of
+    grading below n and coordinate k, is reduced into the echelon once, and
+    the sweep stays far below a second (it took 15 s on P1xP1/O(1,1) when
+    every bound re-ranked every row)."""
     name, lam = DEGENERATE
-    dilates = counting_scans(monkeypatch)
-    newton = NewtonData(TOTAL_SPACES[name], cutoff)
-    with pytest.raises(StabilizationFailed) as err:
-        jacobian_quotient_dim(newton, lam)
-    assert err.value.partial == list(range(2, cutoff + 2))
-    assert dilates[0] == 1 and dilates[-1] == cutoff
-    assert all(a < b <= 2 * a for a, b in zip(dilates, dilates[1:]))
-
-
-def test_sweep_that_never_stabilizes_reduces_each_row_once(monkeypatch):
-    """Cost guard for a sweep to the largest cutoff, 12, on the degenerate
-    P1/O(2) parameter: each gradient row y^u y_k df/dy_k, one per member u
-    of grading below the cutoff and coordinate k, is reduced into the
-    echelon once, and the sweep stays far below a second (it took 15 s on
-    P1xP1/O(1,1) when every bound re-ranked every row)."""
-    name, lam = DEGENERATE
-    newton = NewtonData(TOTAL_SPACES[name], 12)
+    newton = NewtonData(TOTAL_SPACES[name])
     reduced = []
     reduce_into = lgfamily._reduce_into
 
@@ -366,11 +388,11 @@ def test_sweep_that_never_stabilizes_reduces_each_row_once(monkeypatch):
 
     monkeypatch.setattr(lgfamily, "_reduce_into", counting_reduce)
     start = time.monotonic()
-    with pytest.raises(StabilizationFailed):
-        jacobian_quotient_dim(newton, lam)
+    res = jacobian_quotient_dim(newton, lam)
     elapsed = time.monotonic() - start
-    below = [m for m in newton.members_up_to(12) if m[0] < 12]
-    assert len(reduced) == newton.B.rows * len(below)
+    n = newton.B.rows
+    assert res == {"dim": 3, "slices": [2, 3]}
+    assert len(reduced) == n * len([m for m in newton.members if m[0] < n])
     assert elapsed < 1.0
 
 
@@ -553,13 +575,6 @@ def test_fp_witness_against_full_grid(case):
         assert all(residue(exponents, row, found, p) == 0 for row in map(coprime, rows))
 
 
-def classify_outcome(newton, lam):
-    try:
-        return classify_parameter(newton, lam)
-    except StabilizationFailed as exc:
-        return {"partial": exc.partial}
-
-
 @st.composite
 def scaled_parameters(draw):
     """A spec, a parameter and a scale c whose denominator is divisible by a
@@ -592,4 +607,4 @@ def test_verdict_does_not_depend_on_the_scale_of_lambda(case):
     name, lam, c = case
     total = TOTAL_SPACES[name]
     newton = NewtonData(total)
-    assert classify_outcome(newton, [c * x for x in lam]) == classify_outcome(newton, lam)
+    assert classify_parameter(newton, [c * x for x in lam]) == classify_parameter(newton, lam)

@@ -1,10 +1,9 @@
 """Every function of the package runs when the commands and the demos run.
 
 The test runs, in-process under ``sys.setprofile``, every command and gkz
-variant on specs/*.json (human and ``--json``), ``lg`` on the plane at a
-cutoff too small to stabilize, and every demo.  A function or method of
-``src/tglab`` that this run never enters fails the test, whatever the
-tests themselves call.  Dunder methods are exempt: Python calls them.
+variant on specs/*.json (human and ``--json``), and every demo.  A
+function or method of ``src/tglab`` that this run never enters fails the
+test, whatever the tests themselves call.  Dunder methods are exempt: Python calls them.
 """
 
 import ast
@@ -44,7 +43,6 @@ def _command_lines():
         for argv in calls:
             yield argv
             yield argv + ["--json"]
-    yield ["lg", "--spec", "specs/p2.json", "--cutoff", "3"]
 
 
 def test_every_function_runs(monkeypatch):
