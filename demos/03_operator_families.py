@@ -12,10 +12,9 @@ from tglab.weylops import (
     fl_substitution,
     gkz_generators,
     homogenized_box,
-    i_theta_restrict,
     psi_twist,
     shift_morphism_factorization,
-    theta_coordinate_change,
+    theta_restrict,
 )
 
 fan, d = corpus.p1_o2()
@@ -43,11 +42,11 @@ print("relation:", cert["relation"], "identity holds:", cert["identity_holds"])
 
 print()
 print("== duality morphisms ==")
-print("c = 0 twisted morphism:", duality_morphism("tilde", 3, 0))
-print("one bundle factor:", duality_morphism("tilde", 2, 1))
+print("c = 0 twisted morphism:", duality_morphism(3, 0))
+print("one bundle factor:", duality_morphism(2, 1))
 print("twist followed by the hat morphism equals it:",
-      psi_twist(2, 1) * WeylOp.partial(duality_morphism("tilde", 2, 1).ctx, 2)
-      == duality_morphism("tilde", 2, 1))
+      psi_twist(2, 1) * WeylOp.partial(duality_morphism(2, 1).ctx, 2)
+      == duality_morphism(2, 1))
 
 print()
 print("== the torus coordinate change lands on the moduli generators ==")
@@ -55,7 +54,7 @@ sg = model.star_generators()
 qg = model.qdm_generators()
 ch = model.torus_change()
 print("nu-shifted box:", sg["boxes"][0])
-img = i_theta_restrict(theta_coordinate_change(sg["boxes"][0], ch), ch)
+img = theta_restrict(sg["boxes"][0], ch)
 print("image in q:", img)
 print("equals the moduli generator:", img == qg["boxes"][0])
 print("moduli Euler operator:", qg["euler"])

@@ -38,28 +38,4 @@ objects they handle:
     the ``tglab`` command line front end
 """
 
-from tglab.intlinalg import (
-    IntegerMatrix,
-    SmithDecomposition,
-    smith_normal_form,
-    kernel_lattice,
-    section_system,
-    extend_relation,
-    homogenize,
-)
-from tglab.toricfan import Fan, total_space_fan, validate_fan
-
-__all__ = [
-    "IntegerMatrix",
-    "SmithDecomposition",
-    "smith_normal_form",
-    "kernel_lattice",
-    "section_system",
-    "extend_relation",
-    "homogenize",
-    "Fan",
-    "total_space_fan",
-    "validate_fan",
-]
-
 __version__ = "0.1.0"

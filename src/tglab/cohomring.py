@@ -206,17 +206,6 @@ class CohomologyRing:
             rows.append(acc)
         return Multiplier.reduced(rows, den * cden)
 
-    def matrix_of_multiplication(self, c):
-        """Matrix of cup product with c over the monomial basis (column j is
-        the image of basis element j)."""
-        mult = self.multiplier(c)
-        size = len(self.basis)
-        mat = [[Fraction(0)] * size for _ in range(size)]
-        for j, row in enumerate(mult.rows):
-            for k, n in row:
-                mat[k][j] = Fraction(n, mult.den)
-        return mat
-
 
 def build_ring(fan: Fan) -> CohomologyRing:
     """Compute the monomial basis and normal forms by graded elimination."""
@@ -306,9 +295,17 @@ def twisted_pairing(ring: CohomologyRing, c_top, g1, g2) -> Fraction:
 
 
 def kernel_of_multiplication(ring: CohomologyRing, c):
-    """Basis of ker(m_c) as coefficient vectors over the monomial basis."""
-    mat = ring.matrix_of_multiplication(c)
-    return nullspace(mat, len(ring.basis))
+    """Basis of ker(m_c) as coefficient vectors over the monomial basis.
+
+    Column j of m_c is the image of basis element j: row j of the
+    multiplier, transposed.  The multiplier's denominator scales the
+    matrix, which leaves its kernel alone, so it is not read."""
+    size = len(ring.basis)
+    mat = [[0] * size for _ in range(size)]
+    for j, row in enumerate(ring.multiplier(c).rows):
+        for k, n in row:
+            mat[k][j] = n
+    return nullspace(mat, size)
 
 
 def reduced_ring(ring: CohomologyRing, c_top):

@@ -54,7 +54,7 @@ class MirrorModel:
         return self.L.cols
 
     def torus_change(self) -> TorusChange:
-        return TorusChange(C=self.C, L=self.L, M=self.M, Aprime=self.Aprime, m=self.m)
+        return TorusChange(L=self.L, M=self.M, m=self.m)
 
     def qdm_generators(self):
         ctx = qdm_context(self.r)

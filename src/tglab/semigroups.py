@@ -7,16 +7,16 @@ finite slice, built once per semigroup by slice_k = slice_{k-1} +
 generators.  One scan of the dilate k Q gives every cone point up to
 grading k with its least grading, an integer read off the polytope's
 facets; the semigroup certificates take their points from one scan at
-their bound, and the lg members from scans at dilates that grow with the
-Jacobian sweep.  The undoubled N A' is handled through the support of the
-total-space fan plus the doubled semigroup as a graded lift: a point is a
-member when a maximal cone of that smooth fan holds it (its coordinates
-in the cone's rays are then nonnegative integers), or when a slice holds
-it up to a grading bound.  Both yes answers are exact; a no for a point
-of cone(A') only says that no slice holds it up to the bound.  Nothing
-here checks that the fan's support is the whole cone.  The cone of A' is
-read off Q: as 0 lies in Q, its facets through 0 and its equalities cut
-out the tangent cone of Q at 0, which is cone(A').
+their bound, and the lg members (`NewtonData.members`) from one scan at
+the dilate n = B.rows.  The undoubled N A' is handled through the support
+of the total-space fan plus the doubled semigroup as a graded lift: a
+point is a member when a maximal cone of that smooth fan holds it (its
+coordinates in the cone's rays are then nonnegative integers), or when a
+slice holds it up to a grading bound.  Both yes answers are exact; a no
+for a point of cone(A') only says that no slice holds it up to the
+bound.  Nothing here checks that the fan's support is the whole cone.  The
+cone of A' is read off Q: as 0 lies in Q, its facets through 0 and its
+equalities cut out the tangent cone of Q at 0, which is cone(A').
 """
 
 from __future__ import annotations

@@ -44,13 +44,13 @@ class OpContext(NamedTuple):
     names: tuple
 
     @staticmethod
-    def make(nvars, laurent=False, names=None, prefix="l"):
+    def make(nvars, laurent=False, names=None):
         if isinstance(laurent, bool):
             laurent = tuple(laurent for _ in range(nvars))
         else:
             laurent = tuple(bool(x) for x in laurent)
         if names is None:
-            names = tuple(f"{prefix}{i+1}" for i in range(nvars))
+            names = tuple(f"l{i+1}" for i in range(nvars))
         return OpContext(nvars, laurent, tuple(names))
 
 
@@ -316,7 +316,7 @@ def beta_outside_verified_regime(beta) -> bool:
 
 def gkz_generators(B: IntegerMatrix, beta, kernel_basis: IntegerMatrix):
     """Plain box operators for a kernel basis plus Euler operators E_k - beta_k."""
-    ctx = OpContext.make(B.cols, laurent=False, prefix="l")
+    ctx = OpContext.make(B.cols, laurent=False)
     boxes = _boxes(ctx, kernel_basis, box_operator)
     return {"ctx": ctx, "boxes": boxes, "eulers": _euler_fields(ctx, B.to_lists(), beta)}
 
@@ -347,7 +347,7 @@ def homogenized_box(ctx, l) -> WeylOp:
 
 def fl_hat_generators(B: IntegerMatrix, beta0_beta, kernel_basis: IntegerMatrix):
     """Hat-form generators: boxes in (z partial), Euler fields with z-weights."""
-    ctx = OpContext.make(B.cols, laurent=False, prefix="l")
+    ctx = OpContext.make(B.cols, laurent=False)
     boxes = _boxes(ctx, kernel_basis, hat_box)
     ehat, *eulers = _hat_eulers(ctx, B, beta0_beta)
     return {"ctx": ctx, "boxes": boxes, "eulers": eulers, "ehat": ehat}
@@ -413,7 +413,7 @@ def fl_match_homogenized(B: IntegerMatrix, relation):
 def star_n_generators(Aprime: IntegerMatrix, beta0_beta, m: int, kernel_basis: IntegerMatrix):
     """Tilde boxes with the nu-shifted bundle factors, plus hat Euler fields,
     over the torus (all variables invertible)."""
-    ctx = OpContext.make(Aprime.cols, laurent=True, prefix="l")
+    ctx = OpContext.make(Aprime.cols, laurent=True)
     return {
         "ctx": ctx,
         "boxes": _boxes(ctx, kernel_basis, tilde_box, m),
@@ -434,37 +434,20 @@ def tilde_box(ctx, l, m: int) -> WeylOp:
     return _binomial(ctx, l, factor, lead=WeylOp.monomial(ctx, lam=tuple(l)))
 
 
-def duality_morphism(kind: str, m: int, c: int) -> WeylOp:
-    """Right-multiplication operator of the duality morphism.
-
-    plain: partial_0 * partial_{m+1} ... partial_{m+c} on the homogenized
-    space; hat: partial_{m+1} ... partial_{m+c}; tilde: the product of the
-    z lambda partial factors over the bundle variables (identity for c=0).
-    """
-    if kind == "plain":
-        ctx = OpContext.make(m + c + 1, laurent=False, names=tuple(f"l{i}" for i in range(m + c + 1)))
-        op = WeylOp.partial(ctx, 0)
-        for j in range(c):
-            op = op * WeylOp.partial(ctx, m + 1 + j)
-        return op
-    if kind == "hat":
-        ctx = OpContext.make(m + c, laurent=False, prefix="l")
-        op = WeylOp.one(ctx)
-        for j in range(c):
-            op = op * WeylOp.partial(ctx, m + j)
-        return op
-    if kind == "tilde":
-        ctx = OpContext.make(m + c, laurent=True, prefix="l")
-        op = WeylOp.one(ctx)
-        for j in range(c):
-            op = op * _loglam(ctx, m + j)
-        return op
-    raise ValueError(f"unknown duality morphism kind {kind!r}")
+def duality_morphism(m: int, c: int) -> WeylOp:
+    """Right-multiplication operator of the twisted duality morphism: the
+    product of the z lambda partial factors over the bundle variables
+    m..m+c-1 (identity for c = 0)."""
+    ctx = OpContext.make(m + c, laurent=True)
+    op = WeylOp.one(ctx)
+    for j in range(c):
+        op = op * _loglam(ctx, m + j)
+    return op
 
 
 def psi_twist(m: int, c: int) -> WeylOp:
     """Right multiplication by z^c lambda_{m+1} ... lambda_{m+c}."""
-    ctx = OpContext.make(m + c, laurent=True, prefix="l")
+    ctx = OpContext.make(m + c, laurent=True)
     lam = [0] * (m + c)
     for j in range(c):
         lam[m + j] = 1
@@ -534,76 +517,45 @@ def qdm_euler(ctx, kernel_matrix: IntegerMatrix) -> WeylOp:
 
 
 class TorusChange(NamedTuple):
-    """Data of the coordinate change lambda -> (f, q): the section matrices
-    and the bundle range, with sign twist on the bundle variables."""
+    """Data of the coordinate change lambda -> (f, q) that the restriction
+    to f = 1 reads: the kernel basis L, the retraction M with M L = I, and
+    the start m of the bundle variables, which carry a sign twist."""
 
-    C: IntegerMatrix       # (m+c) x (n+c)
     L: IntegerMatrix       # (m+c) x r
     M: IntegerMatrix       # r x (m+c)
-    Aprime: IntegerMatrix  # (n+c) x (m+c)
     m: int
 
-    @property
-    def n_f(self) -> int:
-        return self.C.cols
 
-    @property
-    def n_q(self) -> int:
-        return self.L.cols
+def theta_restrict(op: WeylOp, change: TorusChange) -> WeylOp:
+    """Rewrite an operator over the lambda torus in the (f, q) coordinates
+    and restrict it to f = 1.
 
-    def target_context(self) -> OpContext:
-        names = tuple(f"f{j+1}" for j in range(self.n_f)) + tuple(
-            f"q{a+1}" for a in range(self.n_q)
-        )
-        return OpContext.make(self.n_f + self.n_q, laurent=True, names=names)
-
-
-def theta_coordinate_change(op: WeylOp, change: TorusChange) -> WeylOp:
-    """Rewrite an operator over the lambda torus in the (f, q) coordinates.
-
-    Each term is split as lambda^delta times a product of factors
-    (lambda_i partial_i - nu); the monomial maps to
-    (-1)^(bundle part) f^(A' delta) q^(M delta) and the log fields map to
-    sum_j C_ij f_j d/df_j + sum_a L_ia q_a d/dq_a.  z and T pass through.
+    A term z^a lambda^alpha T^e partial^beta is lambda^delta, delta =
+    alpha - beta, times the factors (lambda_i partial_i - nu), nu < beta_i.
+    The monomial maps to (-1)^(bundle part of delta) f^(A' delta)
+    q^(M delta) and lambda_i partial_i to the f-Euler field of row i of
+    the section C plus Q_i = sum_a L_ia q_a d/dq_a.  The f-Euler fields
+    commute with everything in q, and every product with an f-Euler field
+    among its factors keeps an f-derivative, which the restriction drops;
+    so the term maps to
+    (-1)^(bundle part of delta) z^a q^(M delta) T^e prod_i prod_{nu<beta_i}
+    (Q_i - nu).  z and T pass through.
     """
     t = op.ctx.nvars
-    tgt = change.target_context()
-    logfields = [_log_field(tgt, change.C.row(i) + change.L.row(i)) for i in range(t)]
-    out = WeylOp.zero(tgt)
+    qctx = qdm_context(change.L.cols)
+    logfields = [_log_field(qctx, change.L.row(i)) for i in range(t)]
+    out = WeylOp.zero(qctx)
     for (z, lam, th, pa), coeff in op.terms.items():
         delta = tuple(a - b for a, b in zip(lam, pa))
-        sign = 1
-        for i in range(change.m, t):
-            if delta[i] % 2:
-                sign = -sign
-        f_exp = change.Aprime.mul_vec(delta)
-        q_exp = change.M.mul_vec(delta)
+        sign = -1 if sum(delta[change.m:]) % 2 else 1
         piece = WeylOp.monomial(
-            tgt,
-            coeff=coeff * sign,
-            z=z,
-            lam=tuple(f_exp) + tuple(q_exp),
-            theta=th,
+            qctx, coeff=coeff * sign, z=z, lam=tuple(change.M.mul_vec(delta)), theta=th
         )
         for i in range(t):
             for nu in range(pa[i]):
-                piece = piece * (logfields[i] - WeylOp.scalar(tgt, nu))
+                piece = piece * (logfields[i] - WeylOp.scalar(qctx, nu))
         out = out + piece
     return out
-
-
-def i_theta_restrict(op: WeylOp, change: TorusChange) -> WeylOp:
-    """Restrict an (f, q)-operator to q only: drop every term with an
-    f-derivative, then set the f variables to one."""
-    nf, nq = change.n_f, change.n_q
-    qctx = OpContext.make(nq, laurent=True, names=op.ctx.names[nf:])
-    out = {}
-    for (z, lam, th, pa), coeff in op.terms.items():
-        if any(pa[:nf]):
-            continue
-        key = (z, lam[nf:], th, pa[nf:])
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return WeylOp(qctx, out)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +564,7 @@ def i_theta_restrict(op: WeylOp, change: TorusChange) -> WeylOp:
 
 
 def bounded_ideal_membership(P: WeylOp, generators, total_degree_bound: int,
-                             z_range=(-2, 3), lam_range=None, theta_bound=None):
+                             z_range=(-2, 3), lam_range=None):
     """Search for P = sum h_j g_j with the h_j supported on a bounded
     monomial set; a certificate is sound, failure is only 'inconclusive'.
 
@@ -623,8 +575,6 @@ def bounded_ideal_membership(P: WeylOp, generators, total_degree_bound: int,
     """
     ctx = P.ctx
     n = ctx.nvars
-    if theta_bound is None:
-        theta_bound = total_degree_bound
     if lam_range is None:
         lam_range = [
             (-total_degree_bound, total_degree_bound) if ctx.laurent[i] else (0, total_degree_bound)
@@ -637,7 +587,7 @@ def bounded_ideal_membership(P: WeylOp, generators, total_degree_bound: int,
         for lam in product(*lam_axes):
             if sum(abs(x) for x in lam) > total_degree_bound:
                 continue
-            for th in range(theta_bound + 1):
+            for th in range(total_degree_bound + 1):
                 for pa in product(*pa_axes):
                     if sum(abs(x) for x in lam) + th + sum(pa) > total_degree_bound:
                         continue

@@ -11,15 +11,12 @@ non-normality witness cannot exist.  The companion test c05b shows the
 non-normality phenomenon on the equivalent representative d = (0,2,4,0).
 """
 
-import json
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from tglab import corpus
 from tglab.intlinalg import IntegerMatrix, kernel_lattice, section_system
@@ -50,6 +47,7 @@ from tglab.weylops import (
     fl_match_homogenized,
     psi_twist,
     shift_morphism_factorization,
+    theta_restrict,
 )
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -250,9 +248,9 @@ def test_c08_shift_morphism_factorization():
 
 
 def test_c09_duality_morphisms():
-    ok = duality_morphism("tilde", 3, 0) == WeylOp.one(duality_morphism("tilde", 3, 0).ctx)
+    ok = duality_morphism(3, 0) == WeylOp.one(duality_morphism(3, 0).ctx)
     for m, c in [(2, 1), (3, 1), (4, 1), (2, 2)]:
-        tilde = duality_morphism("tilde", m, c)
+        tilde = duality_morphism(m, c)
         hat_factor = WeylOp.one(tilde.ctx)
         for j in range(c):
             hat_factor = hat_factor * WeylOp.partial(tilde.ctx, m + j)
@@ -261,8 +259,6 @@ def test_c09_duality_morphisms():
 
 
 def test_c10_theta_transform():
-    from tglab.weylops import i_theta_restrict, theta_coordinate_change
-
     ok = True
     for name, (fan, d) in BUNDLE_CORPUS.items():
         model = build_model(fan, d)
@@ -270,10 +266,10 @@ def test_c10_theta_transform():
         g = model.qdm_generators()
         ch = model.torus_change()
         for a, tbox in enumerate(sg["boxes"]):
-            img = i_theta_restrict(theta_coordinate_change(tbox, ch), ch)
+            img = theta_restrict(tbox, ch)
             ok = ok and img == g["boxes"][a]
         for e in sg["eulers"][1:]:
-            img = i_theta_restrict(theta_coordinate_change(e, ch), ch)
+            img = theta_restrict(e, ch)
             ok = ok and img.is_zero()
     report(10, ok, "every tilde box maps to its Q and the Euler fields die")
 

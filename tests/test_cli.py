@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tglab import cli, lgfamily, models, polytopes, rationalcone, semigroups, toricfan
+from tglab import cli, lgfamily, polytopes, rationalcone, semigroups, toricfan
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"

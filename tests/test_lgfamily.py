@@ -526,15 +526,17 @@ def reference_witness(exponents, rows, p):
 
 
 @st.composite
-def sublattice_systems(draw):
+def sublattice_systems(draw, primes=(7, 11, 13), ranks=(1, 2), min_points=1):
     """Equations in three variables with every monomial in e0 + L, where L
-    has rank 1 or 2; scaling the basis by 2 or 3 makes L non-saturated.
+    has a rank in the closed range `ranks`; scaling the basis by 2 or 3
+    makes L non-saturated.  The monomials are e0 plus min_points to
+    min_points + 3 drawn steps in L, repeats merged.
     A draw is the critical system of one polynomial (f and its log
     derivatives, as for a face), unrelated equations, or equations whose
     last coefficient is chosen so that they vanish at a drawn point mod p.
     It is (exponents, rows, p), one coefficient row per equation."""
-    p = draw(st.sampled_from([7, 11, 13]))
-    rank = draw(st.integers(1, 2))
+    p = draw(st.sampled_from(primes))
+    rank = draw(st.integers(*ranks))
     vec = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
     basis = draw(st.lists(vec, min_size=rank, max_size=rank))
     assume(len(row_reduce(basis, 3)[0]) == rank)
@@ -543,7 +545,7 @@ def sublattice_systems(draw):
     steps = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
     exponents = list(dict.fromkeys(
         tuple(e0[k] + scale * sum(a * v[k] for a, v in zip(step, basis)) for k in range(3))
-        for step in draw(st.lists(steps, min_size=1, max_size=4))
+        for step in draw(st.lists(steps, min_size=min_points, max_size=min_points + 3))
     ))
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     row = st.lists(coeff, min_size=len(exponents), max_size=len(exponents))
@@ -562,11 +564,15 @@ def sublattice_systems(draw):
     return exponents, rows, p
 
 
-@settings(max_examples=60, deadline=None)
-@given(sublattice_systems())
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    sublattice_systems(), sublattice_systems(primes=(5, 7), ranks=(3, 3), min_points=4)
+))
 def test_fp_witness_against_full_grid(case):
     """The search on the reduced torus finds a zero exactly when the full
-    (F_p^*)^3 grid has one, and every point it returns is a common zero."""
+    (F_p^*)^3 grid has one, and every point it returns is a common zero.
+    The rank-3 lattices, at small primes, make the search run on a torus of
+    dimension d = 3."""
     exponents, rows, p = case
     found = _fp_witness(exponents, rows, p, torus_projection(exponents))
     assert (found is None) == (reference_witness(exponents, rows, p) is None)

@@ -1,6 +1,7 @@
 """Operator algebra: normal ordering, builders, substitutions, membership."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,11 @@ from tglab.weylops import (
     gkz_generators,
     homogenized_box,
     hat_box,
-    i_theta_restrict,
     psi_twist,
     qdm_box,
     qdm_context,
     shift_morphism_factorization,
-    theta_coordinate_change,
+    theta_restrict,
     tilde_box,
 )
 
@@ -72,7 +72,7 @@ def test_context_equality_is_by_value():
     a, b = OpContext.make(2, laurent=(True, False)), OpContext.make(2, laurent=(True, False))
     assert a == b and hash(a) == hash(b)
     assert WeylOp.var(a, 0) + WeylOp.var(b, 0) == WeylOp.var(a, 0).scale(2)
-    other = OpContext.make(2, laurent=(True, False), prefix="f")
+    other = OpContext.make(2, laurent=(True, False), names=("f1", "f2"))
     assert a != other
     with pytest.raises(DimensionMismatch):
         WeylOp.var(a, 0) + WeylOp.var(other, 0)
@@ -259,12 +259,12 @@ def test_shift_morphism_random_pairs_corpus():
 
 
 def test_duality_c0_identity():
-    op = duality_morphism("tilde", 3, 0)
+    op = duality_morphism(3, 0)
     assert op == WeylOp.one(op.ctx)
 
 
 def test_duality_tilde_p1_o2():
-    op = duality_morphism("tilde", 2, 1)
+    op = duality_morphism(2, 1)
     ctx = op.ctx
     expected = WeylOp.zpow(ctx, 1) * WeylOp.var(ctx, 2) * WeylOp.partial(ctx, 2)
     assert op == expected
@@ -272,7 +272,7 @@ def test_duality_tilde_p1_o2():
 
 def test_duality_composition():
     for m, c in [(2, 1), (3, 1), (2, 2), (4, 2)]:
-        tilde = duality_morphism("tilde", m, c)
+        tilde = duality_morphism(m, c)
         psi = psi_twist(m, c)
         hat_factor = WeylOp.one(tilde.ctx)
         for j in range(c):
@@ -281,7 +281,7 @@ def test_duality_composition():
 
 
 def test_duality_tilde_factors_commute():
-    op = duality_morphism("tilde", 2, 2)
+    op = duality_morphism(2, 2)
     ctx = op.ctx
     f1 = WeylOp.zpow(ctx, 1) * WeylOp.var(ctx, 2) * WeylOp.partial(ctx, 2)
     f2 = WeylOp.zpow(ctx, 1) * WeylOp.var(ctx, 3) * WeylOp.partial(ctx, 3)
@@ -447,23 +447,94 @@ def test_theta_transform_corpus():
         g = model.qdm_generators()
         ch = model.torus_change()
         for a, tbox in enumerate(sg["boxes"]):
-            img = i_theta_restrict(theta_coordinate_change(tbox, ch), ch)
-            assert img == g["boxes"][a]
-        img0 = i_theta_restrict(theta_coordinate_change(sg["eulers"][0], ch), ch)
-        assert img0 == g["euler"]
+            assert theta_restrict(tbox, ch) == g["boxes"][a]
+        assert theta_restrict(sg["eulers"][0], ch) == g["euler"]
         for e in sg["eulers"][1:]:
-            img = i_theta_restrict(theta_coordinate_change(e, ch), ch)
-            assert img.is_zero()
+            assert theta_restrict(e, ch).is_zero()
 
 
 def test_theta_transform_constant():
     fan, d = corpus.p1_o2()
     model = build_model(fan, d)
-    ch = model.torus_change()
     ctx = OpContext.make(3, laurent=True)
-    img = theta_coordinate_change(WeylOp.scalar(ctx, 7), ch)
-    red = i_theta_restrict(img, ch)
-    assert red == WeylOp.scalar(red.ctx, 7)
+    img = theta_restrict(WeylOp.scalar(ctx, 7), model.torus_change())
+    assert img == WeylOp.scalar(img.ctx, 7)
+
+
+# Reference theta transform in two steps: rewrite the operator on the whole
+# (f, q) torus, then drop every term with an f-derivative and set f = 1.
+
+
+def ref_theta_coordinate_change(op, model):
+    """The monomial lambda^delta, delta = alpha - beta, maps to
+    (-1)^(bundle part of delta) f^(A' delta) q^(M delta), and each factor
+    lambda_i partial_i - nu to sum_j C_ij f_j d/df_j + sum_a L_ia q_a d/dq_a
+    - nu; z and T pass through."""
+    nf, nq = model.C.cols, model.L.cols
+    names = tuple(f"f{j+1}" for j in range(nf)) + tuple(f"q{a+1}" for a in range(nq))
+    tgt = OpContext.make(nf + nq, laurent=True, names=names)
+    logfields = []
+    for i in range(op.ctx.nvars):
+        field = WeylOp.zero(tgt)
+        for j, c in enumerate(model.C.row(i) + model.L.row(i)):
+            field = field + (WeylOp.var(tgt, j) * WeylOp.partial(tgt, j)).scale(c)
+        logfields.append(field)
+    out = WeylOp.zero(tgt)
+    for (z, lam, th, pa), coeff in op.terms.items():
+        delta = tuple(a - b for a, b in zip(lam, pa))
+        sign = (-1) ** sum(delta[i] % 2 for i in range(model.m, op.ctx.nvars))
+        exps = tuple(model.Aprime.mul_vec(delta)) + tuple(model.M.mul_vec(delta))
+        piece = WeylOp.monomial(tgt, coeff=coeff * sign, z=z, lam=exps, theta=th)
+        for i, b in enumerate(pa):
+            for nu in range(b):
+                piece = piece * (logfields[i] - WeylOp.scalar(tgt, nu))
+        out = out + piece
+    return out
+
+
+def ref_restrict_to_f_one(op, nf):
+    qctx = qdm_context(op.ctx.nvars - nf)
+    out = WeylOp.zero(qctx)
+    for (z, lam, th, pa), coeff in op.terms.items():
+        if not any(pa[:nf]):
+            out = out + WeylOp.monomial(qctx, coeff, z=z, lam=lam[nf:], theta=th, pa=pa[nf:])
+    return out
+
+
+def ref_theta_restrict(op, model):
+    return ref_restrict_to_f_one(ref_theta_coordinate_change(op, model), model.C.cols)
+
+
+THETA_MODELS = [build_model(fan, d) for fan, d in CORPUS]
+
+
+@st.composite
+def torus_operators(draw):
+    """(model, operator): one of the three total spaces, and a sum of up to
+    three terms z^a lambda^alpha T^e partial^beta over its lambda torus,
+    with lambda powers in [-2, 2] and at most four derivatives in all."""
+    model = draw(st.sampled_from(THETA_MODELS))
+    t = model.Aprime.cols
+    ctx = OpContext.make(t, laurent=True)
+    op = WeylOp.zero(ctx)
+    for _ in range(draw(st.integers(1, 3))):
+        pa = draw(st.lists(st.integers(0, 2), min_size=t, max_size=t).filter(lambda b: sum(b) <= 4))
+        op = op + WeylOp.monomial(
+            ctx,
+            coeff=draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))),
+            z=draw(st.integers(-1, 2)),
+            lam=draw(st.lists(st.integers(-2, 2), min_size=t, max_size=t)),
+            theta=draw(st.integers(0, 2)),
+            pa=pa,
+        )
+    return model, op
+
+
+@settings(max_examples=60, deadline=None)
+@given(torus_operators())
+def test_theta_restrict_matches_two_step_reference(case):
+    model, op = case
+    assert theta_restrict(op, model.torus_change()) == ref_theta_restrict(op, model)
 
 
 def test_qdm_box_p2():
