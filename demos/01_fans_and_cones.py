@@ -6,7 +6,9 @@ computing the nef cone both as an intersection of anticones and as the
 cone of convex PL functions.
 """
 
-from tglab import corpus
+from pathlib import Path
+
+from tglab.cli import load_spec
 from tglab.rationalcone import extreme_rays
 from tglab.toricfan import (
     anticanonical_consistency_check,
@@ -22,15 +24,24 @@ from tglab.toricfan import (
     w_set_convexity,
 )
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def example(name):
+    """The fan and bundle matrix of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return spec["fan"], spec["bundles"]
+
+
 print("== the projective plane ==")
-p2 = corpus.projective_plane()
+p2 = example("p2")[0]
 print("rays:", p2.rays)
 print("diagnostics:", validate_fan(p2))
 print("anticanonical PL function convex:", pl_is_convex(p2, [-1, -1, -1]))
 
 print()
 print("== total space of the degree-2 bundle on the line ==")
-fan, d = corpus.p1_o2()
+fan, d = example("p1_o2")
 total = total_space_fan(fan, d)
 print("total rays:", total.rays)
 print("total max cones:", total.max_cones)
@@ -38,7 +49,7 @@ print("still smooth:", validate_fan(total).smooth)
 
 print()
 print("== nef cones, two independent constructions ==")
-for name, f in [("P1xP1", corpus.p1_times_p1()), ("F3", corpus.hirzebruch(3))]:
+for name, f in [("P1xP1", example("p1p1_o11")[0]), ("F3", example("f3_minus_k")[0])]:
     anti = nef_cone_anticones(f)
     pl = nef_cone_pl(f)
     print(f"{name}: anticone rays {anti}, agree with PL: {anti == pl}")
@@ -46,9 +57,9 @@ for name, f in [("P1xP1", corpus.p1_times_p1()), ("F3", corpus.hirzebruch(3))]:
 print()
 print("== pullback identity and the hull checks ==")
 for name, (f, dd) in [
-    ("P1/O(2)", corpus.p1_o2()),
-    ("P2/O(1)", corpus.p2_o1()),
-    ("P1xP1/O(1,1)", corpus.p1p1_o11()),
+    ("P1/O(2)", example("p1_o2")),
+    ("P2/O(1)", example("p2_o1")),
+    ("P1xP1/O(1,1)", example("p1p1_o11")),
 ]:
     # One total fan per bundle; every check reads it.
     tf = total_space_fan(f, dd)
@@ -62,9 +73,9 @@ for name, (f, dd) in [
 
 print()
 print("== negative controls ==")
-fan, d = corpus.f3_minus_k()
+fan, d = example("f3_minus_k")
 print("F3 with the anticanonical bundle: bundle nef:", class_is_nef(fan, d.row(0)))
 print("  W-set convex:", w_set_convexity(total_space_fan(fan, d)))
-fan, d = corpus.p1_ok(-1)
+fan, d = example("p1_o_minus1")
 print("P1 with the degree -1 bundle: bundle nef:", class_is_nef(fan, d.row(0)))
 print("  W-set convex:", w_set_convexity(total_space_fan(fan, d)))

@@ -2,7 +2,9 @@
 homogenized, hat and nu-shifted forms, the substitution that connects
 them, and the torus coordinate change onto the Kaehler moduli space."""
 
-from tglab import corpus
+from pathlib import Path
+
+from tglab.cli import load_spec
 from tglab.models import build_model
 from tglab.weylops import (
     OpContext,
@@ -17,7 +19,16 @@ from tglab.weylops import (
     theta_restrict,
 )
 
-fan, d = corpus.p1_o2()
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def example(name):
+    """The fan and bundle matrix of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return spec["fan"], spec["bundles"]
+
+
+fan, d = example("p1_o2")
 model = build_model(fan, d)
 
 print("== plain generators for the total-space matrix ==")
@@ -52,9 +63,8 @@ print()
 print("== the torus coordinate change lands on the moduli generators ==")
 sg = model.star_generators()
 qg = model.qdm_generators()
-ch = model.torus_change()
 print("nu-shifted box:", sg["boxes"][0])
-img = theta_restrict(sg["boxes"][0], ch)
+img = theta_restrict(sg["boxes"][0], model.L, model.M, model.m)
 print("image in q:", img)
 print("equals the moduli generator:", img == qg["boxes"][0])
 print("moduli Euler operator:", qg["euler"])

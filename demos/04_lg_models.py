@@ -2,8 +2,9 @@
 Jacobian quotient dimensions, and the good/bad parameter classifier."""
 
 from fractions import Fraction
+from pathlib import Path
 
-from tglab import corpus
+from tglab.cli import load_spec
 from tglab.lgfamily import (
     NewtonData,
     build_family,
@@ -13,6 +14,14 @@ from tglab.lgfamily import (
 )
 from tglab.models import build_model
 from tglab.toricfan import total_space_fan
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def example(name):
+    """The fan and bundle matrix of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return spec["fan"], spec["bundles"]
 
 
 def show(poly, names):
@@ -25,7 +34,7 @@ def show(poly, names):
     return " ".join(terms).removeprefix("+ ")
 
 
-fan, d = corpus.p1_o2()
+fan, d = example("p1_o2")
 model = build_model(fan, d)
 B = model.Aprime
 newton = NewtonData(model.total)
@@ -60,7 +69,7 @@ for lam in ([1, 1, 1], [1, 1, -2]):
 
 print()
 print("== a two-parameter example ==")
-fan, d = corpus.p1p1_o11()
+fan, d = example("p1p1_o11")
 total = total_space_fan(fan, d)
 res = jacobian_quotient_dim(NewtonData(total), [1, 2, 1, 1, 3])
 print("dimension:", res["dim"], "volume:", total.newton_polytope.volume)

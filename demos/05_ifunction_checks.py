@@ -1,14 +1,24 @@
 """The I-series: coefficient tables, annihilation by the moduli
 generators, homogeneity, and the kernel-landing property."""
 
-from tglab import corpus
-from tglab.intlinalg import IntegerMatrix
+from pathlib import Path
+
+from tglab.cli import load_spec
 from tglab.models import build_model
 from tglab.qdmcheck import annihilation_check, homogeneity_check, quot_landing_check
 from tglab.weylops import WeylOp, bounded_ideal_membership
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def example(name):
+    """The fan and bundle matrix of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return spec["fan"], spec["bundles"]
+
+
 print("== the plane ==")
-model = build_model(corpus.projective_plane(), IntegerMatrix(0, 3, ()))
+model = build_model(*example("p2"))
 table = model.i_table(9)
 print("A_1 (inverse cube of p + z):", table[(1,)])
 box = model.qdm_generators()["boxes"][0]
@@ -19,7 +29,7 @@ print("weights -3d:", [r["expected"] for r in hom["rows"][:5]])
 
 print()
 print("== the degree-2 bundle on the line ==")
-fan, d = corpus.p1_o2()
+fan, d = example("p1_o2")
 model = build_model(fan, d)
 table = model.i_table(9)
 print("A_1:", table[(1,)])

@@ -4,8 +4,9 @@ pairing <a, b> = integral of a b c_top, which is nondegenerate on the
 quotient, and the grading mu = degree - (dim X - rank)/2."""
 
 from fractions import Fraction
+from pathlib import Path
 
-from tglab import corpus
+from tglab.cli import load_spec
 from tglab.cohomring import (
     build_ring,
     chern_data,
@@ -15,10 +16,19 @@ from tglab.cohomring import (
     twisted_pairing,
 )
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def example(name):
+    """The fan and bundle matrix of specs/<name>.json."""
+    spec = load_spec(str(SPECS / f"{name}.json"))
+    return spec["fan"], spec["bundles"]
+
+
 EXAMPLES = [
-    ("the line with O(2)", corpus.p1_o2()),
-    ("the plane with O(1)", corpus.p2_o1()),
-    ("P1 x P1 with O(1,1)", corpus.p1p1_o11()),
+    ("the line with O(2)", example("p1_o2")),
+    ("the plane with O(1)", example("p2_o1")),
+    ("P1 x P1 with O(1,1)", example("p1p1_o11")),
 ]
 
 for name, (fan, d) in EXAMPLES:

@@ -17,7 +17,7 @@ objects they handle:
     cones two ways
 ``semigroups``
     the doubled semigroup of a Newton polytope: slices, normality,
-    Gorenstein and interior shifts; toric ideals
+    Gorenstein and interior shifts
 ``weylops``
     normal-ordered operators in lambda, d/dlambda, z and z^2 d/dz, and the
     builders for all the operator families (box, Euler, hat, star, qdm)
@@ -32,8 +32,6 @@ objects they handle:
 ``errors``
     the exception types: input errors (exit 2) and mathematical failures
     (exit 1)
-``corpus``
-    the standard small fans used by the tests and demos
 ``cli``
     the ``tglab`` command line front end
 """

@@ -21,10 +21,6 @@ class NotSurjective(TglabError):
     """Columns of the matrix do not generate the full lattice Z^s."""
 
 
-class NotARelation(TglabError):
-    """Vector is not in the kernel of the given matrix."""
-
-
 class DimensionMismatch(TglabError):
     """Shapes of the supplied objects are inconsistent."""
 
@@ -60,10 +56,6 @@ class DegeneratePolytope(TglabError):
 
 class NotSaturated(TglabError):
     """Check requires saturation up to the degree bound first."""
-
-
-class BoundTooSmall(TglabError):
-    """Bounded computation did not stabilize within the given bound."""
 
 
 class NotSameImage(TglabError):

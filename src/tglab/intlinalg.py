@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from tglab.errors import DimensionMismatch, NotARelation, NotSurjective
+from tglab.errors import DimensionMismatch, NotSurjective
 
 
 class IntegerMatrix:
@@ -186,16 +186,6 @@ class SmithDecomposition(NamedTuple):
         return [self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols))]
 
 
-class RelationLattice(NamedTuple):
-    """Saturated integer kernel lattice; columns of ``basis`` span ker(B)."""
-
-    basis: IntegerMatrix
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-
 class SectionSystem(NamedTuple):
     """Matrices C, L, M, D with M*L = I, B*C = I, B*L = 0, M*C = 0 and
     C*B + L*M = I."""
@@ -304,8 +294,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntegerMatrix.from_rows(u), d, IntegerMatrix.from_rows(v))
 
 
-def kernel_lattice(B: IntegerMatrix) -> RelationLattice:
-    """Saturated basis of ker(B) over Z.
+def kernel_lattice(B: IntegerMatrix) -> IntegerMatrix:
+    """Saturated basis of ker(B) over Z, one basis vector per column.
 
     The kernel columns come from the unimodular V of the Smith form, so the
     basis spans ker(B) as a direct summand of Z^t (saturation for free).
@@ -313,8 +303,7 @@ def kernel_lattice(B: IntegerMatrix) -> RelationLattice:
     snf = smith_normal_form(B)
     diag = snf.diagonal
     zero_cols = [j for j in range(B.cols) if j >= len(diag) or diag[j] == 0]
-    basis = snf.V.submatrix(range(B.cols), zero_cols)
-    return RelationLattice(basis)
+    return snf.V.submatrix(range(B.cols), zero_cols)
 
 
 def section_system(B: IntegerMatrix) -> SectionSystem:
@@ -354,18 +343,10 @@ def _unimodular_inverse(V: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows(inverse)
 
 
-def extend_relation(l, d: IntegerMatrix, A: IntegerMatrix | None = None) -> tuple:
-    """Extend a relation of A to a relation of the total-space matrix A'.
-
-    Appends l_{m+j} = -sum_i l_i d_{ji}.  When A is supplied, A*l = 0 is
-    checked first and :class:`NotARelation` raised on failure.
-    """
+def extend_relation(l, d: IntegerMatrix) -> tuple:
+    """Extend a relation l of the base ray matrix A to a relation of the
+    total-space matrix A' by appending l_{m+j} = -sum_i l_i d_{ji}."""
     l = tuple(int(x) for x in l)
-    if A is not None:
-        if A.cols != len(l):
-            raise DimensionMismatch("relation length does not match matrix")
-        if any(x != 0 for x in A.mul_vec(l)):
-            raise NotARelation("A*l != 0")
     if d.cols != len(l):
         raise DimensionMismatch("bundle matrix column count != relation length")
     tail = tuple(-sum(l[i] * d.entries[j][i] for i in range(len(l))) for j in range(d.rows))

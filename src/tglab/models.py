@@ -3,8 +3,7 @@
 This is the glue used by the command line front end, the demos and the
 acceptance tests: total-space fan, the three matrices and their kernels,
 the section system rebased to a nef basis of the dual relation lattice,
-the cohomology ring of the base, the torus coordinate change and the
-quantum-D-module generators.
+the cohomology ring of the base and the quantum-D-module generators.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from tglab.qdmcheck import ITable, i_function
 from tglab.rationalcone import HForm, cone_hform, extreme_rays
 from tglab.toricfan import Fan, class_is_nef, extended_kernel, nef_hform, total_space_fan
 from tglab.weylops import (
-    TorusChange,
     qdm_box,
     qdm_context,
     qdm_euler,
@@ -52,9 +50,6 @@ class MirrorModel:
     @property
     def r(self) -> int:
         return self.L.cols
-
-    def torus_change(self) -> TorusChange:
-        return TorusChange(L=self.L, M=self.M, m=self.m)
 
     def qdm_generators(self):
         ctx = qdm_context(self.r)

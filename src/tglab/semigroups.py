@@ -1,4 +1,4 @@
-"""The doubled semigroup: membership, saturation, Gorenstein shift; toric ideals.
+"""The doubled semigroup: membership, saturation, Gorenstein shift.
 
 Every semigroup here is N A'', built on the lifted points (1, 0), (1, a'_i)
 of a Newton polytope Q = conv(0, a'_i), whose cone it shares.  Its first
@@ -25,8 +25,7 @@ from itertools import product
 from operator import mul
 from typing import NamedTuple
 
-from tglab.errors import BoundTooSmall, NotSaturated
-from tglab.intlinalg import IntegerMatrix, kernel_lattice
+from tglab.errors import NotSaturated
 from tglab.polytopes import LatticePolytope
 from tglab.rationalcone import HForm
 from tglab.toricfan import Fan
@@ -171,76 +170,3 @@ def interior_shift_check_ungraded(
         if aprime.contains_interior(pt) != (total.contains(v) or lift.reaches(v, bound)):
             return False
     return True
-
-
-def toric_ideal_binomials(B: IntegerMatrix, degree_bound: int):
-    """Generators of the lattice ideal of ker(B), up to the degree bound.
-
-    Enumerates lattice vectors as small combinations of the kernel basis,
-    keeps a deglex-reduced generating set, and raises BoundTooSmall when
-    candidates one step beyond the bound fail to reduce to zero.
-    """
-    basis = kernel_lattice(B)
-    r = basis.rank
-    t = B.cols
-    if r == 0:
-        return []
-
-    def vectors(coeff_cap, deg_cap):
-        seen = set()
-        for coeffs in product(range(-coeff_cap, coeff_cap + 1), repeat=r):
-            if all(c == 0 for c in coeffs):
-                continue
-            vec = tuple(
-                sum(coeffs[a] * basis.basis.entries[i][a] for a in range(r))
-                for i in range(t)
-            )
-            pos = sum(x for x in vec if x > 0)
-            neg = -sum(x for x in vec if x < 0)
-            if max(pos, neg) > deg_cap or vec in seen:
-                continue
-            seen.add(vec)
-            yield vec
-
-    def orient(vec):
-        pos = tuple(max(x, 0) for x in vec)
-        neg = tuple(max(-x, 0) for x in vec)
-        return (pos, neg) if _deglex_bigger(pos, neg) else (neg, pos)
-
-    gens = []
-
-    def reduce_monomial(u):
-        changed = True
-        while changed:
-            changed = False
-            for big, small in gens:
-                if all(a >= b for a, b in zip(u, big)):
-                    u = tuple(a - b + c for a, b, c in zip(u, big, small))
-                    changed = True
-        return u
-
-    def reduces_to_zero(pair):
-        big, small = pair
-        return reduce_monomial(big) == reduce_monomial(small)
-
-    candidates = sorted(
-        (orient(v) for v in vectors(degree_bound, degree_bound)),
-        key=lambda p: (sum(p[0]), p[0], p[1]),
-    )
-    seen_pairs = set()
-    for pair in candidates:
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        if not reduces_to_zero(pair):
-            gens.append(pair)
-    for vec in vectors(degree_bound + 1, degree_bound + 1):
-        if not reduces_to_zero(orient(vec)):
-            raise BoundTooSmall(
-                "lattice ideal not stabilized within the degree bound"
-            )
-    return sorted(gens)
-
-
-def _deglex_bigger(u, w) -> bool:
-    return (sum(u), u) > (sum(w), w)

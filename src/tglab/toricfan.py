@@ -287,7 +287,7 @@ def _linear_extension(fan: Fan, cone, vals):
 def divisor_class_matrix(fan: Fan) -> IntegerMatrix:
     """Row i = coordinates of the i-th ray divisor class in the basis dual
     to the kernel-lattice basis of the ray matrix."""
-    return kernel_lattice(fan.ray_matrix()).basis
+    return kernel_lattice(fan.ray_matrix())
 
 
 def nef_hform(fan: Fan, classes: IntegerMatrix) -> HForm:

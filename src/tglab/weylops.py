@@ -516,19 +516,11 @@ def qdm_euler(ctx, kernel_matrix: IntegerMatrix) -> WeylOp:
     return WeylOp.theta_z(ctx) + _log_field(ctx, coords, 1)
 
 
-class TorusChange(NamedTuple):
-    """Data of the coordinate change lambda -> (f, q) that the restriction
-    to f = 1 reads: the kernel basis L, the retraction M with M L = I, and
-    the start m of the bundle variables, which carry a sign twist."""
-
-    L: IntegerMatrix       # (m+c) x r
-    M: IntegerMatrix       # r x (m+c)
-    m: int
-
-
-def theta_restrict(op: WeylOp, change: TorusChange) -> WeylOp:
+def theta_restrict(op: WeylOp, L: IntegerMatrix, M: IntegerMatrix, m: int) -> WeylOp:
     """Rewrite an operator over the lambda torus in the (f, q) coordinates
-    and restrict it to f = 1.
+    and restrict it to f = 1.  The coordinates are read off the kernel
+    basis L ((m+c) x r) and the retraction M with M L = I; the bundle
+    variables, from index m on, carry a sign twist.
 
     A term z^a lambda^alpha T^e partial^beta is lambda^delta, delta =
     alpha - beta, times the factors (lambda_i partial_i - nu), nu < beta_i.
@@ -542,14 +534,14 @@ def theta_restrict(op: WeylOp, change: TorusChange) -> WeylOp:
     (Q_i - nu).  z and T pass through.
     """
     t = op.ctx.nvars
-    qctx = qdm_context(change.L.cols)
-    logfields = [_log_field(qctx, change.L.row(i)) for i in range(t)]
+    qctx = qdm_context(L.cols)
+    logfields = [_log_field(qctx, L.row(i)) for i in range(t)]
     out = WeylOp.zero(qctx)
     for (z, lam, th, pa), coeff in op.terms.items():
         delta = tuple(a - b for a, b in zip(lam, pa))
-        sign = -1 if sum(delta[change.m:]) % 2 else 1
+        sign = -1 if sum(delta[m:]) % 2 else 1
         piece = WeylOp.monomial(
-            qctx, coeff=coeff * sign, z=z, lam=tuple(change.M.mul_vec(delta)), theta=th
+            qctx, coeff=coeff * sign, z=z, lam=tuple(M.mul_vec(delta)), theta=th
         )
         for i in range(t):
             for nu in range(pa[i]):

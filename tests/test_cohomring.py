@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
-from tglab import corpus
+import examples
 from tglab.cohomring import (
     build_ring,
     chern_data,
@@ -20,14 +22,14 @@ from tglab.toricfan import Fan
 
 
 def test_ring_p1():
-    ring = build_ring(corpus.projective_line())
+    ring = build_ring(examples.fan("p1_o2"))
     assert ring.dimension == 2
     p = ring.divisor_class(0)
     assert ring.mul(p, p) == {}
 
 
 def test_ring_p2():
-    ring = build_ring(corpus.projective_plane())
+    ring = build_ring(examples.fan("p2"))
     assert ring.dimension == 3
     p = ring.divisor_class(0)
     p2 = ring.mul(p, p)
@@ -36,7 +38,7 @@ def test_ring_p2():
 
 
 def test_ring_p1xp1():
-    ring = build_ring(corpus.p1_times_p1())
+    ring = build_ring(examples.fan("p1p1_o11"))
     assert ring.dimension == 4
     p1 = ring.divisor_class(0)
     p2 = ring.divisor_class(2)
@@ -53,30 +55,58 @@ def test_ring_rejects_incomplete():
 
 def test_dimension_matches_cone_count():
     for fan in (
-        corpus.projective_line(),
-        corpus.projective_plane(),
-        corpus.p1_times_p1(),
-        corpus.hirzebruch(1),
-        corpus.hirzebruch(3),
+        examples.fan("p1_o2"),
+        examples.fan("p2"),
+        examples.fan("p1p1_o11"),
+        examples.hirzebruch(1),
+        examples.hirzebruch(3),
     ):
         assert build_ring(fan).dimension == len(fan.max_cones)
 
 
-def test_dimension_matches_volume_for_fano_corpus():
+def h_vector(fan):
+    """h_k = sum_{i<=k} (-1)^(k-i) C(n-i, k-i) f_i, where f_i counts the
+    cones with i rays (all faces of the simplicial maximal cones); for a
+    smooth complete fan h_k is the k-th Betti number of degree 2k
+    (Fulton, Introduction to Toric Varieties, 1993, 4.5)."""
+    n = fan.dim
+    cones = {face for cone in fan.max_cones for i in range(n + 1)
+             for face in combinations(sorted(cone), i)}
+    f = [sum(len(c) == i for c in cones) for i in range(n + 1)]
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+            for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("name", examples.NAMES)
+def test_ring_dimensions_are_the_h_vector(name):
+    fan = examples.fan(name)
+    ring = build_ring(fan)
+    sizes = [len(ring.basis_by_degree[k]) for k in range(fan.dim + 1)]
+    assert sorted(ring.basis_by_degree) == list(range(fan.dim + 1))
+    assert sizes == h_vector(fan)
+
+
+def test_h_vector_oracle_on_known_fans():
+    assert h_vector(examples.fan("threefolds/p1cube_o111")) == [1, 3, 3, 1]
+    assert h_vector(examples.fan("threefolds/p3_o2")) == [1, 1, 1, 1]
+    assert h_vector(examples.hirzebruch(3)) == [1, 2, 1]
+
+
+def test_dimension_matches_volume_for_fano_fans():
     # vol(conv(0, rays)) counts maximal cones exactly when the cone
     # simplices fill the hull; F3 is excluded on purpose (vol 5 > 4 cones).
     for fan in (
-        corpus.projective_line(),
-        corpus.projective_plane(),
-        corpus.p1_times_p1(),
-        corpus.hirzebruch(1),
+        examples.fan("p1_o2"),
+        examples.fan("p2"),
+        examples.fan("p1p1_o11"),
+        examples.hirzebruch(1),
     ):
         ring = build_ring(fan)
         assert ring.dimension == fan.newton_polytope.volume
 
 
 def test_chern_data_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     ring = build_ring(fan)
     cd = chern_data(ring, d)
     p = ring.divisor_class(0)
@@ -86,14 +116,14 @@ def test_chern_data_p1_o2():
 
 
 def test_chern_data_rank_zero():
-    ring = build_ring(corpus.projective_plane())
+    ring = build_ring(examples.fan("p2"))
     cd = chern_data(ring, IntegerMatrix(0, 3, ()))
     assert cd["c_top"] == ring.one()
     assert cd["euler_class"] == ring.scale(ring.divisor_class(0), 3)
 
 
 def test_chern_data_p1p1():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     ring = build_ring(fan)
     cd = chern_data(ring, d)
     expected = ring.add(ring.divisor_class(0), ring.divisor_class(2))
@@ -102,7 +132,7 @@ def test_chern_data_p1p1():
 
 
 def test_twisted_pairing_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     ring = build_ring(fan)
     ctop = chern_data(ring, d)["c_top"]
     assert twisted_pairing(ring, ctop, ring.one(), ring.one()) == 2
@@ -111,7 +141,7 @@ def test_twisted_pairing_p1_o2():
 
 
 def test_twisted_pairing_reduces_to_poincare():
-    ring = build_ring(corpus.projective_plane())
+    ring = build_ring(examples.fan("p2"))
     ctop = chern_data(ring, IntegerMatrix(0, 3, ()))["c_top"]
     p = ring.divisor_class(0)
     pp = ring.mul(p, p)
@@ -120,7 +150,7 @@ def test_twisted_pairing_reduces_to_poincare():
 
 
 def test_pairing_kernel_equals_multiplication_kernel():
-    for fan, d in [corpus.p1_o2(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p1p1_o11")]:
         ring = build_ring(fan)
         ctop = chern_data(ring, d)["c_top"]
         kern = kernel_of_multiplication(ring, ctop)
@@ -144,7 +174,7 @@ def test_pairing_kernel_equals_multiplication_kernel():
 
 
 def test_reduced_ring_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     ring = build_ring(fan)
     ctop = chern_data(ring, d)["c_top"]
     red = reduced_ring(ring, ctop)
@@ -154,7 +184,7 @@ def test_reduced_ring_p1_o2():
 
 
 def test_reduced_ring_rank_zero_bundle():
-    ring = build_ring(corpus.projective_plane())
+    ring = build_ring(examples.fan("p2"))
     ctop = chern_data(ring, IntegerMatrix(0, 3, ()))["c_top"]
     red = reduced_ring(ring, ctop)
     assert red["kernel_rank"] == 0
@@ -164,7 +194,7 @@ def test_reduced_ring_rank_zero_bundle():
 def test_reduced_ring_p1p1_oracle():
     """Oracle: the 4x4 multiplication matrix by p1+p2 kills exactly
     p1 - p2 and p1 p2, so the quotient has rank two."""
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     ring = build_ring(fan)
     ctop = chern_data(ring, d)["c_top"]
     p1 = ring.divisor_class(0)
@@ -185,7 +215,7 @@ def test_reduced_ring_p1p1_oracle():
 
 def test_frobenius_symmetry_classical():
     rng = random.Random(17)
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         ring = build_ring(fan)
         ctop = chern_data(ring, d)["c_top"]
 
@@ -204,10 +234,10 @@ def test_frobenius_symmetry_classical():
 
 
 def test_grading_mu_examples():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     ring = build_ring(fan)
     assert grading_mu(ring, 1) == [0, 1]
-    ring2 = build_ring(corpus.projective_plane())
+    ring2 = build_ring(examples.fan("p2"))
     assert grading_mu(ring2, 0) == [-1, 0, 1]
-    ring1 = build_ring(corpus.projective_line())
+    ring1 = build_ring(examples.fan("p1_o2"))
     assert grading_mu(ring1, 0) == [Fraction(-1, 2), Fraction(1, 2)]

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tglab import cli
+from tglab.cohomring import build_ring
 from tglab.intlinalg import IntegerMatrix
 from tglab.rationalcone import cone_hform
 from tglab.semigroups import DoubledSemigroup, interior_shift_check_ungraded, scan_cone_points
@@ -200,6 +201,17 @@ def test_commands_keep_the_exit_contract(tmp_path, surface):
         if argv[0] == "lg" and not error:
             verdicts = [s["verdict"] for s in report["results"]["samples"]]
             assert set(verdicts) <= {"good", "bad_suspected"}, verdicts
+
+
+@settings(max_examples=50, deadline=None)
+@given(surface=surfaces())
+def test_ring_dimensions_are_the_surface_h_vector(surface):
+    """A complete surface fan with m rays has m cones of each of the
+    dimensions 1 and 2, so its h-vector, the Betti numbers, is (1, m - 2, 1)."""
+    rays, _ = surface
+    fan = Fan.make(rays, [[j, (j + 1) % len(rays)] for j in range(len(rays))])
+    ring = build_ring(fan)
+    assert [len(ring.basis_by_degree[k]) for k in range(3)] == [1, len(rays) - 2, 1]
 
 
 @settings(max_examples=40, deadline=None)

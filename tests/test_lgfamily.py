@@ -6,15 +6,14 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 from operator import itemgetter
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from test_generated_surfaces import surfaces
 
-from tglab import corpus, lgfamily
-from tglab.cli import load_spec
+import examples
+from tglab import lgfamily
 from tglab.errors import ZeroCoefficient
 from tglab.intlinalg import IntegerMatrix, row_reduce
 from tglab.lgfamily import (
@@ -34,7 +33,7 @@ from tglab.toricfan import Fan, class_is_nef, total_space_fan
 
 
 def test_family_p1():
-    B = corpus.projective_line().ray_matrix()
+    B = examples.fan("p1_o2").ray_matrix()
     fam = build_family(B)
     # -l1*y - l2*y^-1 in variables (y, l1, l2)
     assert fam == {
@@ -44,7 +43,7 @@ def test_family_p1():
 
 
 def test_family_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     B = total_space_fan(fan, d).ray_matrix()
     fam = build_family(B)
     assert fam == {
@@ -61,7 +60,7 @@ def test_family_constant_column():
 
 
 def test_restrict_to_km_signs():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     km = restrict_to_km(model.Aprime, model.M, model.m)
     # bundle monomial enters with plus sign
@@ -84,7 +83,7 @@ def substitute_km_parameters(family: dict, s: int, t: int, M: IntegerMatrix, m: 
 def test_km_parameterizations_agree():
     """Substituting lambda_i = (+-1) q^{m_i} into the abstract family equals
     the restricted family, signs included."""
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         model = build_model(fan, d)
         B = model.Aprime
         s, t = B.rows, B.cols
@@ -104,7 +103,7 @@ def test_km_parameterizations_agree():
 
 
 def test_km_q_one_recovers_family_at_section():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     model = build_model(fan, IntegerMatrix(0, 3, ()))
     B = model.Aprime
     fam = build_family(B)
@@ -114,26 +113,26 @@ def test_km_q_one_recovers_family_at_section():
 
 
 def test_jacobian_dim_p1():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     res = jacobian_quotient_dim(NewtonData(fan), [1, 1])
     assert res["dim"] == 2
 
 
 def test_jacobian_dim_p2():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     res = jacobian_quotient_dim(NewtonData(fan), [1, 1, 1])
     assert res["dim"] == 3
 
 
 def test_jacobian_dim_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     res = jacobian_quotient_dim(NewtonData(total), [1, Fraction(3, 2), 1])
     assert res["dim"] == 2
 
 
 def test_jacobian_rejects_zero_coefficient():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     with pytest.raises(ZeroCoefficient):
         jacobian_quotient_dim(NewtonData(fan), [1, 0])
 
@@ -141,7 +140,7 @@ def test_jacobian_rejects_zero_coefficient():
 def test_jacobian_dim_rescaling_invariance():
     """The torus action lambda_i -> g^{-b_i} lambda_i preserves the
     dimension."""
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     B = total.ray_matrix()
     newton = NewtonData(total)
@@ -244,23 +243,9 @@ def reference_sweep(newton, lam, last):
 
 
 TOTAL_SPACES = {
-    name: total_space_fan(*build())
-    for name, build in [
-        ("p1_o2", corpus.p1_o2),
-        ("p2_o1", corpus.p2_o1),
-        ("p1p1_o11", corpus.p1p1_o11),
-        ("f3_minus_k", corpus.f3_minus_k),
-    ]
+    name: total_space_fan(*examples.spec(name))
+    for name in ("p1_o2", "p2_o1", "p1p1_o11", "f3_minus_k")
 }
-
-
-SPECS = Path(__file__).resolve().parent.parent / "specs"
-
-
-def spec_total(name):
-    """The total-space fan of specs/<name>.json."""
-    spec = load_spec(str(SPECS / f"{name}.json"))
-    return total_space_fan(spec["fan"], spec["bundles"])
 
 
 def surface_total(rays, rows):
@@ -269,7 +254,7 @@ def surface_total(rays, rows):
     return total_space_fan(fan, IntegerMatrix.from_rows(rows))
 
 
-THREEFOLDS = {name: spec_total(f"threefolds/{name}") for name in
+THREEFOLDS = {name: total_space_fan(*examples.spec(f"threefolds/{name}")) for name in
               ("p1cube_o111", "p2_o1o1", "p3_o2")}
 
 
@@ -331,8 +316,7 @@ def full_scan(newton):
 def test_members_are_every_cone_point_on_nef_rows(name):
     """On nef rows the support of the total-space fan is the whole cone, so
     the member list keeps every point of the scan."""
-    spec = load_spec(str(SPECS / f"{name}.json"))
-    fan, d = spec["fan"], spec["bundles"]
+    fan, d = examples.spec(name)
     assert all(class_is_nef(fan, row) for row in d.entries)
     newton = NewtonData(total_space_fan(fan, d))
     assert newton.members == full_scan(newton)
@@ -399,14 +383,14 @@ def test_degenerate_sweep_reduces_each_row_once(monkeypatch):
 @pytest.mark.parametrize("check", [jacobian_quotient_dim, classify_parameter])
 def test_parameter_length_checked(check):
     """Too few coefficients is a ValueError, before any face is searched."""
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     with pytest.raises(ValueError, match="one coefficient per column"):
         check(NewtonData(total), [1, 1])
 
 
 def test_face_critical_vertex_no_solution():
-    B = corpus.projective_line().ray_matrix()
+    B = examples.fan("p1_o2").ray_matrix()
     # lambda_1 y = 0 has no torus solution
     assert face_critical_system(B, [1], [1, 1]) == ([(1,)], [[1], [1]])
 
@@ -415,7 +399,7 @@ def test_face_critical_edge_avoiding_the_origin():
     """The edge [1, 2, 3] of P1/O(2) misses the origin: b_3 = (0, 1) lies
     between b_1 = (1, 2) and b_2 = (-1, 0).  Its system is the face part
     of f and its two log derivatives."""
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     B = total_space_fan(fan, d).ray_matrix()
     assert [1, 2, 3] in [sorted(f.indices) for f in hull(B).faces]
     exponents, rows = face_critical_system(B, [3, 1, 2], [1, 2, 3])
@@ -426,14 +410,14 @@ def test_face_critical_edge_avoiding_the_origin():
 
 
 def test_classify_good_p1():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     for lam in ([1, 1], [2, Fraction(1, 3)], [5, 7]):
         verdict = classify_parameter(NewtonData(fan), lam)
         assert verdict["verdict"] == "good"
 
 
 def test_classify_rejects_boundary():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     with pytest.raises(ZeroCoefficient):
         classify_parameter(NewtonData(fan), [1, 0])
 
@@ -441,7 +425,7 @@ def test_classify_rejects_boundary():
 def test_classify_bad_parameter_p1_o2():
     """lambda on the edge-face degeneracy locus: lambda_1 = lambda_2,
     lambda_3 = -2 lambda_1 makes the no-origin edge system solvable."""
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     verdict = classify_parameter(NewtonData(total), [1, 1, -2])
     assert verdict["verdict"] == "bad_suspected"
@@ -453,7 +437,7 @@ def test_bad_samples_scan_no_members(monkeypatch):
     """One NewtonData serves many samples; bad_suspected samples stop
     before the Jacobian sweep and scan nothing, and a later good sample
     gets the verdict of a fresh NewtonData."""
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     dilates = counting_scans(monkeypatch)
     newton = NewtonData(total)
@@ -466,7 +450,7 @@ def test_bad_samples_scan_no_members(monkeypatch):
 
 
 def test_classify_good_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     verdict = classify_parameter(NewtonData(total), [1, 1, 1])
     assert verdict["verdict"] == "good"
@@ -475,8 +459,8 @@ def test_classify_good_p1_o2():
 
 def test_dim_equals_volume_at_random_good_parameters():
     rng = random.Random(101)
-    cases = [(corpus.projective_line(), 2), (corpus.projective_plane(), 3)]
-    cases.append((total_space_fan(*corpus.p1_o2()), 2))
+    cases = [(examples.fan("p1_o2"), 2), (examples.fan("p2"), 3)]
+    cases.append((total_space_fan(*examples.spec("p1_o2")), 2))
     for fan, expected in cases:
         B = fan.ray_matrix()
         found = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tglab import corpus
+import examples
 from tglab.errors import BasisConditionFailed, BasisNotNef
 from tglab.intlinalg import IntegerMatrix
 from tglab.models import build_model
@@ -11,7 +11,7 @@ from tglab.weylops import OpContext, beta_outside_verified_regime, tilde_box
 
 
 def test_auto_basis_p1p1():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     model = build_model(fan, d)
     assert model.r == 2
     assert abs(model.basis_U.det()) == 1
@@ -21,7 +21,7 @@ def test_auto_basis_p1p1():
 
 
 def test_explicit_basis_p_accepted():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     model = build_model(fan, d, basis_p=[(1, 0, 0, 0), (0, 0, 1, 0)])
     assert model.r == 2
     gens = model.qdm_generators()
@@ -29,14 +29,14 @@ def test_explicit_basis_p_accepted():
 
 
 def test_basis_p_rejects_non_nef():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     # D1 - D3 is not nef on the product of lines
     with pytest.raises(BasisNotNef):
         build_model(fan, d, basis_p=[(1, 0, 0, 0), (1, 0, -1, 0)])
 
 
 def test_basis_p_rejects_non_unimodular():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     with pytest.raises(BasisNotNef):
         build_model(fan, d, basis_p=[(1, 0, 0, 0), (2, 0, 0, 0)])
 
@@ -44,7 +44,7 @@ def test_basis_p_rejects_non_unimodular():
 def test_basis_condition_fails_for_f3_without_bundle():
     """The sum of the ray classes of F3 is not nef, so no nef basis can
     absorb it and the moduli construction is correctly refused."""
-    fan = corpus.hirzebruch(3)
+    fan = examples.hirzebruch(3)
     with pytest.raises(BasisConditionFailed):
         build_model(fan, IntegerMatrix(0, 4, ()))
 
@@ -52,7 +52,7 @@ def test_basis_condition_fails_for_f3_without_bundle():
 def test_anticanonical_consistency_holds_when_both_sides_fail():
     # O(5) on the line: the adjoint class O(-3) is not nef, and neither is
     # the total-space anticanonical PL function; the equivalence holds.
-    fan, d = corpus.p1_ok(5)
+    fan, d = examples.p1_ok(5)
     assert class_is_nef(fan, d.row(0))
     coeffs = [1 - d.entries[0][i] for i in range(fan.n_rays)]
     assert not class_is_nef(fan, coeffs)
@@ -77,7 +77,7 @@ def test_tilde_box_zero_bundle_entry_has_no_shift_factor():
 
 
 def test_model_kernel_columns_are_relations():
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         model = build_model(fan, d)
         for a in range(model.r):
             assert all(x == 0 for x in model.Aprime.mul_vec(model.L.col(a)))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+import examples
 from tglab.cli import load_spec
 from tglab.errors import DegeneratePolytope
 from tglab.intlinalg import IntegerMatrix
@@ -93,10 +93,10 @@ def test_volume_triangulation_order_independent():
 
 def test_volume_counts_max_cones_for_complete_fans():
     for fan in (
-        corpus.projective_line(),
-        corpus.projective_plane(),
-        corpus.p1_times_p1(),
-        corpus.hirzebruch(1),
+        examples.fan("p1_o2"),
+        examples.fan("p2"),
+        examples.fan("p1p1_o11"),
+        examples.hirzebruch(1),
     ):
         assert fan.newton_polytope.volume == len(fan.max_cones)
 

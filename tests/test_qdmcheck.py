@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+import examples
 from tglab.cohomring import build_ring, chern_data
 from tglab.errors import UnsupportedOperator
 from tglab.intlinalg import IntegerMatrix, row_reduce
@@ -28,11 +28,11 @@ from tglab.weylops import WeylOp, bounded_ideal_membership, qdm_context
 
 
 def p2_model():
-    return build_model(corpus.projective_plane(), IntegerMatrix(0, 3, ()))
+    return build_model(*examples.spec("p2"))
 
 
 def p1o2_model():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     return build_model(fan, d)
 
 
@@ -85,7 +85,7 @@ def test_annihilation_p1_o2():
 
 
 def test_annihilation_p1p1_o11():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     model = build_model(fan, d)
     table = model.i_table(9)
     for box in model.qdm_generators()["boxes"]:
@@ -94,7 +94,7 @@ def test_annihilation_p1p1_o11():
 
 
 def test_annihilation_and_homogeneity_p2_o1():
-    fan, d = corpus.p2_o1()
+    fan, d = examples.spec("p2_o1")
     model = build_model(fan, d)
     table = model.i_table(9)
     for box in model.qdm_generators()["boxes"]:
@@ -110,7 +110,7 @@ def test_annihilation_f1_negative_pairing_branch():
     """The first Hirzebruch surface has a ray pairing negatively with an
     effective class, so the telescoped factors hit the numerator branch
     including the m = 0 class factor; annihilation must still be exact."""
-    fan = corpus.hirzebruch(1)
+    fan = examples.hirzebruch(1)
     model = build_model(fan, IntegerMatrix(0, 4, ()))
     assert any(x < 0 for row in model.L.entries for x in row)
     table = model.i_table(7)
@@ -245,9 +245,9 @@ def test_euler_lands_in_conjugated_gauge():
 # (basis monomial, z exponent) -> Fraction.
 
 FANS = {
-    "F1": lambda: corpus.hirzebruch(1),
-    "F2": lambda: corpus.hirzebruch(2),
-    "p1p1_o11": lambda: corpus.p1p1_o11()[0],
+    "F1": lambda: examples.hirzebruch(1),
+    "F2": lambda: examples.hirzebruch(2),
+    "p1p1_o11": lambda: examples.fan("p1p1_o11"),
 }
 
 
@@ -472,16 +472,16 @@ def test_operator_images_against_fraction_reference(case):
 
 
 # The classes the table derives from the kernel rows against chern_data,
-# which builds them from the bundle rows: the corpus models whose table
+# which builds them from the bundle rows: the example models whose table
 # exists (the F3 bundle pairs negatively with an effective degree).
 
 CHERN_CASES = {
-    "p2": lambda: (corpus.projective_plane(), IntegerMatrix(0, 3, ())),
-    "p1_o2": corpus.p1_o2,
-    "p2_o1": corpus.p2_o1,
-    "p1p1_o11": corpus.p1p1_o11,
-    "p1_o1": lambda: corpus.p1_ok(1),
-    "F1": lambda: (corpus.hirzebruch(1), IntegerMatrix(0, 4, ())),
+    "p2": lambda: examples.spec("p2"),
+    "p1_o2": lambda: examples.spec("p1_o2"),
+    "p2_o1": lambda: examples.spec("p2_o1"),
+    "p1p1_o11": lambda: examples.spec("p1p1_o11"),
+    "p1_o1": lambda: examples.p1_ok(1),
+    "F1": lambda: (examples.hirzebruch(1), IntegerMatrix(0, 4, ())),
 }
 
 

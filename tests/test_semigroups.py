@@ -1,15 +1,14 @@
-"""Semigroup membership, saturation, Gorenstein shift, toric ideals."""
+"""Semigroup membership, saturation, Gorenstein shift."""
 
 from itertools import combinations_with_replacement, product
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+import examples
 from tglab.errors import NotSaturated
-from tglab.intlinalg import IntegerMatrix, homogenize
+from tglab.intlinalg import IntegerMatrix
 from tglab.polytopes import LatticePolytope
 from tglab.semigroups import (
     DoubledSemigroup,
@@ -17,13 +16,12 @@ from tglab.semigroups import (
     graded_slice_points,
     interior_shift_check_ungraded,
     scan_cone_points,
-    toric_ideal_binomials,
 )
 from tglab.toricfan import total_space_fan
 
 
 def p1o2_doubled():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     return total, DoubledSemigroup(total.newton_polytope)
 
@@ -46,7 +44,7 @@ def test_saturation_p1_o2():
 
 
 def test_saturation_p2():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     S = DoubledSemigroup(fan.newton_polytope)
     assert scan_cone_points(S, 6).witness is None
 
@@ -55,7 +53,7 @@ def test_f3_alternate_representative_not_normal():
     """The anticanonical class of F3 has equivalent nonnegative divisor
     representatives for which the doubled semigroup is not normal; the
     witness appears at grading two."""
-    fan = corpus.hirzebruch(3)
+    fan = examples.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
     S = DoubledSemigroup(total.newton_polytope)
@@ -67,7 +65,7 @@ def test_f3_alternate_representative_not_normal():
 
 
 def test_gorenstein_shift_p1_c0():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     S = DoubledSemigroup(fan.newton_polytope)
     shift = S.generators[0]  # grading c+1 = 1
     assert gorenstein_shift_check(S, shift, 5, scan_cone_points(S, 5))
@@ -85,7 +83,7 @@ def test_gorenstein_shift_p1_o2():
 
 
 def test_gorenstein_requires_saturation():
-    fan = corpus.hirzebruch(3)
+    fan = examples.hirzebruch(3)
     d = IntegerMatrix.from_rows([(0, 2, 4, 0)])
     total = total_space_fan(fan, d)
     S = DoubledSemigroup(total.newton_polytope)
@@ -107,7 +105,7 @@ def test_gorenstein_shift_degree_and_injectivity():
 
 
 def test_interior_aprime_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
     lift = DoubledSemigroup(total.newton_polytope)
@@ -115,79 +113,23 @@ def test_interior_aprime_p1_o2():
 
 
 def test_interior_aprime_c0():
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     lift = DoubledSemigroup(fan.newton_polytope)
     assert interior_shift_check_ungraded(fan, lift, (0,), 5, scan_cone_points(lift, 5))
 
 
 def test_interior_aprime_p1p1():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
     lift = DoubledSemigroup(total.newton_polytope)
     assert interior_shift_check_ungraded(total, lift, Ap.col(4), 5, scan_cone_points(lift, 5))
 
 
-def test_toric_ideal_p1_o2():
-    B = IntegerMatrix.from_rows([[1, -1, 0], [2, 0, 1]])
-    gens = toric_ideal_binomials(B, 4)
-    assert gens == [((1, 1, 0), (0, 0, 2))]
-
-
-def test_toric_ideal_p2_homogenized():
-    B = homogenize(IntegerMatrix.from_rows([[1, 0, -1], [0, 1, -1]]))
-    gens = toric_ideal_binomials(B, 4)
-    assert gens == [((3, 0, 0, 0), (0, 1, 1, 1))]
-
-
-def test_toric_ideal_zero_lattice():
-    assert toric_ideal_binomials(IntegerMatrix.identity(2), 4) == []
-
-
-def _monomial(variables, exps):
-    return sympy.Mul(*(v**e for v, e in zip(variables, exps)))
-
-
-def _elimination_toric_ideal(B, xs):
-    """The toric ideal of B by elimination: x_j t^(a_j-) - t^(a_j+) and
-    w prod(t) - 1 in lex order, keeping the elements free of t and w."""
-    ts = sympy.symbols(f"t0:{B.rows}")
-    w = sympy.Symbol("w")
-    polys = [
-        xs[j] * _monomial(ts, [max(-a, 0) for a in B.col(j)])
-        - _monomial(ts, [max(a, 0) for a in B.col(j)])
-        for j in range(B.cols)
-    ]
-    polys.append(w * sympy.Mul(*ts) - 1)
-    G = sympy.groebner(polys, *ts, w, *xs, order="lex")
-    return [g for g in G.exprs if not g.free_symbols & (set(ts) | {w})]
-
-
-@pytest.mark.parametrize(
-    "B",
-    [
-        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1], [0, 1, 2, 3]]), id="twisted-cubic"),
-        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]),
-                     id="normal-quartic"),
-        pytest.param(IntegerMatrix.from_rows([[1, 1, 1, 1], [0, 1, 3, 4]]), id="curve-0134"),
-        pytest.param(IntegerMatrix.from_rows([[1, -1, 0], [2, 0, 1]]), id="p1-o2"),
-        pytest.param(homogenize(IntegerMatrix.from_rows([[1, 0, -1], [0, 1, -1]])),
-                     id="p2-homogenized"),
-    ],
-)
-def test_toric_ideal_against_groebner_elimination(B):
-    xs = sympy.symbols(f"x0:{B.cols}")
-    binomials = [
-        _monomial(xs, big) - _monomial(xs, small) for big, small in toric_ideal_binomials(B, 4)
-    ]
-    expected = sympy.groebner(_elimination_toric_ideal(B, xs), *xs, order="grevlex")
-    assert sympy.groebner(binomials, *xs, order="grevlex").exprs == expected.exprs
-
-
-def test_w_convexity_implies_saturation_on_corpus():
+def test_w_convexity_implies_saturation_on_specs():
     from tglab.toricfan import w_set_convexity
 
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         total = total_space_fan(fan, d)
         assert w_set_convexity(total)
         S = DoubledSemigroup(total.newton_polytope)
@@ -257,7 +199,7 @@ def test_ungraded_lift_on_nonconvex_support():
     the plane, so points outside its support are decided by the graded
     lift: it reaches v within a bound exactly when v sums at most that
     many columns of A'."""
-    fan, d = corpus.p1_ok(-1)
+    fan, d = examples.p1_ok(-1)
     total = total_space_fan(fan, d)
     Ap = total.ray_matrix()
     lift = DoubledSemigroup(total.newton_polytope)

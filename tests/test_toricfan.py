@@ -1,16 +1,15 @@
 """Fans, total-space fans, convexity, nef cones and the hull checks."""
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tglab import cli, corpus, toricfan
+import examples
+from tglab import toricfan
 from tglab.errors import (
     BundleNotNef,
     IncompleteFan,
@@ -39,17 +38,17 @@ from tglab.toricfan import (
 )
 
 ALL_FANS = {
-    "P1": corpus.projective_line(),
-    "P2": corpus.projective_plane(),
-    "P1xP1": corpus.p1_times_p1(),
-    "F0": corpus.hirzebruch(0),
-    "F1": corpus.hirzebruch(1),
-    "F3": corpus.hirzebruch(3),
+    "P1": examples.fan("p1_o2"),
+    "P2": examples.fan("p2"),
+    "P1xP1": examples.fan("p1p1_o11"),
+    "F0": examples.hirzebruch(0),
+    "F1": examples.hirzebruch(1),
+    "F3": examples.hirzebruch(3),
 }
 
 
 def test_validate_p2():
-    diag = validate_fan(corpus.projective_plane())
+    diag = validate_fan(examples.fan("p2"))
     assert diag.smooth and diag.complete and diag.is_fan
 
 
@@ -160,7 +159,7 @@ def test_make_refuses_each_shape_rule(rays, cones, message):
 
 
 def test_total_space_fan_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     total = total_space_fan(fan, d)
     assert total.rays == ((1, 2), (-1, 0), (0, 1))
     assert total.max_cones == ((0, 2), (1, 2))
@@ -168,26 +167,26 @@ def test_total_space_fan_p1_o2():
 
 
 def test_fan_equality_is_by_value():
-    a, b = corpus.projective_plane(), corpus.projective_plane()
+    a, b = examples.fan("p2"), examples.fan("p2")
     assert a == b and hash(a) == hash(b)
-    assert a != corpus.p1_times_p1()
+    assert a != examples.fan("p1p1_o11")
     assert a != Fan.make(a.rays, a.max_cones[:2])
 
 
 def test_diagnostics_repr_names_the_fields():
     """demos/01 prints the diagnostics record."""
-    assert repr(validate_fan(corpus.projective_plane())) == (
+    assert repr(validate_fan(examples.fan("p2"))) == (
         "FanDiagnostics(is_fan=True, smooth=True, complete=True, simplicial=True)"
     )
 
 
 def test_total_space_fan_rank_zero():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     assert total_space_fan(fan, IntegerMatrix(0, 3, ())) == fan
 
 
 def test_total_space_fan_p1p1():
-    fan, d = corpus.p1p1_o11()
+    fan, d = examples.spec("p1p1_o11")
     total = total_space_fan(fan, d)
     assert total.dim == 3
     assert total.n_rays == 5
@@ -197,7 +196,7 @@ def test_total_space_fan_p1p1():
 def test_build_model_refuses_a_row_that_is_neither_nonnegative_nor_nef():
     """The sign rule lives in build_model; total_space_fan builds the fan of
     any row, here P1 with O(-1)."""
-    fan = corpus.projective_line()
+    fan = examples.fan("p1_o2")
     d = IntegerMatrix.from_rows([(-1, 0)])
     with pytest.raises(NegativeCoefficient):
         build_model(fan, d)
@@ -214,21 +213,21 @@ def test_a_nef_row_with_a_negative_entry_reaches_the_smoothness_check():
 
 
 def test_total_space_smooth_invariant():
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11(), corpus.f3_minus_k()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11"), examples.spec("f3_minus_k")]:
         assert validate_fan(total_space_fan(fan, d)).smooth
 
 
 def test_pl_convexity_p2_anticanonical():
-    assert pl_is_convex(corpus.projective_plane(), [-1, -1, -1]) == (True, True)
+    assert pl_is_convex(examples.fan("p2"), [-1, -1, -1]) == (True, True)
 
 
 def test_pl_convexity_linear_function():
     # values of the global linear function x at the rays of P2
-    assert pl_is_convex(corpus.projective_plane(), [1, 0, -1]) == (True, False)
+    assert pl_is_convex(examples.fan("p2"), [1, 0, -1]) == (True, False)
 
 
 def test_pl_convexity_o_minus_one():
-    assert pl_is_convex(corpus.projective_line(), [1, 0]) == (False, False)
+    assert pl_is_convex(examples.fan("p1_o2"), [1, 0]) == (False, False)
 
 
 def test_pl_needs_complete_fan():
@@ -261,97 +260,85 @@ def test_nef_cone_pl_solves_once_per_cone_and_class(monkeypatch, name):
 
 
 def test_nef_cone_rays_p1xp1():
-    nef = nef_cone_anticones(corpus.p1_times_p1())
+    nef = nef_cone_anticones(examples.fan("p1p1_o11"))
     assert nef == [(0, 1), (1, 0)]
 
 
 def test_nef_cone_rank_one_examples():
-    for fan in (corpus.projective_line(), corpus.projective_plane()):
+    for fan in (examples.fan("p1_o2"), examples.fan("p2")):
         nef = nef_cone_anticones(fan)
         assert len(nef) == 1
 
 
-def test_pullback_identity_corpus():
+def test_pullback_identity_on_specs():
     # The total fan's nef cone, in the extended relation lattice, is the base's.
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         nef_total = nef_hform(total_space_fan(fan, d), extended_kernel(fan, d))
         assert extreme_rays(nef_total) == nef_cone_anticones(fan)
 
 
-def test_anticanonical_consistency_corpus():
-    for fan, d in [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]:
+@pytest.mark.parametrize("name", examples.NAMES)
+def test_extended_kernel_is_a_kernel_basis_of_the_total_rays(name):
+    """Each column of `extended_kernel` is a relation of the total-space
+    rays, and there are as many columns as the kernel has rank."""
+    fan, d = examples.spec(name)
+    kernel = extended_kernel(fan, d)
+    rays = total_space_fan(fan, d).ray_matrix()
+    assert kernel.cols == rays.cols - rays.rows
+    for a in range(kernel.cols):
+        assert rays.mul_vec(kernel.col(a)) == (0,) * rays.rows
+
+
+def test_anticanonical_consistency_on_specs():
+    for fan, d in [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]:
         assert anticanonical_consistency_check(fan, d, total_space_fan(fan, d))
 
 
 def test_conv_in_support_positive():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     assert conv_in_support_check(fan, d, total_space_fan(fan, d))
 
 
 def test_conv_in_support_high_twist():
     # stays true for O(k) with k > 2 even though the adjoint class is not nef
     for k in (3, 5):
-        fan, d = corpus.p1_ok(k)
+        fan, d = examples.p1_ok(k)
         assert conv_in_support_check(fan, d, total_space_fan(fan, d))
 
 
 def test_conv_in_support_rank_zero():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     assert conv_in_support_check(fan, IntegerMatrix(0, 3, ()), fan)
 
 
 def test_conv_in_support_needs_nef():
-    fan, d = corpus.p1_ok(-1)
+    fan, d = examples.p1_ok(-1)
     total = total_space_fan(fan, d)
     with pytest.raises(BundleNotNef):
         conv_in_support_check(fan, d, total)
 
 
 def test_w_set_positive_cases():
-    assert w_set_convexity(corpus.projective_plane())
-    assert w_set_convexity(total_space_fan(*corpus.p1_o2()))
-    assert w_set_convexity(total_space_fan(*corpus.p1p1_o11()))
+    assert w_set_convexity(examples.fan("p2"))
+    assert w_set_convexity(total_space_fan(*examples.spec("p1_o2")))
+    assert w_set_convexity(total_space_fan(*examples.spec("p1p1_o11")))
 
 
 def test_w_set_negative_f3():
-    assert not w_set_convexity(total_space_fan(*corpus.f3_minus_k()))
+    assert not w_set_convexity(total_space_fan(*examples.spec("f3_minus_k")))
 
 
 def test_w_set_negative_twist():
-    fan, d = corpus.p1_ok(-1)
+    fan, d = examples.p1_ok(-1)
     assert not w_set_convexity(total_space_fan(fan, d))
 
 
 def test_nefness_assumption_detects_o_minus_one():
-    fan, d = corpus.p1_ok(-1)
+    fan, d = examples.p1_ok(-1)
     assert not class_is_nef(fan, d.row(0))
 
 
-def _spec_total(path):
-    spec = cli.load_spec(str(path))
-    return total_space_fan(spec["fan"], spec["bundles"])
-
-
-def _threefold_totals():
-    """P1^3/O(1,1,1), P3/O(2) and P2/O(1)+O(1)."""
-    signs = [(s1, s2, s3) for s1 in (0, 1) for s2 in (0, 1) for s3 in (0, 1)]
-    p1_cubed = Fan.make(
-        [tuple(sign * int(i == k) for i in range(3)) for k in range(3) for sign in (1, -1)],
-        [tuple(2 * k + s[k] for k in range(3)) for s in signs],
-    )
-    p3 = Fan.make([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], combinations(range(4), 3))
-    p2 = corpus.projective_plane()
-    return {
-        "P1^3/O(1,1,1)": total_space_fan(p1_cubed, corpus.bundle(p1_cubed, (1, 0, 1, 0, 1, 0))),
-        "P3/O(2)": total_space_fan(p3, corpus.bundle(p3, (2, 0, 0, 0))),
-        "P2/O(1)+O(1)": total_space_fan(p2, corpus.bundle(p2, (1, 0, 0), (1, 0, 0))),
-    }
-
-
-SUPPORT_FANS = {
-    path.stem: _spec_total(path)
-    for path in sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
-} | _threefold_totals()
+SUPPORT_FANS = {name: total_space_fan(*examples.spec(name)) for name in examples.NAMES}
 
 
 def in_some_cone(fan, v) -> bool:
@@ -367,7 +354,7 @@ def in_some_cone(fan, v) -> bool:
 
 @st.composite
 def support_queries(draw):
-    """A total fan of a spec or a threefold and an integer point, a
+    """A total fan of a committed spec and an integer point, a
     rational point, or the barycenter of some of 0 and the rays."""
     fan = SUPPORT_FANS[draw(st.sampled_from(sorted(SUPPORT_FANS)))]
     kind = draw(st.sampled_from(["integer", "rational", "barycenter"]))

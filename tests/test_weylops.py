@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tglab import corpus
+import examples
 from tglab.errors import DimensionMismatch, NotLogExpressible, NotSameImage
 from tglab.intlinalg import IntegerMatrix, homogenize, kernel_lattice
 from tglab.models import build_model
@@ -31,7 +31,7 @@ from tglab.weylops import (
     tilde_box,
 )
 
-CORPUS = [corpus.p1_o2(), corpus.p2_o1(), corpus.p1p1_o11()]
+BUNDLES = [examples.spec("p1_o2"), examples.spec("p2_o1"), examples.spec("p1p1_o11")]
 
 
 def test_commutation_partial_lambda():
@@ -114,7 +114,7 @@ def test_normal_order_confluence_random():
 
 
 def test_gkz_generators_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = gkz_generators(model.Aprime, [0, 0], kernel_basis=model.L)
     ctx = g["ctx"]
@@ -159,7 +159,7 @@ def test_homogenized_box_balanced_relation():
 
 
 def test_hat_generators_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = fl_hat_generators(model.Aprime, [0, 0, 0], kernel_basis=model.L)
     ctx = g["ctx"]
@@ -175,7 +175,7 @@ def test_hat_generators_p1_o2():
 
 
 def test_hat_euler_homogeneous_at_zero_parameter():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = fl_hat_generators(model.Aprime, [0, 0, 0], kernel_basis=model.L)
     for op in g["eulers"]:
@@ -191,7 +191,7 @@ def test_fl_substitution_simple():
 
 
 def test_fl_substitution_matches_hat_everywhere():
-    for fan, d in CORPUS:
+    for fan, d in BUNDLES:
         model = build_model(fan, d)
         for a in range(model.r):
             rec = fl_match_homogenized(model.Aprime, model.L.col(a))
@@ -200,7 +200,7 @@ def test_fl_substitution_matches_hat_everywhere():
 
 
 def test_fl_substitution_euler_shift():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     B = model.Aprime
     t = B.cols
@@ -216,32 +216,32 @@ def test_fl_substitution_euler_shift():
 
 
 def test_shift_morphism_p1():
-    Bt = homogenize(corpus.projective_line().ray_matrix())
+    Bt = homogenize(examples.fan("p1_o2").ray_matrix())
     cert = shift_morphism_factorization(Bt, (0, 1, 1), (2, 0, 0))
     assert cert["identity_holds"]
     assert cert["relation"] == (-2, 1, 1)
 
 
 def test_shift_morphism_equal_exponents():
-    Bt = homogenize(corpus.projective_line().ray_matrix())
+    Bt = homogenize(examples.fan("p1_o2").ray_matrix())
     cert = shift_morphism_factorization(Bt, (1, 2, 0), (1, 2, 0))
     assert cert["identity_holds"]
     assert cert["lhs"].is_zero()
 
 
 def test_shift_morphism_rejects_different_images():
-    Bt = homogenize(corpus.projective_line().ray_matrix())
+    Bt = homogenize(examples.fan("p1_o2").ray_matrix())
     with pytest.raises(NotSameImage):
         shift_morphism_factorization(Bt, (1, 0, 0), (0, 1, 0))
 
 
-def test_shift_morphism_random_pairs_corpus():
+def test_shift_morphism_random_pairs_on_specs():
     rng = random.Random(5)
-    for fan, d in CORPUS:
+    for fan, d in BUNDLES:
         model = build_model(fan, d)
         Bt = model.Adoubleprime
         t1 = Bt.cols
-        kernel = kernel_lattice(Bt).basis
+        kernel = kernel_lattice(Bt)
         pairs = 0
         while pairs < 10:
             c2 = tuple(rng.randint(0, 3) for _ in range(t1))
@@ -428,7 +428,7 @@ def test_qdm_box_matches_reference_loops(l, data):
 
 
 def test_tilde_box_p1_o2_display():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     ctx = OpContext.make(3, laurent=True)
     l = tuple(model.L.col(0))
@@ -440,24 +440,24 @@ def test_tilde_box_p1_o2_display():
     assert box == expected
 
 
-def test_theta_transform_corpus():
-    for fan, d in CORPUS:
+def test_theta_transform_on_specs():
+    for fan, d in BUNDLES:
         model = build_model(fan, d)
         sg = model.star_generators()
         g = model.qdm_generators()
-        ch = model.torus_change()
+        ch = (model.L, model.M, model.m)
         for a, tbox in enumerate(sg["boxes"]):
-            assert theta_restrict(tbox, ch) == g["boxes"][a]
-        assert theta_restrict(sg["eulers"][0], ch) == g["euler"]
+            assert theta_restrict(tbox, *ch) == g["boxes"][a]
+        assert theta_restrict(sg["eulers"][0], *ch) == g["euler"]
         for e in sg["eulers"][1:]:
-            assert theta_restrict(e, ch).is_zero()
+            assert theta_restrict(e, *ch).is_zero()
 
 
 def test_theta_transform_constant():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     ctx = OpContext.make(3, laurent=True)
-    img = theta_restrict(WeylOp.scalar(ctx, 7), model.torus_change())
+    img = theta_restrict(WeylOp.scalar(ctx, 7), model.L, model.M, model.m)
     assert img == WeylOp.scalar(img.ctx, 7)
 
 
@@ -505,7 +505,7 @@ def ref_theta_restrict(op, model):
     return ref_restrict_to_f_one(ref_theta_coordinate_change(op, model), model.C.cols)
 
 
-THETA_MODELS = [build_model(fan, d) for fan, d in CORPUS]
+THETA_MODELS = [build_model(fan, d) for fan, d in BUNDLES]
 
 
 @st.composite
@@ -534,11 +534,11 @@ def torus_operators(draw):
 @given(torus_operators())
 def test_theta_restrict_matches_two_step_reference(case):
     model, op = case
-    assert theta_restrict(op, model.torus_change()) == ref_theta_restrict(op, model)
+    assert theta_restrict(op, model.L, model.M, model.m) == ref_theta_restrict(op, model)
 
 
 def test_qdm_box_p2():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     model = build_model(fan, IntegerMatrix(0, 3, ()))
     g = model.qdm_generators()
     ctx = g["ctx"]
@@ -547,7 +547,7 @@ def test_qdm_box_p2():
 
 
 def test_qdm_box_p1_o2():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = model.qdm_generators()
     ctx = g["ctx"]
@@ -559,7 +559,7 @@ def test_qdm_box_p1_o2():
 
 
 def test_qdm_box_zero_relation():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     ctx = qdm_context(1)
     box = qdm_box(ctx, model.L, 2, (0,), (0, 0, 0))
@@ -567,7 +567,7 @@ def test_qdm_box_zero_relation():
 
 
 def test_bounded_membership_trivial():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = model.qdm_generators()
     box = g["boxes"][0]
@@ -576,7 +576,7 @@ def test_bounded_membership_trivial():
 
 
 def test_bounded_membership_combination():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     g = model.qdm_generators()
     ctx = g["ctx"]
@@ -590,7 +590,7 @@ def test_bounded_membership_combination():
 
 
 def test_bounded_membership_inconclusive_for_one():
-    fan = corpus.projective_plane()
+    fan = examples.fan("p2")
     model = build_model(fan, IntegerMatrix(0, 3, ()))
     g = model.qdm_generators()
     one = WeylOp.one(g["ctx"])
@@ -599,7 +599,7 @@ def test_bounded_membership_inconclusive_for_one():
 
 
 def test_export_records_are_sorted_and_stable():
-    fan, d = corpus.p1_o2()
+    fan, d = examples.spec("p1_o2")
     model = build_model(fan, d)
     box = model.qdm_generators()["boxes"][0]
     recs = box.to_records()
